@@ -82,7 +82,13 @@ def _sample_track(
     scale = 1.0 / peak if peak > 1e-12 else 1.0
     if rng.uniform() < spec.gain_probability:
         scale *= rng.uniform(*spec.gain_range)
-    return stems * scale, mixture * scale, transcription
+    stems, mixture = stems * scale, mixture * scale
+    # Stems that cancel in the mixture can still exceed full scale; bring them
+    # within it, with the mixture, so a WAV write clips nothing.
+    stem_peak = np.abs(stems).max()
+    if stem_peak > 1.0:
+        stems, mixture = stems / stem_peak, mixture / stem_peak
+    return stems, mixture, transcription
 
 
 def _spaced_frames(

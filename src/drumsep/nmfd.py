@@ -4,18 +4,24 @@ The mixture magnitude V (F x M) is approximated by Lambda[f, m] =
 sum_k sum_tau W[k, f, tau] * H[k, m - tau]: per-class spectro-temporal
 templates convolved with onset-informed activations. Multiplicative updates
 keep everything non-negative and do not increase the KL divergence.
+
+The convolution is one matrix product, Lambda = W_mat @ H_s: column k*L + tau
+of W_mat is W[k, :, tau] and row k*L + tau of H_s is H[k] delayed by tau
+frames (zero for tau >= M). With Q = V / Lambda, the H update's numerator is
+W_mat^T @ Q summed along lag diagonals; the W update's is Q @ H_s^T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .classes import CLASS_INDEX, NUM_CLASSES
+from .classes import NUM_CLASSES
 from .drum_machine import OneShotBank
-from .signal import DEFAULT_HOP, StftConfig, Waveform, magnitude, num_frames, stft
-from .transcription import Transcription, nearest_frame
+from .signal import DEFAULT_HOP, StftConfig, Waveform, magnitude, stft
+from .transcription import Transcription, events_to_grid
 
 EPSILON = 1e-10
 
@@ -65,28 +71,35 @@ class NmfdModel:
         object.__setattr__(self, "activations", h)
 
 
-def _shifted(h: np.ndarray, tau: int) -> np.ndarray:
-    """H delayed by tau frames, zero-filled at the start."""
-    if tau == 0:
-        return h
-    out = np.zeros_like(h)
-    out[:, tau:] = h[:, :-tau]
-    return out
+def _stacked(h: np.ndarray, length: int) -> np.ndarray:
+    """H_s, (K*L) x M: row k*L + tau is H[k] delayed by tau frames."""
+    k, m = h.shape
+    padded = np.pad(h, ((0, 0), (length - 1, 0)))
+    # Window j starts at padded frame j, i.e. H delayed by L - 1 - j.
+    return sliding_window_view(padded, m, axis=1)[:, ::-1].reshape(k * length, m)
+
+
+def _lag_sum(g: np.ndarray) -> np.ndarray:
+    """Adjoint of _stacked for g of shape K x L x M:
+    out[k, m] = sum of g[k, tau, m + tau] over tau with m + tau < M."""
+    k, length, m = g.shape
+    # In rows of g padded to M + L, a step of M + L + 1 is one lag and one frame.
+    flat = np.pad(g, ((0, 0), (0, 0), (0, length))).reshape(k, -1)
+    return sliding_window_view(flat, m, axis=1)[:, :: m + length + 1].sum(axis=1)
 
 
 def reconstruct_per_class(model: NmfdModel, n_frames: int) -> np.ndarray:
     """Per-class approximations Lambda_k, shape K x F x M."""
-    k, f, length = model.templates.shape
-    lam = np.zeros((k, f, n_frames))
-    for tau in range(length):
-        h = _shifted(model.activations[:, :n_frames], tau)
-        lam += model.templates[:, :, tau][:, :, None] * h[:, None, :]
-    return lam
+    k, _, length = model.templates.shape
+    h_s = _stacked(model.activations[:, :n_frames], length)
+    return model.templates @ h_s.reshape(k, length, n_frames)
 
 
 def reconstruct(model: NmfdModel, n_frames: int) -> np.ndarray:
     """Full approximation Lambda = sum_k Lambda_k, shape F x M."""
-    return reconstruct_per_class(model, n_frames).sum(axis=0)
+    k, f, length = model.templates.shape
+    w_mat = model.templates.transpose(1, 0, 2).reshape(f, k * length)
+    return w_mat @ _stacked(model.activations[:, :n_frames], length)
 
 
 def kl_divergence(v: np.ndarray, lam: np.ndarray, eps: float = EPSILON) -> float:
@@ -115,12 +128,7 @@ def init_informed(
         raise ValueError("mixture magnitude must be a non-negative F x M matrix")
     n_bins, m = v.shape
 
-    h = np.full((NUM_CLASSES, m), case.epsilon)
-    for e in t.events:
-        frame = nearest_frame(e.time, hop_size)
-        if frame >= m:
-            raise ValueError(f"onset at {e.time:.6f} s falls beyond {m} frames")
-        h[CLASS_INDEX[e.class_name], frame] = 1.0
+    h = np.maximum(events_to_grid(t, m, hop_size).onsets, case.epsilon)
 
     if case.informed_templates:
         if bank is None:
@@ -158,31 +166,21 @@ def nmfd_step(model: NmfdModel, v: np.ndarray, eps: float = EPSILON) -> NmfdMode
         raise ValueError("model and magnitude dimensions do not match")
 
     w, h = model.templates, model.activations
+    w_mat = w.transpose(1, 0, 2).reshape(n_bins, k * length)
 
     # H update: Lambda is linear in H, so this is a plain majorize-minimize
     # step on an expanded basis.
-    q = v / (reconstruct(model, m) + eps)
-    num = np.zeros((k, m))
-    den = np.zeros((k, m))
-    w_sums = w.sum(axis=1)  # K x L
-    for tau in range(length):
-        valid = m - tau
-        num[:, :valid] += np.einsum("kf,fm->km", w[:, :, tau], q[:, tau:])
-        den[:, :valid] += w_sums[:, tau : tau + 1]
+    q = v / (w_mat @ _stacked(h, length) + eps)
+    num = _lag_sum((w_mat.T @ q).reshape(k, length, m))
+    den = _lag_sum(np.broadcast_to(w.sum(axis=1)[:, :, None], (k, length, m)))
     h = np.maximum(h * num / np.maximum(den, eps), eps)
-    model = NmfdModel(w, h, model.fixed_templates)
 
     if not model.fixed_templates:
-        q = v / (reconstruct(model, m) + eps)
-        w_new = np.empty_like(w)
-        for tau in range(length):
-            h_tau = _shifted(h, tau)  # K x M
-            num_w = np.einsum("fm,km->kf", q, h_tau)
-            den_w = h_tau.sum(axis=1)[:, None]
-            w_new[:, :, tau] = w[:, :, tau] * num_w / np.maximum(den_w, eps)
-        w = np.maximum(w_new, eps)
-        model = NmfdModel(w, h, model.fixed_templates)
-    return model
+        h_s = _stacked(h, length)
+        q = v / (w_mat @ h_s + eps)
+        w_mat = w_mat * (q @ h_s.T) / np.maximum(h_s.sum(axis=1), eps)
+        w = np.maximum(w_mat, eps).reshape(n_bins, k, length).transpose(1, 0, 2)
+    return NmfdModel(w, h, model.fixed_templates)
 
 
 def nmfd_run(
@@ -194,7 +192,7 @@ def nmfd_run(
     hop_size: int = DEFAULT_HOP,
 ) -> tuple[NmfdModel, np.ndarray]:
     """Initialize and iterate; returns the model and per-class magnitudes
-    (K x F x M), which sum exactly to the full reconstruction."""
+    (K x F x M), which sum to the full reconstruction."""
     model = init_informed(v, t, bank, case, seed=seed, hop_size=hop_size)
     for _ in range(case.iterations):
         model = nmfd_step(model, v, eps=case.epsilon)

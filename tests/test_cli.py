@@ -135,6 +135,19 @@ class TestSeparate:
         assert np.sqrt(np.mean(residual**2)) < 1e-3
         assert (sep / "magnitudes.npz").exists()
 
+    def test_nmfd_fixed_templates_on_short_mixture(self, tmp_path, bank_dir):
+        # 0.3 s is 26 frames, fewer than case 1A's 40-frame templates
+        t = tmp_path / "short.csv"
+        write_transcription(Transcription((
+            Event(0.05, "kick", 1.0), Event(0.15, "snare", 0.9))), t)
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", t,
+            "--out", out, "--duration", 0.3)
+        result = run("separate", "nmfd", "--case", "1a", "--bank", bank_dir,
+                     "--mixture", out / "mixture.wav", "--transcription", t,
+                     "--out", tmp_path / "sep")
+        assert result.exit_code == 0, all_output(result)
+
     def test_abs_writes_synth_masked_and_trace(self, tmp_path, bank_dir,
                                                transcription_path):
         out = tmp_path / "out"

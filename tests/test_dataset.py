@@ -6,6 +6,8 @@ import pytest
 from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
 from drumsep.dataset import DEFAULT_DENSITIES, GenerationSpec, generate_dataset
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
+from drumsep.fileio import read_wav, write_wav
+from drumsep.signal import Waveform
 
 
 def small_bank(seed=0):
@@ -51,6 +53,26 @@ class TestGenerate:
         spec = GenerationSpec(n_tracks=4, duration=1.0)
         for track in generate_dataset([small_bank()], 11, spec):
             assert np.abs(track.mixture.samples).max() <= 1.0 + 1e-12
+
+    def test_cancelling_stems_written_without_clipping(self, tmp_path):
+        # kick is s and snare -s; on a one-frame track both hit frame 0, so
+        # the mixture nearly cancels and its peak alone understates the stems'
+        s = small_bank().one_shots[0]
+        shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
+        shots[CLASS_INDEX["kick"]], shots[CLASS_INDEX["snare"]] = s, -s
+        spec = GenerationSpec(n_tracks=3, duration=512 / 44100,
+                              densities={"kick": 1000.0, "snare": 1000.0})
+        for track in generate_dataset([OneShotBank("cancel", shots)], 0, spec):
+            written = []
+            for i, stem in enumerate(track.stems):
+                path = tmp_path / f"{track.track_id}_{i}.wav"
+                assert write_wav(path, Waveform(stem)) == 0
+                written.append(read_wav(path).samples)
+            assert np.abs(written).max() <= 1.0
+            mix_path = tmp_path / f"{track.track_id}_mix.wav"
+            assert write_wav(mix_path, track.mixture) == 0
+            np.testing.assert_allclose(np.sum(written, axis=0),
+                                       read_wav(mix_path).samples, atol=1e-6)
 
     def test_same_class_onsets_respect_min_gap(self):
         spec = GenerationSpec(n_tracks=3, duration=3.0)

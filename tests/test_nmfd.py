@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumsep.classes import CLASS_INDEX, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
@@ -34,6 +36,48 @@ def naive_reconstruct(w, h):
     return lam
 
 
+def _delayed(h, tau):
+    """H delayed by tau frames, zero-filled at the start."""
+    out = np.zeros_like(h)
+    if tau < h.shape[1]:
+        out[:, tau:] = h[:, : h.shape[1] - tau]
+    return out
+
+
+def loop_reconstruct_per_class(w, h):
+    """Per-lag oracle: Lambda_k = sum_tau W[k, :, tau] (x) H[k] delayed by tau."""
+    k, f, length = w.shape
+    m = h.shape[1]
+    lam = np.zeros((k, f, m))
+    for tau in range(length):
+        lam += w[:, :, tau][:, :, None] * _delayed(h, tau)[:, None, :]
+    return lam
+
+
+def loop_step(w, h, v, fixed, eps=EPSILON):
+    """Per-lag oracle for one multiplicative KL update of H, then of W."""
+    k, _, length = w.shape
+    m = v.shape[1]
+    q = v / (loop_reconstruct_per_class(w, h).sum(axis=0) + eps)
+    num = np.zeros((k, m))
+    den = np.zeros((k, m))
+    w_sums = w.sum(axis=1)
+    for tau in range(min(length, m)):
+        num[:, : m - tau] += np.einsum("kf,fm->km", w[:, :, tau], q[:, tau:])
+        den[:, : m - tau] += w_sums[:, tau : tau + 1]
+    h = np.maximum(h * num / np.maximum(den, eps), eps)
+    if fixed:
+        return w, h
+    q = v / (loop_reconstruct_per_class(w, h).sum(axis=0) + eps)
+    w_new = np.empty_like(w)
+    for tau in range(length):
+        h_tau = _delayed(h, tau)
+        num_w = np.einsum("fm,km->kf", q, h_tau)
+        den_w = h_tau.sum(axis=1)[:, None]
+        w_new[:, :, tau] = w[:, :, tau] * num_w / np.maximum(den_w, eps)
+    return np.maximum(w_new, eps), h
+
+
 def random_model(k=3, f=12, length=4, m=20, seed=0):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.01, 1, (k, f, length))
@@ -61,6 +105,31 @@ class TestReconstruct:
         lam = reconstruct(NmfdModel(w, h, True), 10)
         np.testing.assert_allclose(lam[:, 4:7], w[0], atol=1e-12)
         assert np.all(lam[:, :4] == 0) and np.all(lam[:, 7:] == 0)
+
+
+@given(
+    k=st.integers(1, 4),
+    f=st.integers(1, 40),
+    length=st.integers(1, 12),
+    m=st.integers(1, 30),
+    fixed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_matrix_products_match_per_lag_oracle(k, f, length, m, fixed, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.01, 1, (k, f, length))
+    h = rng.uniform(0.01, 1, (k, m))
+    v = rng.uniform(0, 1, (f, m))
+    model = NmfdModel(w, h, fixed_templates=fixed)
+    per = loop_reconstruct_per_class(w, h)
+    np.testing.assert_allclose(reconstruct_per_class(model, m), per, rtol=1e-12, atol=0)
+    lam = reconstruct(model, m)
+    np.testing.assert_allclose(lam, per.sum(axis=0), rtol=1e-12, atol=0)
+    w_ref, h_ref = loop_step(w, h, v, fixed)
+    stepped = nmfd_step(model, v)
+    np.testing.assert_allclose(stepped.activations, h_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stepped.templates, w_ref, rtol=1e-12, atol=0)
 
 
 class TestKl:
@@ -199,6 +268,16 @@ class TestRun:
         model, per = nmfd_run(v, t, None, NmfdCase.preset("3"), hop_size=512)
         assert per.shape == (NUM_CLASSES, 257, 30)
         np.testing.assert_allclose(per.sum(axis=0), reconstruct(model, 30), atol=1e-10)
+
+    def test_case_1a_shorter_than_templates(self):
+        # 26 frames against L = 40: lags past the last frame contribute nothing
+        shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
+        shots[:, :3000] = RNG.uniform(-1, 1, (NUM_CLASSES, 3000))
+        t = Transcription((Event(0.05, "kick", 1.0), Event(0.2, "snare", 1.0)))
+        v = RNG.uniform(0, 1, (1025, 26))
+        model, per = nmfd_run(v, t, OneShotBank("kit", shots), NmfdCase.preset("1A"))
+        assert per.shape == (NUM_CLASSES, 1025, 26)
+        np.testing.assert_allclose(per.sum(axis=0), reconstruct(model, 26), atol=1e-10)
 
     def test_disjoint_bands_separate(self):
         # class 0 occupies low bins, class 1 high bins, at distinct frames
