@@ -2,26 +2,37 @@
 
 Given a mixture and its ground-truth onsets, jointly optimizes one-shot
 waveforms, per-onset velocities, track gains and envelope decays by Adam on
-the multi-resolution STFT loss. Gradients are computed by a hand-written
-reverse pass: magnitude adjoint, windowed overlap-add STFT adjoint,
-correlation adjoint of the FFT convolution, then the envelope and squashing
-chain rules. Onsets themselves receive no gradient; their support is fixed.
+the multi-resolution STFT loss. The stems come from the drum-machine forward
+model (``drum_machine.trigger``). Gradients are computed by a hand-written
+reverse pass: magnitude adjoint, windowed overlap-add STFT adjoint, the
+forward model's adjoints (``trigger_adjoint``, ``apply_envelope_adjoint``),
+then the squashing chain rules. Onsets themselves receive no gradient; their
+support is fixed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classes import NUM_CLASSES
-from .drum_machine import FrameActivations, conv_fft_size
+from .drum_machine import (
+    FrameActivations,
+    apply_envelope,
+    apply_envelope_adjoint,
+    onset_index,
+    trigger,
+    trigger_adjoint,
+)
 from .signal import (
+    DEFAULT_HOP,
     SAMPLE_RATE,
     StftConfig,
     Waveform,
     frame_signal,
     hann_window,
+    overlap_add,
 )
 from .transcription import Transcription, events_to_grid
 
@@ -83,6 +94,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
             raise ValueError("learning rate and clip norm must be positive")
+        if self.steps < 1:
+            raise ValueError(f"solver steps must be at least 1, got {self.steps}")
 
 
 @dataclass
@@ -166,21 +179,7 @@ def informed_init(
 def effective_one_shots(params: AbsParams) -> np.ndarray:
     """The one-shots as the sequencer plays them: squashed waveform times
     the learned decay envelope, K x R."""
-    w = params.one_shots()
-    alphas = params.alphas()
-    r = w.shape[1]
-    t_axis = np.arange(r)
-    return w * np.exp(-20.0 * alphas[:, None] * t_axis / r)
-
-
-def onset_index(grid: FrameActivations) -> list[tuple[int, int]]:
-    """(class, sample position) of every onset, ordered by class then frame.
-
-    This ordering defines the meaning of ``raw_velocities``.
-    """
-    ks, ms = np.nonzero(grid.onsets)
-    order = np.lexsort((ms, ks))
-    return [(int(ks[i]), int(ms[i]) * grid.hop_size) for i in order]
+    return apply_envelope(params.one_shots(), params.alphas())
 
 
 # ---------------------------------------------------------------------------
@@ -242,67 +241,9 @@ def _loss_and_grad_wrt_signal(
 
         # Adjoint of framing: overlap-add back into the padded signal.
         pad = scale // 2
-        g_padded = _overlap_add(g_frames, scfg.hop_size, n + 2 * pad)
+        g_padded = overlap_add(g_frames, scfg.hop_size, n + 2 * pad)
         grad += g_padded[pad : pad + n]
     return float(loss), grad
-
-
-def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
-    """Sum overlapping frames (M x window) into a signal of ``total`` samples.
-
-    Frames whose offsets differ by window are disjoint, so grouping frames
-    by m mod (window/hop) turns the scatter into contiguous block adds.
-    """
-    n_frames, window = frames.shape
-    stride = window // hop
-    out = np.zeros(total + window)  # slack for the last frames
-    for p in range(min(stride, n_frames)):
-        group = frames[p::stride]
-        start = p * hop
-        out[start : start + group.size] += group.ravel()
-    return out[:total]
-
-
-# ---------------------------------------------------------------------------
-# Forward model and full reverse pass
-# ---------------------------------------------------------------------------
-
-
-def _forward(params: AbsParams, positions: list[tuple[int, int]], n_samples: int):
-    """Render stems from constrained parameters; returns intermediates
-    needed by the reverse pass."""
-    w = params.one_shots()
-    v = params.velocities()
-    g = params.gains()
-    alphas = params.alphas()
-    k, r = w.shape
-
-    t_axis = np.arange(r)
-    env = np.exp(-20.0 * alphas[:, None] * t_axis / r)  # K x R
-    shaped = w * env
-
-    a = np.zeros((k, n_samples))
-    for j, (cls, pos) in enumerate(positions):
-        if pos < n_samples:
-            a[cls, pos] += v[j]
-
-    active = sorted({cls for cls, _ in positions})
-    size = conv_fft_size(n_samples, r)
-    stems = np.zeros((k, n_samples))
-    convs = np.zeros((k, n_samples))
-    f_a: dict[int, np.ndarray] = {}
-    f_shaped: dict[int, np.ndarray] = {}
-    for cls in active:
-        f_a[cls] = np.fft.rfft(a[cls], size)
-        f_shaped[cls] = np.fft.rfft(shaped[cls], size)
-        convs[cls] = np.fft.irfft(f_a[cls] * f_shaped[cls], size)[:n_samples]
-        stems[cls] = g[cls] * convs[cls]
-    return {
-        "w": w, "v": v, "g": g, "alphas": alphas, "env": env, "shaped": shaped,
-        "a": a, "convs": convs, "stems": stems, "active": active,
-        "f_a": f_a, "f_shaped": f_shaped, "fft_size": size,
-        "x_hat": stems.sum(axis=0),
-    }
 
 
 def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
@@ -322,49 +263,35 @@ def loss_gradient(
 
     Returns (loss, gradients) with gradients shaped like ``params``.
     """
-    positions = onset_index(grid)
-    if len(positions) != len(params.raw_velocities):
+    onsets = onset_index(grid)
+    if len(onsets) != len(params.raw_velocities):
         raise ValueError(
             f"{len(params.raw_velocities)} velocity parameters for "
-            f"{len(positions)} onsets"
+            f"{len(onsets)} onsets"
         )
-    n = len(x)
     if targets is None:
         targets = target_magnitudes(x, cfg)
-    fw = _forward(params, positions, n)
-    loss, g_xhat = _loss_and_grad_wrt_signal(fw["x_hat"], targets, cfg)
+    w, alphas = params.one_shots(), params.alphas()
+    v, gains = params.velocities(), params.gains()
+    classes = np.nonzero(grid.onsets)[0]  # the order of onset_index
+    shaped = apply_envelope(w, alphas)
+    amps = gains[classes] * v
+    stems = trigger(shaped, onsets, amps, len(x))
+    loss, g_xhat = _loss_and_grad_wrt_signal(stems.sum(axis=0), targets, cfg)
 
-    k, r = fw["w"].shape
-    g_raw_w = np.zeros((k, r))
-    g_raw_v = np.zeros(len(positions))
-    g_raw_g = np.zeros(k)
-    g_raw_alpha = np.zeros(k)
-    t_axis = np.arange(r)
-
-    size = fw["fft_size"]
-    f_gconv_base = np.fft.rfft(g_xhat, size)
-
-    for cls in fw["active"]:
-        g_gain = float(np.dot(g_xhat, fw["convs"][cls]))
-        g_conv_f = fw["g"][cls] * f_gconv_base  # rfft of dL/dconv_cls
-
-        # Correlation adjoints of conv[t] = sum_r a[t-r] * shaped[r].
-        g_shaped = np.fft.irfft(g_conv_f * np.conj(fw["f_a"][cls]), size)[:r]
-        g_a = np.fft.irfft(g_conv_f * np.conj(fw["f_shaped"][cls]), size)[:n]
-
-        env = fw["env"][cls]
-        w = fw["w"][cls]
-        g_w = g_shaped * env
-        g_alpha = float(np.dot(g_shaped * w * env, -20.0 * t_axis / r))
-
-        g_raw_w[cls] = g_w * (1.0 - w**2)
-        g_raw_g[cls] = g_gain * exp_sigmoid_grad(params.raw_gains[cls])
-        g_raw_alpha[cls] = g_alpha * exp_sigmoid_grad(params.raw_alphas[cls])
-        for j, (c, pos) in enumerate(positions):
-            if c == cls and pos < n:
-                g_raw_v[j] = g_a[pos] * exp_sigmoid_grad(params.raw_velocities[j])
-
-    grads = AbsParams(g_raw_w, g_raw_v, g_raw_g, g_raw_alpha)
+    # The mixture is the sum of the stems, so every stem gets its gradient.
+    g_shaped, g_amps = trigger_adjoint(
+        np.broadcast_to(g_xhat, stems.shape), shaped, onsets, amps
+    )
+    g_w, g_alphas = apply_envelope_adjoint(g_shaped, w, alphas)
+    g_gains = np.bincount(classes, weights=g_amps * v, minlength=len(gains))
+    grads = AbsParams(
+        raw_one_shots=g_w * (1.0 - w**2),
+        raw_velocities=g_amps * gains[classes]
+        * exp_sigmoid_grad(params.raw_velocities),
+        raw_gains=g_gains * exp_sigmoid_grad(params.raw_gains),
+        raw_alphas=g_alphas * exp_sigmoid_grad(params.raw_alphas),
+    )
     return loss, grads
 
 
@@ -372,8 +299,9 @@ def render_from_params(
     params: AbsParams, grid: FrameActivations, n_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stems (K x T) and mixture for the constrained parameters."""
-    fw = _forward(params, onset_index(grid), n_samples)
-    return fw["stems"], fw["x_hat"]
+    amps = params.gains()[np.nonzero(grid.onsets)[0]] * params.velocities()
+    stems = trigger(effective_one_shots(params), onset_index(grid), amps, n_samples)
+    return stems, stems.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +337,14 @@ def solve_track(
     """Fit the forward model to ``x`` with its onsets fixed to ``t``.
 
     Adam with per-step global gradient-norm clipping; deterministic for a
-    fixed seed. The returned stems sum exactly to the returned mixture.
+    fixed seed. The loss has L1 kinks, so Adam does not descend monotonically;
+    the result holds the iterate with the lowest loss, which ends the trace.
+    The returned stems sum exactly to the returned mixture.
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
-    hop = cfg.stft_config(cfg.scales[0]).hop_size
-    n_frames = max(1, len(x) // hop)
-    grid = events_to_grid(t, n_frames, hop)
+    n_frames = max(1, len(x) // DEFAULT_HOP)
+    grid = events_to_grid(t, n_frames, DEFAULT_HOP)
     if grid.num_classes != num_classes:
         raise ValueError("transcription class count does not match solver")
 
@@ -425,10 +354,12 @@ def solve_track(
     state_m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     targets = target_magnitudes(x, cfg)
-    trace = []
+    trace, best, best_loss = [], params, np.inf
     for step in range(1, opt.steps + 1):
         loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
         trace.append(loss)
+        if loss < best_loss:
+            best, best_loss = params.copy(), loss
         grads = _clip_global_norm(grads, opt.grad_clip_norm)
         g_arrays = grads.arrays()
         p_arrays = params.arrays()
@@ -442,5 +373,8 @@ def solve_track(
 
     stems, mixture = render_from_params(params, grid, len(x))
     final_loss = recon_loss(x, Waveform(mixture), cfg)
+    if final_loss > best_loss:
+        params, final_loss = best, best_loss
+        stems, mixture = render_from_params(params, grid, len(x))
     trace.append(final_loss)
     return SolveResult(params, stems, mixture, trace)

@@ -16,7 +16,6 @@ from .drum_machine import render as render_stems
 from .signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, num_frames, stft
 from .transcription import (
     PeakPickConfig,
-    Transcription,
     events_to_grid,
     peak_pick,
     spectral_flux_curve,

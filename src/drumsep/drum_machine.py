@@ -1,9 +1,15 @@
 """Forward model: onset/velocity activations trigger one-shot samples.
 
-A stem is the linear convolution of an audio-rate activation impulse train
-with a per-class one-shot (decayed by an exponential envelope and scaled by a
-track gain); the mixture is the sum of stems. All functions are pure, so the
-renderer can run concurrently per track.
+A stem is its class's one-shot, decayed by an exponential envelope, placed
+at every onset of the class and scaled by that onset's amplitude (velocity
+times track gain); the tail past the track end is dropped and the mixture is
+the sum of stems. This is the linear convolution of a sparse audio-rate
+impulse train with the one-shot, computed onset by onset.
+
+``trigger`` and ``apply_envelope`` are the model; ``trigger_adjoint`` and
+``apply_envelope_adjoint`` are their exact transposes, which the
+analysis-by-synthesis solver chains into its reverse pass. All functions are
+pure, so the renderer can run concurrently per track.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .classes import NUM_CLASSES
 from .signal import SAMPLE_RATE, Waveform
@@ -79,38 +84,81 @@ class OneShotBank:
         return OneShotBank(kit_id, w)
 
 
-def upsample_activations(acts: FrameActivations, n_samples: int) -> np.ndarray:
-    """Zero-insertion upsampling of onset*velocity to audio rate, K x T.
+def envelope(alpha, length: int = ONE_SHOT_LENGTH) -> np.ndarray:
+    """Exponential decay exp(-20*alpha*t/R): 1 at t=0, non-increasing.
 
-    Sample m*hop of class k carries onsets[k,m] * velocities[k,m]; every
-    other sample is zero. Frames past n_samples are dropped.
+    ``alpha`` is a scalar (returns R samples) or one decay per class
+    (returns K x R).
     """
-    k, m = acts.onsets.shape
-    a = np.zeros((k, n_samples))
-    positions = np.arange(m) * acts.hop_size
-    keep = positions < n_samples
-    a[:, positions[keep]] = (acts.onsets * acts.velocities)[:, keep]
-    return a
-
-
-def envelope(alpha: float, length: int = ONE_SHOT_LENGTH) -> np.ndarray:
-    """Exponential decay exp(-20*alpha*t/R): 1 at t=0, non-increasing."""
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(alpha < 0):
         raise ValueError("decay parameter must be non-negative")
-    t = np.arange(length)
-    return np.exp(-20.0 * alpha * t / length)
+    return np.exp(alpha[..., None] * _log_envelope_slope(length))
 
 
-def conv_fft_size(n: int, r: int) -> int:
-    """FFT length for a full linear convolution of lengths n and r."""
-    return int(next_fast_len(n + r - 1, real=True))
+def _log_envelope_slope(length: int) -> np.ndarray:
+    """d log(envelope) / d alpha = -20*t/R."""
+    return -20.0 * np.arange(length) / length
 
 
-def fft_convolve(a: np.ndarray, w: np.ndarray, out_length: int) -> np.ndarray:
-    """Linear convolution via frequency-domain multiplication, truncated."""
-    size = conv_fft_size(len(a), len(w))
-    result = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(w, size), size)
-    return result[:out_length]
+def apply_envelope(one_shots: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """One-shots as the sequencer plays them: each row times its decay
+    envelope, K x R."""
+    return one_shots * envelope(alphas, one_shots.shape[1])
+
+
+def apply_envelope_adjoint(
+    g_shaped: np.ndarray, one_shots: np.ndarray, alphas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (K x R, K) of ``apply_envelope`` w.r.t. one-shots and
+    decays, given the gradient w.r.t. its output."""
+    r = one_shots.shape[1]
+    env = envelope(alphas, r)
+    g_alphas = (g_shaped * one_shots * env) @ _log_envelope_slope(r)
+    return g_shaped * env, g_alphas
+
+
+def onset_index(grid: FrameActivations) -> list[tuple[int, int]]:
+    """(class, sample position) of every onset, ordered by class then frame.
+
+    This ordering defines which amplitude belongs to which onset in
+    ``trigger`` and the solver's per-onset velocities.
+    """
+    ks, ms = np.nonzero(grid.onsets)  # row-major: class, then frame
+    return [(int(k), int(m) * grid.hop_size) for k, m in zip(ks, ms)]
+
+
+def trigger(
+    shaped: np.ndarray,
+    onsets: list[tuple[int, int]],
+    amplitudes: np.ndarray,
+    n_samples: int,
+) -> np.ndarray:
+    """Stems K x T: ``amplitudes[j] * shaped[k]`` added at sample ``pos``
+    for the j-th onset (k, pos); the tail past the track end is dropped."""
+    stems = np.zeros((shaped.shape[0], n_samples))
+    for (k, pos), amp in zip(onsets, amplitudes):
+        seg = shaped[k, : max(0, n_samples - pos)]
+        stems[k, pos : pos + len(seg)] += amp * seg
+    return stems
+
+
+def trigger_adjoint(
+    g_stems: np.ndarray,
+    shaped: np.ndarray,
+    onsets: list[tuple[int, int]],
+    amplitudes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transpose of ``trigger`` in each argument: given dL/dstems (K x T),
+    returns dL/dshaped (K x R) and dL/damplitudes (one per onset)."""
+    r = shaped.shape[1]
+    g_shaped = np.zeros_like(shaped)
+    g_amps = np.zeros(len(onsets))
+    for j, (k, pos) in enumerate(onsets):
+        seg = g_stems[k, pos : pos + r]
+        g_amps[j] = np.dot(seg, shaped[k, : len(seg)])
+        g_shaped[k, : len(seg)] += amplitudes[j] * seg
+    return g_shaped, g_amps
 
 
 def sequence(one_shot: np.ndarray, activation: np.ndarray) -> np.ndarray:
@@ -119,7 +167,9 @@ def sequence(one_shot: np.ndarray, activation: np.ndarray) -> np.ndarray:
     Linear convolution of the audio-rate activation row with the one-shot,
     truncated to the activation length (tail past the track end is dropped).
     """
-    return fft_convolve(activation, one_shot, len(activation))
+    hits = np.flatnonzero(activation)
+    onsets = [(0, int(pos)) for pos in hits]
+    return trigger(one_shot[None, :], onsets, activation[hits], len(activation))[0]
 
 
 def render(
@@ -131,8 +181,9 @@ def render(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Render per-class stems and their mixture.
 
-    stem_k = gains[k] * sequence(one_shot_k * envelope(alphas[k]), a_k);
-    the mixture is the exact sample-wise sum of the stems.
+    Each onset (k, m) plays one_shot_k * envelope(alphas[k]) at sample
+    m * hop, scaled by gains[k] * onsets[k, m] * velocities[k, m]; the
+    mixture is the exact sample-wise sum of the stems.
 
     Returns (stems K x T, mixture T).
     """
@@ -144,9 +195,8 @@ def render(
     if gains.size and (gains.min() < 0 or gains.max() > 2):
         raise ValueError("gains must lie in [0, 2]")
 
-    a = upsample_activations(acts, n_samples)
-    stems = np.zeros((k, n_samples))
-    for i in range(k):
-        shaped = bank.one_shots[i] * envelope(alphas[i])
-        stems[i] = gains[i] * sequence(shaped, a[i])
+    ks, ms = np.nonzero(acts.onsets)  # the order of onset_index
+    amps = gains[ks] * (acts.onsets * acts.velocities)[ks, ms]
+    shaped = apply_envelope(bank.one_shots, alphas)
+    stems = trigger(shaped, onset_index(acts), amps, n_samples)
     return stems, stems.sum(axis=0)

@@ -7,7 +7,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -130,6 +130,24 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return padded[idx]
 
 
+def overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Sum overlapping frames (M x window, frame m at offset m*hop, hop
+    dividing window) into a signal of ``total`` samples; samples past
+    ``total`` are dropped.
+
+    Frames whose offsets differ by window are disjoint, so grouping frames
+    by m mod (window/hop) turns the scatter into contiguous block adds.
+    """
+    n_frames, window = frames.shape
+    stride = window // hop
+    out = np.zeros(max(total, (n_frames - 1) * hop + window))
+    for p in range(min(stride, n_frames)):
+        group = frames[p::stride]
+        start = p * hop
+        out[start : start + group.size] += group.ravel()
+    return out[:total]
+
+
 def stft(x: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     """Short-time Fourier transform with a periodic Hann analysis window.
 
@@ -159,14 +177,9 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
 
     pad = cfg.window_size // 2 if cfg.centered else 0
     total = spec.origin_length + 2 * pad
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    wsq = window**2
-    for m in range(spec.n_frames):
-        start = m * cfg.hop_size
-        stop = min(start + cfg.window_size, total)
-        out[start:stop] += frames[m, : stop - start]
-        norm[start:stop] += wsq[: stop - start]
+    out = overlap_add(frames, cfg.hop_size, total)
+    wsq = np.broadcast_to(window**2, frames.shape)
+    norm = overlap_add(wsq, cfg.hop_size, total)
     good = norm > 1e-10
     out[good] /= norm[good]
     return Waveform(out[pad : pad + spec.origin_length])

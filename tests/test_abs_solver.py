@@ -15,13 +15,13 @@ from drumsep.abs_solver import (
     init_params,
     inverse_exp_sigmoid,
     loss_gradient,
-    onset_index,
     recon_loss,
     render_from_params,
     solve_track,
     target_magnitudes,
 )
-from drumsep.drum_machine import FrameActivations
+from drumsep.classes import CLASS_INDEX
+from drumsep.drum_machine import FrameActivations, onset_index
 from drumsep.signal import Waveform, hann_window
 from drumsep.transcription import Event, Transcription
 
@@ -127,6 +127,9 @@ class TestLossConfigs:
             OptimizerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_clip_norm=-1.0)
+        for steps in (0, -3):
+            with pytest.raises(ValueError):
+                OptimizerConfig(steps=steps)
 
 
 class TestReconLoss:
@@ -285,6 +288,31 @@ class TestSolve:
         b = solve_track(x, trans, opt, cfg, one_shot_length=1024)
         np.testing.assert_array_equal(a.mixture, b.mixture)
         assert a.loss_trace == b.loss_trace
+
+    def test_returns_lowest_loss_iterate(self):
+        x, trans = self._track()
+        cfg = LossConfig(scales=(512, 256))
+        result = solve_track(x, trans, OptimizerConfig(steps=5, seed=0), cfg,
+                             one_shot_length=1024)
+        assert result.loss_trace[-1] == min(result.loss_trace)
+        assert result.loss_trace[-1] == pytest.approx(
+            recon_loss(x, Waveform(result.mixture), cfg), rel=1e-9)
+
+    @pytest.mark.parametrize("scales, onset, start", [
+        ((4096, 2048), 512, 512),  # a 1024 hop would move it to 0 or 1024
+        ((512, 256), 640, 512),  # a 128 hop would keep it at 640
+    ])
+    def test_grid_hop_does_not_follow_loss_scale(self, scales, onset, start):
+        # onsets sit on the 512 grid whatever the first loss window
+        x = np.zeros(8192)
+        x[onset : onset + 200] = np.linspace(0.8, 0.0, 200)
+        trans = Transcription((Event(onset / 44100, "kick", 1.0),))
+        result = solve_track(Waveform(x), trans, OptimizerConfig(steps=1),
+                             LossConfig(scales=scales), one_shot_length=256)
+        k = CLASS_INDEX["kick"]
+        played = np.flatnonzero(result.stems[k])
+        shot = np.flatnonzero(effective_one_shots(result.params)[k])
+        assert played.size and played[0] - shot[0] == start
 
     def test_empty_transcription_rejected(self):
         with pytest.raises(ValueError):

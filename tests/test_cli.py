@@ -167,6 +167,21 @@ class TestSeparate:
         assert (sep / "reconstruction.wav").exists()
 
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_abs_rejects_non_positive_steps(self, tmp_path, bank_dir,
+                                            transcription_path, steps):
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 1.0)
+        result = run("separate", "abs", "--mixture", out / "mixture.wav",
+                     "--transcription", transcription_path,
+                     "--out", tmp_path / "sep", "--steps", steps)
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not (tmp_path / "sep").exists()
+
+
 class TestDetectOnsets:
     def test_detects_clicks(self, tmp_path, bank_dir, transcription_path):
         out = tmp_path / "out"

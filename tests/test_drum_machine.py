@@ -1,19 +1,24 @@
-"""Forward-model tests: the FFT sequencer against a naive time-domain
-convolution oracle, envelope closed forms, and render invariants."""
+"""Forward-model tests: the onset-by-onset sequencer and render against a
+naive time-domain convolution oracle, the adjoints against the exact
+transpose identity, envelope closed forms, and render invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumsep.classes import NUM_CLASSES
 from drumsep.drum_machine import (
     ONE_SHOT_LENGTH,
     FrameActivations,
     OneShotBank,
+    apply_envelope,
+    apply_envelope_adjoint,
     envelope,
-    fft_convolve,
     render,
     sequence,
-    upsample_activations,
+    trigger,
+    trigger_adjoint,
 )
 from drumsep.signal import Waveform
 
@@ -33,6 +38,22 @@ def make_acts(onsets, velocities, hop=4):
     return FrameActivations(np.asarray(onsets, float), np.asarray(velocities, float), hop)
 
 
+def upsampled(acts: FrameActivations, n_samples: int) -> np.ndarray:
+    """Render through a bank of unit impulses: the zero-insertion upsampling
+    of onset * velocity to audio rate, K x T."""
+    k = acts.num_classes
+    padded = FrameActivations(
+        np.vstack([acts.onsets, np.zeros((NUM_CLASSES - k, acts.num_frames))]),
+        np.vstack([acts.velocities, np.zeros((NUM_CLASSES - k, acts.num_frames))]),
+        acts.hop_size,
+    )
+    impulses = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
+    impulses[:, 0] = 1.0
+    stems, _ = render(OneShotBank("impulses", impulses), padded,
+                      np.ones(NUM_CLASSES), np.zeros(NUM_CLASSES), n_samples)
+    return stems[:k]
+
+
 class TestActivations:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -48,7 +69,7 @@ class TestActivations:
 
     def test_upsample_places_products_on_hop_grid(self):
         acts = make_acts([[1.0, 0.0, 1.0]], [[0.5, 0.0, 2.0]], hop=4)
-        a = upsample_activations(acts, 12)
+        a = upsampled(acts, 12)
         expected = np.zeros((1, 12))
         expected[0, 0] = 0.5
         expected[0, 8] = 2.0
@@ -56,14 +77,14 @@ class TestActivations:
 
     def test_upsample_drops_frames_past_end(self):
         acts = make_acts([[1.0, 1.0]], [[1.0, 1.0]], hop=10)
-        a = upsample_activations(acts, 8)
+        a = upsampled(acts, 8)
         assert a.shape == (1, 8)
         assert a[0, 0] == 1.0 and np.count_nonzero(a) == 1
 
     def test_upsample_zero_between_frames(self):
         acts = make_acts(RNG.integers(0, 2, (3, 5)).astype(float),
                          RNG.uniform(0, 2, (3, 5)), hop=7)
-        a = upsample_activations(acts, 40)
+        a = upsampled(acts, 40)
         off_grid = np.ones(40, bool)
         off_grid[::7] = False
         assert np.all(a[:, off_grid] == 0)
@@ -125,12 +146,52 @@ class TestSequence:
             sequence(shot, a + b), sequence(shot, a) + sequence(shot, b), atol=1e-9
         )
 
-    def test_fft_convolve_full_length(self):
+    def test_trigger_full_length_is_linear_convolution(self):
         a = RNG.normal(size=17)
         w = RNG.normal(size=9)
+        onsets = [(0, pos) for pos in range(17)]
         np.testing.assert_allclose(
-            fft_convolve(a, w, 25), np.convolve(a, w), atol=1e-9
+            trigger(w[None, :], onsets, a, 25)[0], np.convolve(a, w), atol=1e-12
         )
+
+
+@given(
+    k=st.integers(1, 3),
+    r=st.integers(1, 40),
+    t=st.integers(1, 80),
+    n_onsets=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_adjoints_are_exact_transposes(k, r, t, n_onsets, seed):
+    """trigger is bilinear, so its adjoint is the transpose in each argument:
+    <F(shaped, amps), g> = <shaped, g_shaped> = <amps, g_amps>. Onsets are
+    drawn up to r samples past the track end, so tails are cut and some
+    onsets fall outside the track."""
+    rng = np.random.default_rng(seed)
+    near_end = rng.integers(max(0, t - r), t + r, size=n_onsets)
+    anywhere = rng.integers(0, t + r, size=n_onsets)
+    positions = np.where(rng.uniform(size=n_onsets) < 0.5, near_end, anywhere)
+    classes = rng.integers(k, size=n_onsets)
+    onsets = [(int(c), int(pos)) for c, pos in zip(classes, positions)]
+    shaped = rng.normal(size=(k, r))
+    amps = rng.normal(size=n_onsets)
+    g = rng.normal(size=(k, t))
+
+    g_shaped, g_amps = trigger_adjoint(g, shaped, onsets, amps)
+    lhs = float(np.sum(trigger(shaped, onsets, amps, t) * g))
+    scale = float(np.sum(trigger(np.abs(shaped), onsets, np.abs(amps), t) * np.abs(g)))
+    tol = 1e-12 * max(scale, 1e-300)
+    assert abs(lhs - float(np.sum(shaped * g_shaped))) <= tol
+    assert abs(lhs - float(amps @ g_amps)) <= tol
+
+    # The envelope is linear in the one-shots for fixed decays.
+    one_shots = rng.normal(size=(k, r))
+    alphas = rng.uniform(0, 0.5, k)
+    g_w, _ = apply_envelope_adjoint(g_shaped, one_shots, alphas)
+    lhs = float(np.sum(apply_envelope(one_shots, alphas) * g_shaped))
+    scale = float(np.sum(np.abs(one_shots) * np.abs(g_shaped)))
+    assert abs(lhs - float(np.sum(one_shots * g_w))) <= 1e-12 * max(scale, 1e-300)
 
 
 class TestBank:
@@ -203,6 +264,29 @@ class TestRender:
         start = 2 * 512
         expected = bank.one_shots[0, :100] * envelope(0.2)[:100]
         np.testing.assert_allclose(stems[0, start : start + 100], expected, atol=1e-9)
+
+    def test_matches_naive_oracle_near_track_end(self):
+        rng = np.random.default_rng(5)
+        shots = rng.uniform(-1, 1, (NUM_CLASSES, ONE_SHOT_LENGTH))
+        bank = OneShotBank("kit", shots)
+        hop, n = 512, 3 * ONE_SHOT_LENGTH // 2 + 77
+        n_frames = n // hop + 3  # the last frames lie past the track end
+        for _ in range(5):
+            onsets = (rng.uniform(size=(NUM_CLASSES, n_frames)) < 0.05).astype(float)
+            onsets[:, -6:] = rng.uniform(size=(NUM_CLASSES, 6)) < 0.5
+            velocities = rng.uniform(0, 2, (NUM_CLASSES, n_frames)) * onsets
+            acts = FrameActivations(onsets, velocities, hop)
+            gains = rng.uniform(0, 2, NUM_CLASSES)
+            alphas = rng.uniform(0, 0.5, NUM_CLASSES)
+            stems, mix = render(bank, acts, gains, alphas, n)
+            for k in range(NUM_CLASSES):
+                a = np.zeros(n)
+                for m in np.flatnonzero(onsets[k]):
+                    if m * hop < n:
+                        a[m * hop] = velocities[k, m]
+                expected = gains[k] * naive_sequence(shots[k] * envelope(alphas[k]), a)
+                np.testing.assert_allclose(stems[k], expected, atol=1e-12)
+            np.testing.assert_array_equal(mix, stems.sum(axis=0))
 
     def test_gain_range_enforced(self):
         with pytest.raises(ValueError):
