@@ -229,15 +229,15 @@ def _loss_and_grad_wrt_signal(
         log_diff = np.log(mag + cfg.log_floor) - np.log(target + cfg.log_floor)
         loss += np.abs(diff).sum() + np.abs(log_diff).sum()
 
-        # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, guarded at 0.
+        # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, 0 where S = 0.
         g_mag = np.sign(diff) + np.sign(log_diff) / (mag + cfg.log_floor)
-        safe = np.where(mag > 0, mag, 1.0)
-        g_spec = g_mag * spec / safe
+        ratio = np.divide(g_mag, mag, out=np.zeros_like(mag), where=mag > 0)
 
-        # Adjoint of the real FFT: Re(N * ifft(zero-padded spectrum grad)).
-        g_full = np.zeros((g_spec.shape[0], scale), dtype=np.complex128)
-        g_full[:, : g_spec.shape[1]] = g_spec
-        g_frames = np.real(np.fft.ifft(g_full, axis=1)) * scale * window
+        # Adjoint of the real FFT, Re(sum_k g_k e^{+2 pi i k n / N}), as
+        # N * irfft: irfft counts each interior bin twice (its conjugate
+        # mirror), so those bins are halved; DC and Nyquist are not.
+        ratio[:, 1:-1] *= 0.5
+        g_frames = np.fft.irfft(spec * ratio, n=scale, axis=1) * (scale * window)
 
         # Adjoint of framing: overlap-add back into the padded signal.
         pad = scale // 2

@@ -145,8 +145,7 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     stems = masking.apply_masks(x, mask_set, cfg)
     out = Path(out_dir)
     _write_stem_dir(out / "masked", stems)
-    np.savez_compressed(out / "magnitudes.npz",
-                        **{name: per_class[k] for k, name in enumerate(CLASS_NAMES)})
+    fileio.write_magnitudes(per_class, out / "magnitudes.npz")
     _echo_config(out, dict(config.values) | {"nmfd.case": case.case_id, "seed": seed})
 
 

@@ -1,5 +1,5 @@
-"""File formats: WAV, transcription CSV, bank directories, run config,
-report JSON and loss traces."""
+"""File formats: WAV, transcription CSV, bank directories, NMFD magnitudes,
+run config, report JSON and loss traces."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,17 +78,26 @@ def _wav_bytes(data: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def _atomic_write_bytes(path: Path, payload: bytes):
+@contextmanager
+def _atomic_open(path: Path):
+    """Yield a binary handle on a temp file beside ``path``. The file is
+    renamed onto ``path`` when the block ends and deleted if it raises, so
+    ``path`` never holds a partial write."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: Path, payload: bytes):
+    with _atomic_open(path) as handle:
+        handle.write(payload)
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -171,6 +181,23 @@ def write_bank(bank: OneShotBank, directory: str | Path):
 
 
 # ---------------------------------------------------------------------------
+# NMFD magnitudes
+# ---------------------------------------------------------------------------
+
+
+def write_magnitudes(per_class: np.ndarray, path: str | Path):
+    """Write per-class magnitudes (K x F x M) as an uncompressed ``.npz``
+    with one ``<class>.npy`` member per class, atomically.
+
+    Members are stored, not deflated: zlib shrinks float64 magnitudes by
+    only 5-8 % and would cost more than the rest of ``separate nmfd``. The
+    archive is streamed into the temp file rather than built in memory.
+    """
+    with _atomic_open(Path(path)) as handle:
+        np.savez(handle, **dict(zip(CLASS_NAMES, per_class)))
+
+
+# ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
 
@@ -184,8 +211,6 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "nmfd.case": "1A",
     "masking.alpha": 1.0,
     "masking.epsilon": 1e-8,
-    "eval.grouping": 9,
-    "eval.tolerance_ms": 50.0,
     "seed": 0,
 }
 

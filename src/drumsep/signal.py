@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 44100
 
@@ -105,9 +106,14 @@ class ComplexSpectrogram:
         return self.bins.shape[1]
 
 
+@lru_cache(maxsize=8)
 def hann_window(size: int) -> np.ndarray:
-    """Periodic Hann window (COLA-exact for hop = size/2, size/4, ...)."""
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(size) / size))
+    """Periodic Hann window (COLA-exact for hop = size/2, size/4, ...).
+
+    Cached per size and shared between callers, so it is read-only."""
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(size) / size))
+    window.flags.writeable = False
+    return window
 
 
 def num_frames(n_samples: int, cfg: StftConfig) -> int:
@@ -120,14 +126,14 @@ def num_frames(n_samples: int, cfg: StftConfig) -> int:
 
 
 def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Slice (padded) signal into overlapping frames, shape (M, window)."""
+    """Slice (padded) signal into overlapping frames, shape (M, window).
+
+    The frames are a read-only strided view of the padded signal."""
+    if num_frames(len(x), cfg) <= 0:
+        raise SignalError("signal too short for this configuration")
     pad = cfg.window_size // 2 if cfg.centered else 0
     padded = np.pad(x, (pad, pad))
-    m = num_frames(len(x), cfg)
-    if m <= 0:
-        raise SignalError("signal too short for this configuration")
-    idx = np.arange(cfg.window_size)[None, :] + cfg.hop_size * np.arange(m)[:, None]
-    return padded[idx]
+    return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
 
 
 def overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:

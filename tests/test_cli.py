@@ -7,10 +7,18 @@ import pytest
 from click.testing import CliRunner
 
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
+from drumsep import nmfd
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
-from drumsep.fileio import read_wav, write_bank, write_transcription
-from drumsep.signal import SAMPLE_RATE
+from drumsep.fileio import (
+    read_bank,
+    read_config,
+    read_transcription,
+    read_wav,
+    write_bank,
+    write_transcription,
+)
+from drumsep.signal import SAMPLE_RATE, StftConfig, magnitude, stft
 from drumsep.transcription import Event, Transcription
 
 RUNNER = CliRunner()
@@ -42,13 +50,6 @@ def transcription_path(tmp_path):
 
 def run(*args):
     return RUNNER.invoke(main, [str(a) for a in args])
-
-
-def all_output(result):
-    try:
-        return result.output + result.stderr
-    except ValueError:  # stderr not captured separately
-        return result.output
 
 
 class TestRender:
@@ -115,7 +116,7 @@ class TestSeparate:
                      "--transcription", transcription_path,
                      "--out", tmp_path / "sep")
         assert result.exit_code != 0
-        assert "requires --bank" in all_output(result)
+        assert "requires --bank" in result.output
 
     def test_nmfd_blind_case_runs(self, tmp_path, bank_dir, transcription_path):
         out = tmp_path / "out"
@@ -146,7 +147,7 @@ class TestSeparate:
         result = run("separate", "nmfd", "--case", "1a", "--bank", bank_dir,
                      "--mixture", out / "mixture.wav", "--transcription", t,
                      "--out", tmp_path / "sep")
-        assert result.exit_code == 0, all_output(result)
+        assert result.exit_code == 0, result.output
 
     def test_abs_writes_synth_masked_and_trace(self, tmp_path, bank_dir,
                                                transcription_path):
@@ -179,7 +180,53 @@ class TestSeparate:
         assert result.exit_code == 1
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert result.stdout == "" and result.stderr.count("error:") == 1
         assert not (tmp_path / "sep").exists()
+
+    def test_nmfd_magnitudes_are_nmfd_run_output(self, tmp_path, bank_dir,
+                                                 transcription_path):
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 2.0)
+        paths = []
+        for sep in ("sep1", "sep2"):
+            result = run("separate", "nmfd", "--case", "1b", "--bank", bank_dir,
+                         "--mixture", out / "mixture.wav",
+                         "--transcription", transcription_path,
+                         "--out", tmp_path / sep, "--seed", 2)
+            assert result.exit_code == 0, result.output
+            paths.append(tmp_path / sep / "magnitudes.npz")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+        cfg = StftConfig()
+        v = magnitude(stft(read_wav(out / "mixture.wav"), cfg))
+        _, per_class = nmfd.nmfd_run(
+            v, read_transcription(transcription_path), read_bank(bank_dir),
+            nmfd.NmfdCase.preset("1b"), seed=2, hop_size=cfg.hop_size,
+        )
+        with np.load(paths[0]) as archive:
+            assert list(archive.keys()) == list(CLASS_NAMES)
+            for k, name in enumerate(CLASS_NAMES):
+                assert archive[name].dtype == np.float64
+                assert np.array_equal(archive[name], per_class[k])
+
+    @pytest.mark.parametrize("method", ["nmfd", "abs"])
+    def test_config_echo_reads_back(self, tmp_path, bank_dir, transcription_path,
+                                    method):
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 1.0)
+        extra = ["--case", "3"] if method == "nmfd" else ["--steps", 1]
+        sep = tmp_path / "sep"
+        result = run("separate", method, *extra, "--mixture", out / "mixture.wav",
+                     "--transcription", transcription_path, "--out", sep,
+                     "--seed", 5)
+        assert result.exit_code == 0, result.output
+        echoed = dict(line.split(" = ", 1)
+                      for line in (sep / "config.txt").read_text().splitlines())
+        values = read_config(sep / "config.txt").values
+        assert {k: str(v) for k, v in values.items()} == echoed
+        assert values["seed"] == 5
 
 
 class TestDetectOnsets:
@@ -224,7 +271,7 @@ class TestEvaluate:
         result = run("evaluate", "--refs", data, "--ests", empty,
                      "--out", tmp_path / "r.json")
         assert result.exit_code == 1
-        assert "error:" in all_output(result)
+        assert "error:" in result.output
 
     def test_single_track_requires_transcription(self, tmp_path, bank_dir,
                                                  transcription_path):

@@ -1,6 +1,8 @@
-"""File formats: WAV, transcription CSV, banks, run config, reports."""
+"""File formats: WAV, transcription CSV, banks, NMFD magnitudes, run config,
+reports."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
     CONFIG_DEFAULTS,
     FileFormatError,
+    _atomic_open,
     default_config,
     read_bank,
     read_config,
@@ -18,6 +21,7 @@ from drumsep.fileio import (
     read_wav,
     write_bank,
     write_loss_trace,
+    write_magnitudes,
     write_report,
     write_transcription,
     write_wav,
@@ -174,6 +178,36 @@ class TestBank:
         assert np.all(bank.one_shots[:, 100:] == 0)
 
 
+class TestMagnitudes:
+    def test_one_uncompressed_member_per_class(self, tmp_path):
+        per_class = RNG.uniform(0, 1, (NUM_CLASSES, 17, 5))
+        path = tmp_path / "magnitudes.npz"
+        write_magnitudes(per_class, path)
+        with zipfile.ZipFile(path) as archive:
+            assert [i.filename for i in archive.infolist()] == [
+                f"{name}.npy" for name in CLASS_NAMES]
+            assert all(i.compress_type == zipfile.ZIP_STORED
+                       for i in archive.infolist())
+        with np.load(path) as loaded:
+            assert list(loaded.keys()) == list(CLASS_NAMES)
+            for k, name in enumerate(CLASS_NAMES):
+                np.testing.assert_array_equal(loaded[name], per_class[k])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, existing):
+        path = tmp_path / "magnitudes.npz"
+        if existing:
+            write_magnitudes(np.ones((NUM_CLASSES, 3, 2)), path)
+        before = path.read_bytes() if existing else None
+        with pytest.raises(RuntimeError, match="disk full"):
+            with _atomic_open(path) as handle:
+                np.savez(handle, kick=np.zeros((3, 2)))
+                raise RuntimeError("disk full")
+        assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = default_config()
@@ -230,6 +264,6 @@ class TestReports:
         expected = {
             "stft.window", "stft.hop", "loss.scales", "solver.steps",
             "solver.lr", "solver.clip", "nmfd.case", "masking.alpha",
-            "masking.epsilon", "eval.grouping", "eval.tolerance_ms", "seed",
+            "masking.epsilon", "seed",
         }
         assert set(CONFIG_DEFAULTS) == expected

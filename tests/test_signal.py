@@ -13,6 +13,7 @@ from drumsep.signal import (
     SignalError,
     StftConfig,
     Waveform,
+    frame_signal,
     hann_window,
     hz_to_mel,
     istft,
@@ -80,6 +81,18 @@ class TestStft:
     def test_empty_signal_rejected(self):
         with pytest.raises(SignalError):
             stft(Waveform(np.zeros(0)))
+
+    def test_uncentered_signal_shorter_than_window_rejected(self):
+        cfg = StftConfig(64, 16, centered=False)
+        assert frame_signal(np.zeros(64), cfg).shape == (1, 64)
+        with pytest.raises(SignalError):
+            frame_signal(np.zeros(63), cfg)
+
+    def test_cached_window_is_read_only(self):
+        window = hann_window(64)
+        assert hann_window(64) is window
+        with pytest.raises(ValueError):
+            window[0] = 1.0
 
 
 class TestIstft:
