@@ -8,6 +8,13 @@ reverse pass: magnitude adjoint, windowed overlap-add STFT adjoint, the
 forward model's adjoints (``trigger_adjoint``, ``apply_envelope_adjoint``),
 then the squashing chain rules. Onsets themselves receive no gradient; their
 support is fixed.
+
+A solve builds one ``LossTargets`` per track: the target's magnitudes and
+floored log magnitudes at every scale, and a workspace (a frames buffer, a
+complex spectrum buffer, four float buffers, a mask and a padded signal,
+shared by all scales) in which the loss adjoint writes every intermediate,
+so that it allocates only the gradient it returns. Adam and gradient
+clipping update their arrays in place.
 """
 
 from __future__ import annotations
@@ -193,63 +200,135 @@ def _scale_magnitudes(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=1))
 
 
-def recon_loss(x: Waveform, x_hat: Waveform, cfg: LossConfig = LossConfig()) -> float:
+def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
+    """Per-scale magnitude spectrograms of the target, precomputable once
+    per track."""
+    return {s: _scale_magnitudes(x.samples, cfg.stft_config(s)) for s in cfg.scales}
+
+
+class LossTargets:
+    """The loss's per-track state: the target's magnitudes and floored log
+    magnitudes at every scale, plus one set of work buffers that every scale
+    and every call of the loss adjoint reuses.
+
+    Each buffer is sized for the scale that needs the most of it (frames x
+    window, frames x bins, or padded samples), and each scale works in views
+    of its head. One instance serves one signal length and one caller at a
+    time.
+    """
+
+    def __init__(self, x: Waveform, cfg: LossConfig):
+        self.cfg = cfg
+        self.n_samples = len(x)
+        self.magnitudes = target_magnitudes(x, cfg)
+        self.log_magnitudes = {
+            s: np.log(a + cfg.log_floor) for s, a in self.magnitudes.items()
+        }
+        bins = max(a.size for a in self.magnitudes.values())
+        self._frames = np.empty(
+            max(a.shape[0] * s for s, a in self.magnitudes.items())
+        )
+        self._spec = np.empty(bins, dtype=np.complex128)
+        self._work = np.empty((4, bins))
+        self._mask = np.empty(bins, dtype=bool)
+        # The padded signal: window/2 zeros on both ends at the largest scale.
+        self._padded = np.empty(self.n_samples + max(cfg.scales))
+
+
+def _targets_for(
+    x: Waveform, cfg: LossConfig, targets: LossTargets | None
+) -> LossTargets:
+    """``targets`` once checked against ``x`` and ``cfg``, or new ones."""
+    if targets is None:
+        return LossTargets(x, cfg)
+    if targets.cfg != cfg or targets.n_samples != len(x):
+        raise ValueError("loss targets were built for another signal or loss")
+    return targets
+
+
+def _view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return buffer[: rows * cols].reshape(rows, cols)
+
+
+def recon_loss(
+    x: Waveform,
+    x_hat: Waveform,
+    cfg: LossConfig = LossConfig(),
+    targets: LossTargets | None = None,
+) -> float:
     """Sum over scales of ||  |X| - |X_hat| ||_1 plus the same L1 distance
-    between floored log magnitudes."""
+    between floored log magnitudes. ``targets``, built from ``x`` and
+    ``cfg``, saves taking the STFTs of ``x`` again."""
     if len(x) != len(x_hat):
         raise ValueError(f"length mismatch: {len(x)} vs {len(x_hat)}")
+    targets = _targets_for(x, cfg, targets)
     total = 0.0
     for scale in cfg.scales:
-        scfg = cfg.stft_config(scale)
-        ax = _scale_magnitudes(x.samples, scfg)
-        ah = _scale_magnitudes(x_hat.samples, scfg)
-        total += np.abs(ax - ah).sum()
+        ah = _scale_magnitudes(x_hat.samples, cfg.stft_config(scale))
+        total += np.abs(targets.magnitudes[scale] - ah).sum()
         total += np.abs(
-            np.log(ax + cfg.log_floor) - np.log(ah + cfg.log_floor)
+            targets.log_magnitudes[scale] - np.log(ah + cfg.log_floor)
         ).sum()
     return float(total)
 
 
 def _loss_and_grad_wrt_signal(
-    x_hat: np.ndarray, targets: dict[int, np.ndarray], cfg: LossConfig
+    x_hat: np.ndarray, targets: LossTargets
 ) -> tuple[float, np.ndarray]:
-    """Loss value and dL/dx_hat through every scale's magnitude STFT."""
+    """Loss value and dL/dx_hat through every scale's magnitude STFT.
+
+    Every intermediate lives in the work buffers of ``targets``; only the
+    returned gradient is allocated."""
+    cfg = targets.cfg
     n = len(x_hat)
     grad = np.zeros(n)
     loss = 0.0
     for scale in cfg.scales:
         scfg = cfg.stft_config(scale)
         window = hann_window(scale)
-        frames = frame_signal(x_hat, scfg) * window
-        spec = np.fft.rfft(frames, axis=1)  # M x F
-        mag = np.abs(spec)
-        target = targets[scale]
+        target = targets.magnitudes[scale]
+        m, n_bins = target.shape
+        frames = _view(targets._frames, m, scale)
+        spec = _view(targets._spec, m, n_bins)
+        mag, diff, log_diff, tmp = (_view(w, m, n_bins) for w in targets._work)
+        mask = _view(targets._mask, m, n_bins)
 
-        diff = mag - target
-        log_diff = np.log(mag + cfg.log_floor) - np.log(target + cfg.log_floor)
-        loss += np.abs(diff).sum() + np.abs(log_diff).sum()
+        np.multiply(frame_signal(x_hat, scfg), window, out=frames)
+        np.fft.rfft(frames, axis=1, out=spec)  # M x F
+        np.abs(spec, out=mag)
+
+        np.subtract(mag, target, out=diff)
+        np.add(mag, cfg.log_floor, out=log_diff)
+        np.log(log_diff, out=log_diff)
+        log_diff -= targets.log_magnitudes[scale]
+        diff_l1 = np.abs(diff, out=tmp).sum()
+        loss += diff_l1 + np.abs(log_diff, out=tmp).sum()
 
         # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, 0 where S = 0.
-        g_mag = np.sign(diff) + np.sign(log_diff) / (mag + cfg.log_floor)
-        ratio = np.divide(g_mag, mag, out=np.zeros_like(mag), where=mag > 0)
+        # g_mag = sign(diff) + sign(log_diff) / (mag + floor) goes into diff.
+        np.sign(diff, out=diff)
+        np.sign(log_diff, out=log_diff)
+        log_diff /= np.add(mag, cfg.log_floor, out=tmp)
+        diff += log_diff
+        ratio = tmp
+        ratio.fill(0.0)
+        np.divide(diff, mag, out=ratio, where=np.greater(mag, 0.0, out=mask))
 
         # Adjoint of the real FFT, Re(sum_k g_k e^{+2 pi i k n / N}), as
         # N * irfft: irfft counts each interior bin twice (its conjugate
         # mirror), so those bins are halved; DC and Nyquist are not.
         ratio[:, 1:-1] *= 0.5
-        g_frames = np.fft.irfft(spec * ratio, n=scale, axis=1) * (scale * window)
+        spec *= ratio
+        g_frames = np.fft.irfft(spec, n=scale, axis=1, out=frames)
+        g_frames *= scale * window
 
         # Adjoint of framing: overlap-add back into the padded signal.
         pad = scale // 2
-        g_padded = overlap_add(g_frames, scfg.hop_size, n + 2 * pad)
-        grad += g_padded[pad : pad + n]
+        padded = targets._padded[: n + 2 * pad]
+        padded.fill(0.0)
+        overlap_add(g_frames, scfg.hop_size, n + 2 * pad, out=padded)
+        grad += padded[pad : pad + n]
     return float(loss), grad
-
-
-def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
-    """Per-scale magnitude spectrograms of the target, precomputable once
-    per track."""
-    return {s: _scale_magnitudes(x.samples, cfg.stft_config(s)) for s in cfg.scales}
 
 
 def loss_gradient(
@@ -257,11 +336,13 @@ def loss_gradient(
     x: Waveform,
     grid: FrameActivations,
     cfg: LossConfig = LossConfig(),
-    targets: dict[int, np.ndarray] | None = None,
+    targets: LossTargets | None = None,
 ) -> tuple[float, AbsParams]:
     """Exact reverse-mode gradient of recon_loss(x, render(params, grid)).
 
     Returns (loss, gradients) with gradients shaped like ``params``.
+    ``targets``, built once per track from ``x`` and ``cfg``, is reused
+    across calls; without it each call builds its own.
     """
     onsets = onset_index(grid)
     if len(onsets) != len(params.raw_velocities):
@@ -269,19 +350,18 @@ def loss_gradient(
             f"{len(params.raw_velocities)} velocity parameters for "
             f"{len(onsets)} onsets"
         )
-    if targets is None:
-        targets = target_magnitudes(x, cfg)
+    targets = _targets_for(x, cfg, targets)
     w, alphas = params.one_shots(), params.alphas()
     v, gains = params.velocities(), params.gains()
     classes = np.nonzero(grid.onsets)[0]  # the order of onset_index
     shaped = apply_envelope(w, alphas)
     amps = gains[classes] * v
-    stems = trigger(shaped, onsets, amps, len(x))
-    loss, g_xhat = _loss_and_grad_wrt_signal(stems.sum(axis=0), targets, cfg)
+    mixture = trigger(shaped, onsets, amps, len(x)).sum(axis=0)
+    loss, g_xhat = _loss_and_grad_wrt_signal(mixture, targets)
 
     # The mixture is the sum of the stems, so every stem gets its gradient.
     g_shaped, g_amps = trigger_adjoint(
-        np.broadcast_to(g_xhat, stems.shape), shaped, onsets, amps
+        np.broadcast_to(g_xhat, (len(shaped), len(x))), shaped, onsets, amps
     )
     g_w, g_alphas = apply_envelope_adjoint(g_shaped, w, alphas)
     g_gains = np.bincount(classes, weights=g_amps * v, minlength=len(gains))
@@ -318,12 +398,16 @@ class SolveResult:
 
 
 def _clip_global_norm(grads: AbsParams, max_norm: float) -> AbsParams:
+    """Scale ``grads`` in place so their global L2 norm is at most
+    ``max_norm``; returns them."""
     arrays = grads.arrays()
     total = np.sqrt(sum(float(np.sum(v**2)) for v in arrays.values()))
     if total <= max_norm or total == 0.0:
         return grads
     scale = max_norm / total
-    return AbsParams(**{k: v * scale for k, v in arrays.items()})
+    for v in arrays.values():
+        v *= scale
+    return grads
 
 
 def solve_track(
@@ -353,26 +437,33 @@ def solve_track(
 
     state_m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    targets = target_magnitudes(x, cfg)
+    scratch = {k: np.empty_like(v) for k, v in params.arrays().items()}
+    targets = LossTargets(x, cfg)
     trace, best, best_loss = [], params, np.inf
     for step in range(1, opt.steps + 1):
         loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
         trace.append(loss)
         if loss < best_loss:
             best, best_loss = params.copy(), loss
-        grads = _clip_global_norm(grads, opt.grad_clip_norm)
-        g_arrays = grads.arrays()
-        p_arrays = params.arrays()
-        for key, p in p_arrays.items():
-            g = g_arrays[key]
-            state_m[key] = opt.beta1 * state_m[key] + (1 - opt.beta1) * g
-            state_v[key] = opt.beta2 * state_v[key] + (1 - opt.beta2) * g**2
-            m_hat = state_m[key] / (1 - opt.beta1**step)
-            v_hat = state_v[key] / (1 - opt.beta2**step)
-            p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.adam_eps)
+        g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
+        for key, p in params.arrays().items():
+            # Adam, in place: the fresh gradient array holds sqrt(v_hat) + eps
+            # once the moments have read it, and ``tmp`` holds the step.
+            g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
+            m *= opt.beta1
+            m += np.multiply(g, 1 - opt.beta1, out=tmp)
+            v *= opt.beta2
+            v += np.multiply(np.square(g, out=tmp), 1 - opt.beta2, out=tmp)
+            np.divide(v, 1 - opt.beta2**step, out=g)
+            np.sqrt(g, out=g)
+            g += opt.adam_eps
+            np.divide(m, 1 - opt.beta1**step, out=tmp)
+            tmp *= opt.learning_rate
+            tmp /= g
+            p -= tmp
 
     stems, mixture = render_from_params(params, grid, len(x))
-    final_loss = recon_loss(x, Waveform(mixture), cfg)
+    final_loss = recon_loss(x, Waveform(mixture), cfg, targets=targets)
     if final_loss > best_loss:
         params, final_loss = best, best_loss
         stems, mixture = render_from_params(params, grid, len(x))

@@ -64,9 +64,8 @@ def main():
               type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--duration", type=float, default=None, help="Track length in seconds.")
-@click.option("--seed", type=int, default=0)
 @_guarded
-def render_cmd(bank_dir, transcription_path, out_dir, duration, seed):
+def render_cmd(bank_dir, transcription_path, out_dir, duration):
     """Render per-class stems and the mixture for a transcription."""
     bank = fileio.read_bank(bank_dir)
     t = fileio.read_transcription(transcription_path)
@@ -82,7 +81,6 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration, seed):
     out = Path(out_dir)
     _write_stem_dir(out, stems)
     fileio.write_wav(out / "mixture.wav", Waveform(mixture))
-    _echo_config(out, {"bank": bank.kit_id, "duration": duration, "seed": seed})
 
 
 @main.command("generate")
@@ -104,8 +102,6 @@ def generate_cmd(bank_dirs, n_tracks, seed, duration, out_dir):
         fileio.write_wav(track_dir / "mixture.wav", track.mixture)
         _write_stem_dir(track_dir / "stems", track.stems)
         fileio.write_transcription(track.transcription, track_dir / "transcription.csv")
-    _echo_config(out, {"tracks": n_tracks, "seed": seed, "duration": duration,
-                       "banks": ",".join(b.kit_id for b in banks)})
 
 
 @main.group("separate")

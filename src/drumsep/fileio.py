@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .classes import CLASS_INDEX, CLASS_NAMES
+from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
 from .signal import SAMPLE_RATE, Waveform
 from .transcription import Event, Transcription
@@ -130,22 +130,14 @@ def read_transcription(path: str | Path) -> Transcription:
             if len(row) != 3:
                 raise FileFormatError(f"{path}:{lineno}: expected 3 columns")
             time_s, class_name, velocity = row
+            # Transcription holds the checks; one row at a time gives its
+            # error the row's line.
             try:
-                time = float(time_s)
-                vel = float(velocity)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: non-numeric field")
-            if class_name not in CLASS_INDEX:
-                raise FileFormatError(
-                    f"{path}:{lineno}: unknown drum class {class_name!r}"
-                )
-            if time < 0:
-                raise FileFormatError(f"{path}:{lineno}: negative onset time")
-            if not 0 <= vel <= 2:
-                raise FileFormatError(
-                    f"{path}:{lineno}: velocity {vel} outside [0, 2]"
-                )
-            events.append(Event(time, class_name, vel))
+                event = Event(float(time_s), class_name, float(velocity))
+                Transcription((event,))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+            events.append(event)
     return Transcription(tuple(events))
 
 

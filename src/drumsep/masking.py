@@ -36,8 +36,8 @@ def compute_masks(
         raise ValueError(f"expected K x F x M estimates, got shape {estimates.shape}")
     if estimates.min() < 0:
         raise ValueError("magnitude estimates must be non-negative")
-    powered = estimates**alpha
-    masks = powered / (powered.sum(axis=0, keepdims=True) + epsilon)
+    masks = estimates**alpha
+    masks /= masks.sum(axis=0, keepdims=True) + epsilon
     return MaskSet(masks, alpha, epsilon)
 
 

@@ -136,21 +136,28 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
 
 
-def overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+def overlap_add(
+    frames: np.ndarray, hop: int, total: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum overlapping frames (M x window, frame m at offset m*hop, hop
     dividing window) into a signal of ``total`` samples; samples past
     ``total`` are dropped.
 
     Frames whose offsets differ by window are disjoint, so grouping frames
     by m mod (window/hop) turns the scatter into contiguous block adds.
+    ``out``, if given, is a contiguous 1-D buffer of at least
+    max(total, (M-1)*hop + window) samples that the frames are added into;
+    its first ``total`` samples are returned as a view.
     """
     n_frames, window = frames.shape
     stride = window // hop
-    out = np.zeros(max(total, (n_frames - 1) * hop + window))
+    if out is None:
+        out = np.zeros(max(total, (n_frames - 1) * hop + window))
     for p in range(min(stride, n_frames)):
         group = frames[p::stride]
         start = p * hop
-        out[start : start + group.size] += group.ravel()
+        block = out[start : start + group.size].reshape(group.shape)
+        block += group
     return out[:total]
 
 

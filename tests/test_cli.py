@@ -55,6 +55,7 @@ def run(*args):
 class TestRender:
     def test_writes_stems_mixture_and_config(self, tmp_path, bank_dir,
                                              transcription_path):
+        # no config.txt: render's inputs are not run-config keys
         out = tmp_path / "out"
         result = run("render", "--bank", bank_dir,
                      "--transcription", transcription_path,
@@ -66,7 +67,7 @@ class TestRender:
         assert len(mixture) == 2 * SAMPLE_RATE
         stems = sum(read_wav(out / f"{n}.wav").samples for n in CLASS_NAMES)
         np.testing.assert_allclose(stems, mixture.samples, atol=1e-6)
-        assert (out / "config.txt").exists()
+        assert not (out / "config.txt").exists()
 
     def test_evaluating_render_against_itself_is_perfect(self, tmp_path, bank_dir,
                                                          transcription_path):

@@ -141,6 +141,14 @@ class TestTranscriptionCsv:
         with pytest.raises(FileFormatError):
             read_transcription(path)
 
+    @pytest.mark.parametrize("row", ["nan,snare,1.0", "inf,snare,1.0",
+                                     "0.6,snare,nan"])
+    def test_non_finite_field_error_carries_line_number(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"onset_sec,class,velocity\n0.5,kick,1.0\n{row}\n")
+        with pytest.raises(FileFormatError, match=":3:"):
+            read_transcription(path)
+
     def test_velocity_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("onset_sec,class,velocity\n0.5,kick,2.5\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumsep.signal import (
     DEFAULT_HOP,
@@ -21,6 +23,7 @@ from drumsep.signal import (
     magnitude,
     mel_filterbank,
     num_frames,
+    overlap_add,
     stft,
 )
 
@@ -120,6 +123,50 @@ class TestIstft:
         spec = stft(Waveform(np.zeros(4096)), StftConfig(512, 512))
         with pytest.raises(SignalError):
             istft(spec)
+
+
+def naive_overlap_add(frames, hop, total, out):
+    """Frame-by-frame overlap-add into ``out``, frames taken by m mod
+    (window/hop) as ``overlap_add`` groups them, so every sample receives its
+    terms in the same order."""
+    n_frames, window = frames.shape
+    for p in range(window // hop):
+        for m in range(p, n_frames, window // hop):
+            out[m * hop : m * hop + window] += frames[m]
+    return out[:total]
+
+
+@given(
+    log_window=st.integers(0, 6),
+    log_ratio=st.integers(0, 6),
+    n_frames=st.integers(1, 20),
+    extra=st.integers(-70, 70),
+    into_buffer=st.booleans(),
+    broadcast=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_overlap_add_matches_frame_loop(log_window, log_ratio, n_frames, extra,
+                                        into_buffer, broadcast, seed):
+    """Equal to the frame loop bit for bit: with or without a caller buffer
+    (which it adds into), for strided and broadcast frames, and for totals
+    shorter or longer than the frames cover."""
+    window = 2**log_window
+    hop = window // 2 ** min(log_ratio, log_window)
+    covered = (n_frames - 1) * hop + window
+    total = max(0, covered + extra)
+    rng = np.random.default_rng(seed)
+    frames = (np.broadcast_to(rng.normal(size=window), (n_frames, window))
+              if broadcast else rng.normal(size=(n_frames, window)))
+    start = rng.normal(size=max(total, covered)) if into_buffer else None
+    expected = naive_overlap_add(
+        frames, hop, total,
+        np.zeros(max(total, covered)) if start is None else start.copy(),
+    )
+    got = overlap_add(frames, hop, total, out=start)
+    np.testing.assert_array_equal(got, expected)
+    if into_buffer:
+        np.testing.assert_array_equal(start[:total], expected)
 
 
 class TestConfigValidation:
