@@ -2,23 +2,40 @@
 
 Given a mixture and its ground-truth onsets, jointly optimizes one-shot
 waveforms, per-onset velocities, track gains and envelope decays by Adam on
-the multi-resolution STFT loss. The stems come from the drum-machine forward
-model (``drum_machine.trigger``). Gradients are computed by a hand-written
-reverse pass: magnitude adjoint, windowed overlap-add STFT adjoint, the
-forward model's adjoints (``trigger_adjoint``, ``apply_envelope_adjoint``),
-then the squashing chain rules. Onsets themselves receive no gradient; their
-support is fixed.
+the multi-resolution STFT loss. The mixture comes from the drum-machine
+forward model (``drum_machine.trigger_mixture``). Gradients are computed by
+a hand-written reverse pass: magnitude adjoint, windowed overlap-add STFT
+adjoint, the forward model's adjoints (``trigger_mixture_adjoint``,
+``apply_envelope_adjoint``), then the squashing chain rules. Onsets
+themselves receive no gradient; their support is fixed.
 
 A solve builds one ``LossTargets`` per track: the target's magnitudes and
-floored log magnitudes at every scale, and a workspace (a frames buffer, a
-complex spectrum buffer, four float buffers, a mask and a padded signal,
-shared by all scales) in which the loss adjoint writes every intermediate,
-so that it allocates only the gradient it returns. Adam and gradient
-clipping update their arrays in place.
+floored log magnitudes at every scale, one padded copy of the estimate that
+every scale frames as a strided view, and one workspace per worker (a frames
+buffer that also hosts two of the four M x F float buffers while it is dead,
+a complex spectrum buffer that takes the overlap-add once it is dead, two
+float buffers and a mask). The loss scales are independent until their
+gradients are summed, so during a solve they run on min(#scales, usable
+CPUs, 2) threads, each in its own workspace: a worker allocates no array
+and calls only numpy and ``signal.overlap_add``, never a function a tracer
+may wrap. Two is the only thread count whose time and peak memory were
+measured; each further worker adds a workspace (13 MB on a 3 s track). The
+scales go in rounds of one per worker, and the main thread adds each
+round's losses and gradients in scale order before the next round reuses
+the workspaces, so every bit is the same for any number of workers, and
+with one worker the same per-scale function runs inline.
+
+The step makes no BLAS call: the forward model's adjoints reduce by
+elementwise products and ``.sum()``. A BLAS dot or GEMV would wake the BLAS
+library's threads, which then busy-wait on the cores the loss scales run on.
+Adam and gradient clipping update their arrays in place.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +47,15 @@ from .drum_machine import (
     apply_envelope_adjoint,
     onset_index,
     trigger,
-    trigger_adjoint,
+    trigger_mixture,
+    trigger_mixture_adjoint,
 )
 from .signal import (
     DEFAULT_HOP,
     SAMPLE_RATE,
     StftConfig,
     Waveform,
+    frame_padded,
     frame_signal,
     hann_window,
     overlap_add,
@@ -206,33 +225,165 @@ def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
     return {s: _scale_magnitudes(x.samples, cfg.stft_config(s)) for s in cfg.scales}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The most loss workers a solve starts: the count measured to be faster
+# than one with no more peak memory (2 vCPUs). Lift it only on measurements
+# from a machine with more CPUs.
+_MAX_WORKERS = 2
+
+
+class _Workspace:
+    """One worker's buffers. Each is sized for the scale that needs the most
+    of it; a scale works in views of its head.
+
+    The frames buffer (M x window) is dead from the forward real FFT until
+    the inverse one writes it again, so it is sized M x (window + 2), twice
+    M x F, and hosts two of the four M x F float buffers in between. The
+    spectrum buffer is dead after the inverse FFT, so it takes the scale's
+    overlap-add."""
+
+    def __init__(self, shapes: dict[int, tuple[int, int]], n_samples: int):
+        cells = max(m * f for m, f in shapes.values())
+        self.frames = np.empty(2 * cells)
+        self.spec = np.empty(
+            max(max(m * f, (n_samples + s + 1) // 2) for s, (m, f) in shapes.items()),
+            dtype=np.complex128,
+        )
+        self.work = np.empty((2, cells))
+        self.mask = np.empty(cells, dtype=bool)
+
+
 class LossTargets:
     """The loss's per-track state: the target's magnitudes and floored log
-    magnitudes at every scale, plus one set of work buffers that every scale
-    and every call of the loss adjoint reuses.
+    magnitudes at every scale, the estimate's padded signal and its frames
+    at every scale, and one workspace per worker.
 
-    Each buffer is sized for the scale that needs the most of it (frames x
-    window, frames x bins, or padded samples), and each scale works in views
-    of its head. One instance serves one signal length and one caller at a
-    time.
+    The scales run inline in one workspace, or, while ``workers()`` is
+    open, on min(#scales, usable CPUs, ``_MAX_WORKERS``) threads with one
+    workspace each. One instance serves one signal length and one caller
+    at a time.
     """
 
     def __init__(self, x: Waveform, cfg: LossConfig):
         self.cfg = cfg
-        self.n_samples = len(x)
+        self.n_samples = n = len(x)
         self.magnitudes = target_magnitudes(x, cfg)
         self.log_magnitudes = {
             s: np.log(a + cfg.log_floor) for s, a in self.magnitudes.items()
         }
-        bins = max(a.size for a in self.magnitudes.values())
-        self._frames = np.empty(
-            max(a.shape[0] * s for s, a in self.magnitudes.items())
-        )
-        self._spec = np.empty(bins, dtype=np.complex128)
-        self._work = np.empty((4, bins))
-        self._mask = np.empty(bins, dtype=bool)
-        # The padded signal: window/2 zeros on both ends at the largest scale.
-        self._padded = np.empty(self.n_samples + max(cfg.scales))
+        # The estimate, with window/2 zeros on both ends at the largest scale:
+        # the caller writes it once per call and every scale frames a view.
+        pad = max(cfg.scales) // 2
+        self._padded = np.zeros(n + 2 * pad)
+        self._signal = self._padded[pad : pad + n]
+        self._frames_of = {
+            s: frame_padded(
+                self._padded[pad - s // 2 : pad + n + s // 2], cfg.stft_config(s)
+            )
+            for s in cfg.scales
+        }
+        self._windows = {s: hann_window(s) for s in cfg.scales}
+        self._scaled_windows = {s: s * w for s, w in self._windows.items()}
+        self._shapes = {s: a.shape for s, a in self.magnitudes.items()}
+        self._workspaces = [_Workspace(self._shapes, n)]
+        self._map, self._in_use = map, 1
+
+    @contextmanager
+    def workers(self):
+        """Run the scales on one thread per workspace while open, adding the
+        workspaces the threads need. They stay allocated after it closes,
+        when the scales run inline in the first one again."""
+        count = min(len(self.cfg.scales), _usable_cpus(), _MAX_WORKERS)
+        if count == 1:
+            yield self
+            return
+        self._workspaces += [
+            _Workspace(self._shapes, self.n_samples)
+            for _ in range(count - len(self._workspaces))
+        ]
+        with ThreadPoolExecutor(count) as pool:
+            self._map, self._in_use = pool.map, count
+            try:
+                yield self
+            finally:
+                self._map, self._in_use = map, 1
+
+    def _per_scale(self, x_hat: np.ndarray, with_grad: bool):
+        """Each scale's (magnitude L1, log-magnitude L1, dL/dx_hat or None),
+        in scale order.
+
+        The scales run in rounds of one per workspace, so a gradient is a
+        view into its worker's buffers that stays valid only until the
+        caller asks for the next round."""
+        self._signal[:] = x_hat
+        scales, spaces = self.cfg.scales, self._workspaces[: self._in_use]
+        for start in range(0, len(scales), len(spaces)):
+            yield from self._map(
+                lambda scale, ws: _scale_terms(self, scale, ws, with_grad),
+                scales[start : start + len(spaces)],
+                spaces,
+            )
+
+
+def _scale_terms(targets: LossTargets, scale: int, ws: _Workspace, with_grad: bool):
+    """One scale's loss terms and, ``with_grad``, its dL/dx_hat, with every
+    intermediate in ``ws``. Runs on a worker thread: it allocates no array
+    and calls numpy and ``signal.overlap_add`` only, none of the functions
+    a tracer may wrap."""
+    cfg = targets.cfg
+    target = targets.magnitudes[scale]
+    m, n_bins = target.shape
+    cells = m * n_bins
+    frames = _view(ws.frames, m, scale)
+    spec = _view(ws.spec, m, n_bins)
+    mag, diff = _view(ws.frames, m, n_bins), _view(ws.frames[cells:], m, n_bins)
+    log_diff, tmp = (_view(w, m, n_bins) for w in ws.work)
+    mask = _view(ws.mask, m, n_bins)
+
+    np.multiply(targets._frames_of[scale], targets._windows[scale], out=frames)
+    np.fft.rfft(frames, axis=1, out=spec)  # M x F; the frames are dead
+    np.abs(spec, out=mag)
+
+    np.subtract(mag, target, out=diff)
+    np.add(mag, cfg.log_floor, out=log_diff)
+    np.log(log_diff, out=log_diff)
+    log_diff -= targets.log_magnitudes[scale]
+    diff_l1 = np.abs(diff, out=tmp).sum()
+    log_l1 = np.abs(log_diff, out=tmp).sum()
+    if not with_grad:
+        return diff_l1, log_l1, None
+
+    # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, 0 where S = 0.
+    # g_mag = sign(diff) + sign(log_diff) / (mag + floor) goes into diff.
+    np.sign(diff, out=diff)
+    np.sign(log_diff, out=log_diff)
+    log_diff /= np.add(mag, cfg.log_floor, out=tmp)
+    diff += log_diff
+    ratio = tmp
+    ratio.fill(0.0)
+    np.divide(diff, mag, out=ratio, where=np.greater(mag, 0.0, out=mask))
+
+    # Adjoint of the real FFT, Re(sum_k g_k e^{+2 pi i k n / N}), as
+    # N * irfft: irfft counts each interior bin twice (its conjugate
+    # mirror), so those bins are halved; DC and Nyquist are not.
+    ratio[:, 1:-1] *= 0.5
+    spec *= ratio
+    g_frames = np.fft.irfft(spec, n=scale, axis=1, out=frames)
+    g_frames *= targets._scaled_windows[scale]
+
+    # Adjoint of framing: overlap-add back into the padded signal, which
+    # lands in the dead spectrum buffer.
+    n, pad = targets.n_samples, scale // 2
+    padded = ws.spec.view(np.float64)[: n + 2 * pad]
+    padded.fill(0.0)
+    overlap_add(g_frames, scale // 4, n + 2 * pad, out=padded)
+    return diff_l1, log_l1, padded[pad : pad + n]
 
 
 def _targets_for(
@@ -263,12 +414,9 @@ def recon_loss(
         raise ValueError(f"length mismatch: {len(x)} vs {len(x_hat)}")
     targets = _targets_for(x, cfg, targets)
     total = 0.0
-    for scale in cfg.scales:
-        ah = _scale_magnitudes(x_hat.samples, cfg.stft_config(scale))
-        total += np.abs(targets.magnitudes[scale] - ah).sum()
-        total += np.abs(
-            targets.log_magnitudes[scale] - np.log(ah + cfg.log_floor)
-        ).sum()
+    for diff_l1, log_l1, _ in targets._per_scale(x_hat.samples, with_grad=False):
+        total += diff_l1
+        total += log_l1
     return float(total)
 
 
@@ -277,57 +425,15 @@ def _loss_and_grad_wrt_signal(
 ) -> tuple[float, np.ndarray]:
     """Loss value and dL/dx_hat through every scale's magnitude STFT.
 
-    Every intermediate lives in the work buffers of ``targets``; only the
-    returned gradient is allocated."""
-    cfg = targets.cfg
-    n = len(x_hat)
-    grad = np.zeros(n)
+    Every intermediate lives in the buffers of ``targets``; only the
+    returned gradient is allocated. The scales' terms are summed in scale
+    order whichever worker computed them, so the result does not depend on
+    the number of workers."""
+    grad = np.zeros(len(x_hat))
     loss = 0.0
-    for scale in cfg.scales:
-        scfg = cfg.stft_config(scale)
-        window = hann_window(scale)
-        target = targets.magnitudes[scale]
-        m, n_bins = target.shape
-        frames = _view(targets._frames, m, scale)
-        spec = _view(targets._spec, m, n_bins)
-        mag, diff, log_diff, tmp = (_view(w, m, n_bins) for w in targets._work)
-        mask = _view(targets._mask, m, n_bins)
-
-        np.multiply(frame_signal(x_hat, scfg), window, out=frames)
-        np.fft.rfft(frames, axis=1, out=spec)  # M x F
-        np.abs(spec, out=mag)
-
-        np.subtract(mag, target, out=diff)
-        np.add(mag, cfg.log_floor, out=log_diff)
-        np.log(log_diff, out=log_diff)
-        log_diff -= targets.log_magnitudes[scale]
-        diff_l1 = np.abs(diff, out=tmp).sum()
-        loss += diff_l1 + np.abs(log_diff, out=tmp).sum()
-
-        # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, 0 where S = 0.
-        # g_mag = sign(diff) + sign(log_diff) / (mag + floor) goes into diff.
-        np.sign(diff, out=diff)
-        np.sign(log_diff, out=log_diff)
-        log_diff /= np.add(mag, cfg.log_floor, out=tmp)
-        diff += log_diff
-        ratio = tmp
-        ratio.fill(0.0)
-        np.divide(diff, mag, out=ratio, where=np.greater(mag, 0.0, out=mask))
-
-        # Adjoint of the real FFT, Re(sum_k g_k e^{+2 pi i k n / N}), as
-        # N * irfft: irfft counts each interior bin twice (its conjugate
-        # mirror), so those bins are halved; DC and Nyquist are not.
-        ratio[:, 1:-1] *= 0.5
-        spec *= ratio
-        g_frames = np.fft.irfft(spec, n=scale, axis=1, out=frames)
-        g_frames *= scale * window
-
-        # Adjoint of framing: overlap-add back into the padded signal.
-        pad = scale // 2
-        padded = targets._padded[: n + 2 * pad]
-        padded.fill(0.0)
-        overlap_add(g_frames, scfg.hop_size, n + 2 * pad, out=padded)
-        grad += padded[pad : pad + n]
+    for diff_l1, log_l1, g in targets._per_scale(x_hat, with_grad=True):
+        loss += diff_l1 + log_l1
+        grad += g
     return float(loss), grad
 
 
@@ -356,17 +462,22 @@ def loss_gradient(
     classes = np.nonzero(grid.onsets)[0]  # the order of onset_index
     shaped = apply_envelope(w, alphas)
     amps = gains[classes] * v
-    mixture = trigger(shaped, onsets, amps, len(x)).sum(axis=0)
-    loss, g_xhat = _loss_and_grad_wrt_signal(mixture, targets)
-
-    # The mixture is the sum of the stems, so every stem gets its gradient.
-    g_shaped, g_amps = trigger_adjoint(
-        np.broadcast_to(g_xhat, (len(shaped), len(x))), shaped, onsets, amps
+    loss, g_xhat = _loss_and_grad_wrt_signal(
+        trigger_mixture(shaped, onsets, amps, len(x)), targets
     )
-    g_w, g_alphas = apply_envelope_adjoint(g_shaped, w, alphas)
+
+    g_shaped, g_amps = trigger_mixture_adjoint(g_xhat, shaped, onsets, amps)
+    del g_xhat
+    # ``shaped`` is dead from here on: it takes the decay product, then
+    # 1 - w^2 for the tanh chain rule.
+    g_w, g_alphas = apply_envelope_adjoint(g_shaped, w, alphas, work=shaped)
+    del g_shaped
+    np.square(w, out=shaped)
+    np.subtract(1.0, shaped, out=shaped)
+    g_w *= shaped
     g_gains = np.bincount(classes, weights=g_amps * v, minlength=len(gains))
     grads = AbsParams(
-        raw_one_shots=g_w * (1.0 - w**2),
+        raw_one_shots=g_w,
         raw_velocities=g_amps * gains[classes]
         * exp_sigmoid_grad(params.raw_velocities),
         raw_gains=g_gains * exp_sigmoid_grad(params.raw_gains),
@@ -375,12 +486,19 @@ def loss_gradient(
     return loss, grads
 
 
+def _amplitudes(params: AbsParams, grid: FrameActivations) -> np.ndarray:
+    """Per-onset amplitudes, track gain times velocity, in onset order."""
+    return params.gains()[np.nonzero(grid.onsets)[0]] * params.velocities()
+
+
 def render_from_params(
     params: AbsParams, grid: FrameActivations, n_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stems (K x T) and mixture for the constrained parameters."""
-    amps = params.gains()[np.nonzero(grid.onsets)[0]] * params.velocities()
-    stems = trigger(effective_one_shots(params), onset_index(grid), amps, n_samples)
+    stems = trigger(
+        effective_one_shots(params), onset_index(grid), _amplitudes(params, grid),
+        n_samples,
+    )
     return stems, stems.sum(axis=0)
 
 
@@ -423,7 +541,8 @@ def solve_track(
     Adam with per-step global gradient-norm clipping; deterministic for a
     fixed seed. The loss has L1 kinks, so Adam does not descend monotonically;
     the result holds the iterate with the lowest loss, which ends the trace.
-    The returned stems sum exactly to the returned mixture.
+    The returned stems sum exactly to the returned mixture. A non-finite
+    loss stops the solve with a ``ValueError`` that names the step.
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
@@ -438,34 +557,41 @@ def solve_track(
     state_m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     scratch = {k: np.empty_like(v) for k, v in params.arrays().items()}
-    targets = LossTargets(x, cfg)
     trace, best, best_loss = [], params, np.inf
-    for step in range(1, opt.steps + 1):
-        loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
-        trace.append(loss)
-        if loss < best_loss:
-            best, best_loss = params.copy(), loss
-        g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
-        for key, p in params.arrays().items():
-            # Adam, in place: the fresh gradient array holds sqrt(v_hat) + eps
-            # once the moments have read it, and ``tmp`` holds the step.
-            g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
-            m *= opt.beta1
-            m += np.multiply(g, 1 - opt.beta1, out=tmp)
-            v *= opt.beta2
-            v += np.multiply(np.square(g, out=tmp), 1 - opt.beta2, out=tmp)
-            np.divide(v, 1 - opt.beta2**step, out=g)
-            np.sqrt(g, out=g)
-            g += opt.adam_eps
-            np.divide(m, 1 - opt.beta1**step, out=tmp)
-            tmp *= opt.learning_rate
-            tmp /= g
-            p -= tmp
+    with LossTargets(x, cfg).workers() as targets:
+        for step in range(1, opt.steps + 1):
+            loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
+            if not np.isfinite(loss):
+                raise ValueError(f"abs solver: non-finite loss at step {step}")
+            trace.append(loss)
+            if loss < best_loss:
+                best, best_loss = params.copy(), loss
+            g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
+            for key, p in params.arrays().items():
+                # Adam, in place: the fresh gradient array holds
+                # sqrt(v_hat) + eps once the moments have read it, and
+                # ``tmp`` holds the step.
+                g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
+                m *= opt.beta1
+                m += np.multiply(g, 1 - opt.beta1, out=tmp)
+                v *= opt.beta2
+                v += np.multiply(np.square(g, out=tmp), 1 - opt.beta2, out=tmp)
+                np.divide(v, 1 - opt.beta2**step, out=g)
+                np.sqrt(g, out=g)
+                g += opt.adam_eps
+                np.divide(m, 1 - opt.beta1**step, out=tmp)
+                tmp *= opt.learning_rate
+                tmp /= g
+                p -= tmp
 
-    stems, mixture = render_from_params(params, grid, len(x))
-    final_loss = recon_loss(x, Waveform(mixture), cfg, targets=targets)
+        # The last iterate's loss needs only its mixture; the stems are
+        # rendered once, for the iterate returned.
+        mixture = trigger_mixture(
+            effective_one_shots(params), positions, _amplitudes(params, grid), len(x)
+        )
+        final_loss = recon_loss(x, Waveform(mixture), cfg, targets=targets)
     if final_loss > best_loss:
         params, final_loss = best, best_loss
-        stems, mixture = render_from_params(params, grid, len(x))
+    stems, mixture = render_from_params(params, grid, len(x))
     trace.append(final_loss)
     return SolveResult(params, stems, mixture, trace)

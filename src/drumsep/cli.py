@@ -13,7 +13,7 @@ import numpy as np
 from . import abs_solver, dataset, evaluation, fileio, masking, nmfd
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import render as render_stems
-from .signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, num_frames, stft
+from .signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
 from .transcription import (
     PeakPickConfig,
     events_to_grid,
@@ -169,15 +169,10 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     result = abs_solver.solve_track(x, t, opt, loss_cfg)
 
     cfg = StftConfig(int(config["stft.window"]), int(config["stft.hop"]))
-    estimates = np.stack(
-        [magnitude(stft(Waveform(s), cfg)) if np.any(s) else
-         np.zeros((cfg.n_bins, num_frames(len(x), cfg)))
-         for s in result.stems]
+    masked = masking.mask_with_stems(
+        x, result.stems, cfg,
+        float(config["masking.alpha"]), float(config["masking.epsilon"]),
     )
-    mask_set = masking.compute_masks(
-        estimates, float(config["masking.alpha"]), float(config["masking.epsilon"])
-    )
-    masked = masking.apply_masks(x, mask_set, cfg)
 
     out = Path(out_dir)
     _write_stem_dir(out / "synth", result.stems)

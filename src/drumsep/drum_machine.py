@@ -6,10 +6,15 @@ times track gain); the tail past the track end is dropped and the mixture is
 the sum of stems. This is the linear convolution of a sparse audio-rate
 impulse train with the one-shot, computed onset by onset.
 
-``trigger`` and ``apply_envelope`` are the model; ``trigger_adjoint`` and
-``apply_envelope_adjoint`` are their exact transposes, which the
-analysis-by-synthesis solver chains into its reverse pass. All functions are
-pure, so the renderer can run concurrently per track.
+``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
+``trigger`` summed over classes without building the stems, and
+``trigger_mixture_adjoint`` and ``apply_envelope_adjoint`` are exact
+transposes, which the analysis-by-synthesis solver chains into its reverse
+pass. The adjoints reduce by elementwise products and ``.sum()``, never a
+BLAS call: a BLAS dot or GEMV wakes the BLAS library's own threads, which
+then spin on the cores the solver's loss scales run on, and its rounding
+would depend on the BLAS thread count. All functions are pure, so the
+renderer can run concurrently per track.
 """
 
 from __future__ import annotations
@@ -93,12 +98,16 @@ def envelope(alpha, length: int = ONE_SHOT_LENGTH) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha < 0):
         raise ValueError("decay parameter must be non-negative")
-    return np.exp(alpha[..., None] * _log_envelope_slope(length))
+    env = np.multiply(alpha[..., None], _log_envelope_slope(length))
+    return np.exp(env, out=env)
 
 
 def _log_envelope_slope(length: int) -> np.ndarray:
     """d log(envelope) / d alpha = -20*t/R."""
-    return -20.0 * np.arange(length) / length
+    slope = np.arange(length, dtype=np.float64)
+    slope *= -20.0
+    slope /= length
+    return slope
 
 
 def apply_envelope(one_shots: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -108,14 +117,23 @@ def apply_envelope(one_shots: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 
 def apply_envelope_adjoint(
-    g_shaped: np.ndarray, one_shots: np.ndarray, alphas: np.ndarray
+    g_shaped: np.ndarray,
+    one_shots: np.ndarray,
+    alphas: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (K x R, K) of ``apply_envelope`` w.r.t. one-shots and
-    decays, given the gradient w.r.t. its output."""
+    decays, given the gradient w.r.t. its output. ``work``, a K x R array
+    the caller no longer needs, takes the decay product in place of a new
+    array."""
     r = one_shots.shape[1]
     env = envelope(alphas, r)
-    g_alphas = (g_shaped * one_shots * env) @ _log_envelope_slope(r)
-    return g_shaped * env, g_alphas
+    product = np.multiply(g_shaped, one_shots, out=work)
+    product *= env
+    product *= _log_envelope_slope(r)
+    g_alphas = product.sum(axis=1)
+    env *= g_shaped
+    return env, g_alphas
 
 
 def onset_index(grid: FrameActivations) -> list[tuple[int, int]]:
@@ -143,21 +161,53 @@ def trigger(
     return stems
 
 
-def trigger_adjoint(
-    g_stems: np.ndarray,
+def trigger_mixture(
+    shaped: np.ndarray,
+    onsets: list[tuple[int, int]],
+    amplitudes: np.ndarray,
+    n_samples: int,
+) -> np.ndarray:
+    """The mixture of ``trigger``'s stems, T, without the K x T stems.
+
+    Each class is accumulated into one reusable row, onset by onset, and
+    the rows are added in class order with the first copied, not added to
+    0: the order in which ``trigger(...).sum(axis=0)`` adds, so the two are
+    equal bit for bit."""
+    by_class: dict[int, list[tuple[int, float]]] = {}
+    for (k, pos), amp in zip(onsets, amplitudes):
+        by_class.setdefault(k, []).append((pos, amp))
+    mixture = np.zeros(n_samples)
+    row = np.empty(n_samples)
+    scaled = np.empty(shaped.shape[1])
+    for i, k in enumerate(sorted(by_class)):
+        row.fill(0.0)
+        for pos, amp in by_class[k]:
+            seg = shaped[k, : max(0, n_samples - pos)]
+            row[pos : pos + len(seg)] += np.multiply(amp, seg, out=scaled[: len(seg)])
+        if i == 0:
+            mixture[:] = row
+        else:
+            mixture += row
+    return mixture
+
+
+def trigger_mixture_adjoint(
+    g_mixture: np.ndarray,
     shaped: np.ndarray,
     onsets: list[tuple[int, int]],
     amplitudes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose of ``trigger`` in each argument: given dL/dstems (K x T),
-    returns dL/dshaped (K x R) and dL/damplitudes (one per onset)."""
+    """Transpose of ``trigger_mixture`` in each argument: given dL/dmixture
+    (T), returns dL/dshaped (K x R) and dL/damplitudes (one per onset)."""
     r = shaped.shape[1]
     g_shaped = np.zeros_like(shaped)
     g_amps = np.zeros(len(onsets))
+    product = np.empty(r)
     for j, (k, pos) in enumerate(onsets):
-        seg = g_stems[k, pos : pos + r]
-        g_amps[j] = np.dot(seg, shaped[k, : len(seg)])
-        g_shaped[k, : len(seg)] += amplitudes[j] * seg
+        seg = g_mixture[pos : pos + r]
+        head = product[: len(seg)]
+        g_amps[j] = np.multiply(seg, shaped[k, : len(seg)], out=head).sum()
+        g_shaped[k, : len(seg)] += np.multiply(amplitudes[j], seg, out=head)
     return g_shaped, g_amps
 
 

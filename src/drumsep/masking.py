@@ -6,7 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import StftConfig, Waveform, istft, stft, ComplexSpectrogram
+from .signal import (
+    ComplexSpectrogram,
+    StftConfig,
+    Waveform,
+    istft,
+    magnitude,
+    num_frames,
+    stft,
+)
 
 MASK_EPSILON = 1e-8
 DEFAULT_ALPHA = 1.0
@@ -60,3 +68,20 @@ def apply_masks(
         masked = ComplexSpectrogram(masks[i] * spec.bins, cfg, len(x))
         stems[i] = istft(masked).samples
     return stems
+
+
+def mask_with_stems(
+    x: Waveform,
+    stems: np.ndarray,
+    cfg: StftConfig = StftConfig(),
+    alpha: float = DEFAULT_ALPHA,
+    epsilon: float = MASK_EPSILON,
+) -> np.ndarray:
+    """Mask the mixture with the magnitude spectrograms of K x T stem
+    estimates, a silent stem's being all zeros: K x len(x) masked stems."""
+    shape = (cfg.n_bins, num_frames(len(x), cfg))
+    estimates = np.stack([
+        magnitude(stft(Waveform(s), cfg)) if np.any(s) else np.zeros(shape)
+        for s in stems
+    ])
+    return apply_masks(x, compute_masks(estimates, alpha, epsilon), cfg)

@@ -132,7 +132,13 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if num_frames(len(x), cfg) <= 0:
         raise SignalError("signal too short for this configuration")
     pad = cfg.window_size // 2 if cfg.centered else 0
-    padded = np.pad(x, (pad, pad))
+    return frame_padded(np.pad(x, (pad, pad)), cfg)
+
+
+def frame_padded(padded: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Frames (M, window) of a signal already padded as ``cfg`` pads it: a
+    read-only strided view of ``padded``, so a caller that keeps one padded
+    buffer frames it without copying."""
     return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
 
 

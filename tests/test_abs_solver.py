@@ -1,14 +1,20 @@
 """Analysis-by-synthesis solver: squashing closed forms, a naive-DFT loss
 oracle, an allocate-per-op loss adjoint oracle, finite-difference gradient
-checks and small end-to-end solves."""
+checks, allocation budgets, worker-count invariance, and small end-to-end
+solves."""
 
+import importlib.util
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drumsep import abs_solver
 from drumsep.abs_solver import (
     AbsParams,
     LossConfig,
@@ -315,6 +321,158 @@ def test_loss_adjoint_reuses_its_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 4 * x_hat.nbytes
+
+
+def nine_class_instance(seconds=3.0, hop=512, seed=0):
+    """All nine classes sounding on a dense onset grid, one-second
+    one-shots: the size of the benchmark's tracks."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * 44100)
+    onsets = (rng.uniform(size=(9, n // hop)) < 0.08).astype(float)
+    velocities = onsets * rng.uniform(0.5, 1.5, onsets.shape)
+    grid = FrameActivations(onsets, velocities, hop)
+    params = init_params(9, 44100, int(onsets.sum()), seed=seed)
+    return params, Waveform(rng.normal(0, 0.3, n)), grid
+
+
+def test_loss_gradient_allocation_budget():
+    """A loss_gradient call with prebuilt targets on a 3 s nine-class track
+    peaks under 14 MB of traced allocations: four K x R arrays of the
+    forward model and its adjoint (3.2 MB each) and no K x T stems. Measured
+    13.1 MB; 21.2 MB when the call built the stems and summed them."""
+    params, x, grid = nine_class_instance()
+    targets = LossTargets(x, LossConfig())
+    loss_gradient(params, x, grid, targets=targets)
+    tracemalloc.start()
+    try:
+        loss_gradient(params, x, grid, targets=targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
+def with_workers(monkeypatch, workers):
+    """``workers`` usable CPUs, the cap lifted to match."""
+    monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(abs_solver, "_MAX_WORKERS", max(2, workers))
+
+
+class TestWorkers:
+    """The loss scales run on min(#scales, usable CPUs, 2) threads; the
+    terms are summed in scale order, so the worker count changes no bit."""
+
+    def test_two_workers_at_most_and_one_workspace_inline(self, monkeypatch):
+        monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: 8)
+        targets = LossTargets(Waveform(np.zeros(4000)), LossConfig())
+        assert len(targets._workspaces) == 1
+        with targets.workers():
+            assert len(targets._workspaces) == targets._in_use == 2
+        assert targets._in_use == 1
+
+    def test_loss_adjoint_same_for_any_worker_count(self, monkeypatch):
+        """One to four workers, more than a two-core machine runs at once,
+        with thread switches forced every microsecond: a worker writing into
+        another's workspace, or a round reduced out of order, changes
+        bits."""
+        rng = np.random.default_rng(30)
+        x = Waveform(with_silence(rng, 9000))
+        estimates = [with_silence(rng, 9000) for _ in range(2)]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 4):
+                with_workers(monkeypatch, workers)
+                with LossTargets(x, LossConfig()).workers() as targets:
+                    assert len(targets._workspaces) == workers
+                    results[workers] = [
+                        _loss_and_grad_wrt_signal(e, targets) for e in estimates]
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3, 4):
+            for (loss, grad), (ref_loss, ref_grad) in zip(
+                    results[workers], results[1]):
+                assert loss == ref_loss
+                assert np.array_equal(grad, ref_grad)
+
+    def test_solve_same_for_one_and_two_workers(self, monkeypatch):
+        x, trans = TestSolve()._track()
+        results = []
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            results.append(solve_track(
+                x, trans, OptimizerConfig(steps=6, seed=0), LossConfig(),
+                one_shot_length=2048))
+        one, two = results
+        assert one.loss_trace == two.loss_trace
+        assert np.array_equal(one.stems, two.stems)
+        assert np.array_equal(one.mixture, two.mixture)
+        for key, value in one.params.arrays().items():
+            assert np.array_equal(value, two.params.arrays()[key])
+
+    def test_traced_functions_run_on_the_main_thread_only(self, monkeypatch):
+        """bench/tracing.py wraps the functions its HOOKS list names, and
+        its span stack is not thread-safe: none of those in abs_solver,
+        signal or drum_machine may run on a loss worker."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        hooked = [(m, f) for m, f, _ in tracing.HOOKS
+                  if m in ("abs_solver", "signal", "drum_machine")]
+        assert ("abs_solver", "loss_gradient") in hooked
+
+        calls = []  # (name, ran on the main thread)
+
+        def recording(name, func):
+            def wrapper(*args, **kwargs):
+                main = threading.current_thread() is threading.main_thread()
+                calls.append((name, main))
+                return func(*args, **kwargs)
+            return wrapper
+
+        modules = [m for n, m in list(sys.modules.items())
+                   if n.startswith("drumsep.")]
+        wrapped = [(m, f, getattr(sys.modules[f"drumsep.{m}"], f))
+                   for m, f in hooked]
+        wrapped.append(("abs_solver", "_scale_terms", abs_solver._scale_terms))
+        for module_name, func_name, func in wrapped:
+            wrapper = recording(f"{module_name}.{func_name}", func)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        with_workers(monkeypatch, 2)
+        x, trans = TestSolve()._track()
+        abs_solver.solve_track(x, trans, OptimizerConfig(steps=3, seed=0),
+                               LossConfig(scales=(512, 256)),
+                               one_shot_length=1024)
+        names = {name for name, _ in calls}
+        for name in ("solve_track", "target_magnitudes", "loss_gradient",
+                     "recon_loss", "render_from_params"):
+            assert f"abs_solver.{name}" in names
+        # the scales did run on worker threads, and nothing traced did
+        assert ("abs_solver._scale_terms", False) in calls
+        off_main = {name for name, main in calls if not main}
+        assert off_main == {"abs_solver._scale_terms"}
+
+
+def test_non_finite_loss_stops_the_solve(monkeypatch):
+    calls = []
+
+    def nan_at_step_3(*args, **kwargs):
+        calls.append(None)
+        loss, grads = loss_gradient(*args, **kwargs)
+        return (np.nan if len(calls) == 3 else loss), grads
+
+    monkeypatch.setattr(abs_solver, "loss_gradient", nan_at_step_3)
+    x, trans = TestSolve()._track()
+    with pytest.raises(ValueError, match=r"^abs solver: non-finite loss at step 3$"):
+        solve_track(x, trans, OptimizerConfig(steps=10, seed=0),
+                    LossConfig(scales=(512, 256)), one_shot_length=1024)
+    assert len(calls) == 3
 
 
 class TestInit:

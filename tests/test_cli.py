@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
-from drumsep import nmfd
+from drumsep import abs_solver, nmfd
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
@@ -183,6 +183,47 @@ class TestSeparate:
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert result.stdout == "" and result.stderr.count("error:") == 1
         assert not (tmp_path / "sep").exists()
+
+    def test_abs_non_finite_loss_is_one_error_line(self, tmp_path, bank_dir,
+                                                   transcription_path,
+                                                   monkeypatch):
+        real = abs_solver.loss_gradient
+        calls = []
+
+        def nan_at_step_3(*args, **kwargs):
+            calls.append(None)
+            loss, grads = real(*args, **kwargs)
+            return (float("nan") if len(calls) == 3 else loss), grads
+
+        monkeypatch.setattr(abs_solver, "loss_gradient", nan_at_step_3)
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 1.0)
+        result = run("separate", "abs", "--mixture", out / "mixture.wav",
+                     "--transcription", transcription_path,
+                     "--out", tmp_path / "sep", "--steps", 5)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: abs solver: non-finite loss at step 3\n"
+
+    def test_abs_output_same_for_one_and_two_workers(self, tmp_path, bank_dir,
+                                                     transcription_path,
+                                                     monkeypatch):
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 1.0)
+        trees = []
+        for workers in (1, 2):
+            monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: workers)
+            sep = tmp_path / f"sep{workers}"
+            result = run("separate", "abs", "--mixture", out / "mixture.wav",
+                         "--transcription", transcription_path,
+                         "--out", sep, "--steps", 4)
+            assert result.exit_code == 0, result.output
+            trees.append({p.relative_to(sep): p.read_bytes()
+                          for p in sorted(sep.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 2 * NUM_CLASSES + 3
+        assert trees[0] == trees[1]
 
     def test_nmfd_magnitudes_are_nmfd_run_output(self, tmp_path, bank_dir,
                                                  transcription_path):

@@ -1,6 +1,7 @@
 """Forward-model tests: the onset-by-onset sequencer and render against a
-naive time-domain convolution oracle, the adjoints against the exact
-transpose identity, envelope closed forms, and render invariants."""
+naive time-domain convolution oracle, the mixture trigger against the sum of
+the stems, the adjoints against the exact transpose identity, envelope
+closed forms, and render invariants."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from drumsep.drum_machine import (
     render,
     sequence,
     trigger,
-    trigger_adjoint,
+    trigger_mixture,
+    trigger_mixture_adjoint,
 )
 from drumsep.signal import Waveform
 
@@ -155,6 +157,37 @@ class TestSequence:
         )
 
 
+def random_onsets(rng, k, r, t, n_onsets):
+    """Onsets in random class order, half of them drawn near the track end
+    (up to r samples past it), so tails are cut and some onsets fall
+    outside the track."""
+    near_end = rng.integers(max(0, t - r), t + r, size=n_onsets)
+    anywhere = rng.integers(0, t + r, size=n_onsets)
+    positions = np.where(rng.uniform(size=n_onsets) < 0.5, near_end, anywhere)
+    classes = rng.integers(k, size=n_onsets)
+    return [(int(c), int(pos)) for c, pos in zip(classes, positions)]
+
+
+@given(
+    k=st.integers(1, 9),
+    r=st.integers(1, 60),
+    t=st.integers(1, 120),
+    n_onsets=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_trigger_mixture_is_stem_sum(k, r, t, n_onsets, seed):
+    """The mixture trigger equals the sum of trigger's stems bit for bit,
+    whatever the class order of the onsets and whichever classes are
+    silent."""
+    rng = np.random.default_rng(seed)
+    onsets = random_onsets(rng, k, r, t, n_onsets)
+    shaped = rng.normal(size=(k, r))
+    amps = rng.normal(size=n_onsets)
+    mixture = trigger_mixture(shaped, onsets, amps, t)
+    assert np.array_equal(mixture, trigger(shaped, onsets, amps, t).sum(axis=0))
+
+
 @given(
     k=st.integers(1, 3),
     r=st.integers(1, 40),
@@ -164,23 +197,18 @@ class TestSequence:
 )
 @settings(max_examples=200, deadline=None)
 def test_adjoints_are_exact_transposes(k, r, t, n_onsets, seed):
-    """trigger is bilinear, so its adjoint is the transpose in each argument:
-    <F(shaped, amps), g> = <shaped, g_shaped> = <amps, g_amps>. Onsets are
-    drawn up to r samples past the track end, so tails are cut and some
-    onsets fall outside the track."""
+    """trigger_mixture is bilinear, so its adjoint is the transpose in each
+    argument: <F(shaped, amps), g> = <shaped, g_shaped> = <amps, g_amps>."""
     rng = np.random.default_rng(seed)
-    near_end = rng.integers(max(0, t - r), t + r, size=n_onsets)
-    anywhere = rng.integers(0, t + r, size=n_onsets)
-    positions = np.where(rng.uniform(size=n_onsets) < 0.5, near_end, anywhere)
-    classes = rng.integers(k, size=n_onsets)
-    onsets = [(int(c), int(pos)) for c, pos in zip(classes, positions)]
+    onsets = random_onsets(rng, k, r, t, n_onsets)
     shaped = rng.normal(size=(k, r))
     amps = rng.normal(size=n_onsets)
-    g = rng.normal(size=(k, t))
+    g = rng.normal(size=t)
 
-    g_shaped, g_amps = trigger_adjoint(g, shaped, onsets, amps)
-    lhs = float(np.sum(trigger(shaped, onsets, amps, t) * g))
-    scale = float(np.sum(trigger(np.abs(shaped), onsets, np.abs(amps), t) * np.abs(g)))
+    g_shaped, g_amps = trigger_mixture_adjoint(g, shaped, onsets, amps)
+    lhs = float(np.sum(trigger_mixture(shaped, onsets, amps, t) * g))
+    scale = float(np.sum(
+        trigger_mixture(np.abs(shaped), onsets, np.abs(amps), t) * np.abs(g)))
     tol = 1e-12 * max(scale, 1e-300)
     assert abs(lhs - float(np.sum(shaped * g_shaped))) <= tol
     assert abs(lhs - float(amps @ g_amps)) <= tol

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from drumsep.masking import MaskSet, apply_masks, compute_masks
-from drumsep.signal import StftConfig, Waveform, magnitude, stft
+from drumsep.masking import (
+    MaskSet,
+    apply_masks,
+    compute_masks,
+    mask_with_stems,
+)
+from drumsep.signal import StftConfig, Waveform, magnitude, num_frames, stft
 
 RNG = np.random.default_rng(55)
 
@@ -102,3 +107,21 @@ class TestApplyMasks:
         with pytest.raises(ValueError):
             apply_masks(x, MaskSet(np.ones((2, 10, 10)), 1.0, 0.0),
                         StftConfig(1024, 256))
+
+
+class TestMaskingHelpers:
+    def test_mask_with_stems_is_estimate_mask_and_invert(self):
+        """Stems -> magnitude estimates (zeros for a silent stem) -> masks
+        -> masked stems, bit for bit the composition it replaces."""
+        cfg = StftConfig(512, 128)
+        x = Waveform(RNG.normal(0, 0.3, 3000))
+        stems = RNG.normal(0, 0.3, (3, 3000))
+        stems[1] = 0.0
+        alpha, eps = 1.5, 1e-6
+        estimates = np.stack([
+            magnitude(stft(Waveform(stems[0]), cfg)),
+            np.zeros((cfg.n_bins, num_frames(len(x), cfg))),
+            magnitude(stft(Waveform(stems[2]), cfg)),
+        ])
+        expected = apply_masks(x, compute_masks(estimates, alpha, eps), cfg)
+        assert np.array_equal(mask_with_stems(x, stems, cfg, alpha, eps), expected)
