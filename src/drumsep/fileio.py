@@ -4,16 +4,15 @@ run config, report JSON and loss traces."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
+import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
@@ -32,50 +31,112 @@ class FileFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Format tags and the sub-format GUID tail shared by PCM and IEEE float in a
+# WAVE_FORMAT_EXTENSIBLE header (RFC 2361).
+_WAVE_PCM = 1
+_WAVE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def read_wav(path: str | Path) -> Waveform:
-    """Read a 44.1 kHz PCM16 or float32 WAV; multichannel is averaged to
-    mono, int16 is scaled by 1/32768. No resampling: other rates error out."""
+    """Read a 44.1 kHz PCM16 or float32 RIFF/WAVE file; multichannel is
+    averaged to mono, int16 is scaled by 1/32768. No resampling: other rates
+    error out.
+
+    The format tag may be 1 (PCM), 3 (IEEE float) or 0xFFFE
+    (WAVE_FORMAT_EXTENSIBLE) with one of those two as its sub-format. Chunks
+    other than ``fmt `` and ``data`` are skipped, with the pad byte that
+    follows an odd-sized chunk. Any other file, and a ``data`` chunk that
+    runs past the end of the file, raises FileFormatError naming ``path``.
+    """
     path = Path(path)
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise FileFormatError(f"{path}: unreadable WAV ({exc})") from exc
-    if rate != SAMPLE_RATE:
-        raise FileFormatError(
-            f"{path}: sample rate {rate} unsupported, expected 44100"
-        )
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise FileFormatError(
-            f"{path}: unsupported sample format {data.dtype}, expected "
-            "int16 or float32"
-        )
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+    with open(path, "rb") as handle:
+        riff = handle.read(12)
+        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise FileFormatError(f"{path}: unreadable WAV (not a RIFF/WAVE file)")
+        fmt = None
+        while True:
+            header = handle.read(8)
+            if len(header) < 8:
+                missing = "fmt" if fmt is None else "data"
+                raise FileFormatError(f"{path}: malformed WAV: no {missing} chunk")
+            chunk_id, size = struct.unpack("<4sI", header)
+            if chunk_id == b"data":
+                break
+            start = handle.tell()
+            if chunk_id == b"fmt ":
+                fmt = handle.read(size)
+            handle.seek(start + size + (size & 1))
+        if fmt is None:
+            raise FileFormatError(f"{path}: malformed WAV: no fmt chunk before data")
+        held = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size > held:
+            raise FileFormatError(
+                f"{path}: truncated WAV: data chunk declares {size} bytes, "
+                f"file holds {held}"
+            )
+        dtype, channels, rate = _wav_sample_format(path, fmt)
+        if rate != SAMPLE_RATE:
+            raise FileFormatError(
+                f"{path}: sample rate {rate} unsupported, expected 44100"
+            )
+        frames = size // (dtype.itemsize * channels)
+        data = np.fromfile(handle, dtype, frames * channels)
+    samples = data.astype(np.float64)
+    if dtype.kind == "i":
+        samples /= 32768.0
+    if channels > 1:
+        samples = samples.reshape(frames, channels).mean(axis=1)
     return Waveform(samples)
+
+
+def _wav_sample_format(path: Path, fmt: bytes) -> tuple[np.dtype, int, int]:
+    """(sample dtype, channels, sample rate) of a ``fmt `` chunk body that
+    describes PCM16 or float32; anything else raises FileFormatError."""
+    if len(fmt) < 16:
+        raise FileFormatError(f"{path}: malformed WAV: fmt chunk of {len(fmt)} bytes")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _WAVE_EXTENSIBLE:
+        if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+            raise FileFormatError(
+                f"{path}: malformed WAV: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+        if fmt[28:40] == _GUID_TAIL:
+            (tag,) = struct.unpack_from("<I", fmt, 24)
+    if tag == _WAVE_PCM and 8 < bits <= 16 and block_align == 2 * channels > 0:
+        return np.dtype("<i2"), channels, rate
+    if tag == _WAVE_FLOAT and bits == 32 and block_align == 4 * channels > 0:
+        return np.dtype("<f4"), channels, rate
+    raise FileFormatError(
+        f"{path}: unsupported sample format (format tag {tag:#x}, {bits}-bit, "
+        f"{channels} channels), expected PCM16 or float32"
+    )
 
 
 def write_wav(path: str | Path, x: Waveform) -> int:
     """Write mono float32 WAV at 44.1 kHz, atomically (temp then rename).
 
-    Samples outside [-1, 1] are clipped; returns the number clipped.
+    Samples outside [-1, 1] are clipped; returns the number clipped. The
+    layout is scipy.io.wavfile's for float data: an 18-byte ``fmt `` chunk
+    (tag 3, cbSize 0), a ``fact`` chunk with the sample count, then ``data``.
     """
     samples = x.samples
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
-    data = np.clip(samples, -1.0, 1.0).astype(np.float32)
-    _atomic_write_bytes(Path(path), _wav_bytes(data))
+    data = np.clip(samples, -1.0, 1.0).astype("<f4")
+    riff_size = 50 + data.nbytes  # file size minus the 8-byte RIFF header
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {len(data)} samples exceed a RIFF WAV's 4 GiB")
+    header = struct.pack(
+        "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
+        b"RIFF", riff_size, b"WAVE",
+        b"fmt ", 18, _WAVE_FLOAT, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32, 0,
+        b"fact", 4, len(data),
+        b"data", data.nbytes,
+    )
+    with _atomic_open(Path(path)) as handle:
+        handle.write(header)
+        handle.write(data)
     return clipped
-
-
-def _wav_bytes(data: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    wavfile.write(buf, SAMPLE_RATE, data)
-    return buf.getvalue()
 
 
 @contextmanager

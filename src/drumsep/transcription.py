@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
 from .drum_machine import FrameActivations
@@ -149,20 +147,37 @@ def match_onsets(
 ) -> tuple[float, float, float]:
     """Score estimated against reference onsets (times in seconds).
 
-    Pairs onsets within ``tolerance`` by maximum bipartite matching (each
-    onset used at most once). Both lists empty scores (1,1,1); exactly one
-    empty scores (0,0,0).
+    Pairs onsets within ``tolerance`` of each other, each onset used at most
+    once, and counts the largest number of such pairs. Both lists empty
+    scores (1,1,1); exactly one empty scores (0,0,0).
+
+    A greedy pass over both lists in time order finds that maximum. The
+    onsets that lie within the tolerance of a time t form a contiguous run
+    of the sorted list, and the run moves right as t grows; the rounding of
+    ``e - r`` is monotone in both times, so this holds for the float test
+    too. Take the earliest unmatched onset of each list. If they are within
+    the tolerance, some maximum matching pairs them: in any maximum
+    matching, swapping their partners keeps every pair within it. If they
+    are not, the earlier of the two cannot reach any later onset of the
+    other list either, so it can be dropped.
     """
-    est = np.asarray(est, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
+    est = np.sort(np.asarray(est, dtype=np.float64))
+    ref = np.sort(np.asarray(ref, dtype=np.float64))
     if len(est) == 0 and len(ref) == 0:
         return 1.0, 1.0, 1.0
     if len(est) == 0 or len(ref) == 0:
         return 0.0, 0.0, 0.0
 
-    feasible = np.abs(est[:, None] - ref[None, :]) <= tolerance
-    matching = maximum_bipartite_matching(csr_matrix(feasible), perm_type="column")
-    hits = int((matching >= 0).sum())
+    hits = i = j = 0
+    while i < len(est) and j < len(ref):
+        if abs(est[i] - ref[j]) <= tolerance:
+            hits += 1
+            i += 1
+            j += 1
+        elif est[i] < ref[j]:
+            i += 1
+        else:
+            j += 1
     precision = hits / len(est)
     recall = hits / len(ref)
     f1 = 0.0 if hits == 0 else 2 * precision * recall / (precision + recall)

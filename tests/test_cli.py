@@ -1,11 +1,17 @@
 """End-to-end CLI paths with click's test runner."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import drumsep
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep import abs_solver, nmfd
 from drumsep.cli import main
@@ -24,28 +30,35 @@ from drumsep.transcription import Event, Transcription
 RUNNER = CliRunner()
 
 
-@pytest.fixture()
-def bank_dir(tmp_path):
+def write_test_bank(directory: Path) -> Path:
     rng = np.random.default_rng(0)
     shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
     t = np.arange(3000)
     for k in range(NUM_CLASSES):
         shots[k, :3000] = rng.uniform(-1, 1, 3000) * np.exp(-t / 500)
         shots[k] /= np.abs(shots[k]).max()
-    write_bank(OneShotBank("testkit", shots), tmp_path / "kit")
-    return tmp_path / "kit"
+    write_bank(OneShotBank("testkit", shots), directory)
+    return directory
 
 
-@pytest.fixture()
-def transcription_path(tmp_path):
+def write_test_transcription(path: Path) -> Path:
     t = Transcription((
         Event(0.2, "kick", 1.0),
         Event(0.8, "kick", 1.2),
         Event(0.5, "snare", 0.9),
     ))
-    path = tmp_path / "t.csv"
     write_transcription(t, path)
     return path
+
+
+@pytest.fixture()
+def bank_dir(tmp_path):
+    return write_test_bank(tmp_path / "kit")
+
+
+@pytest.fixture()
+def transcription_path(tmp_path):
+    return write_test_transcription(tmp_path / "t.csv")
 
 
 def run(*args):
@@ -323,3 +336,100 @@ class TestEvaluate:
         result = run("evaluate", "--refs", out, "--ests", out,
                      "--out", tmp_path / "r.json")
         assert result.exit_code != 0
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A bank, a transcription and the 1 s track rendered from them."""
+    root = tmp_path_factory.mktemp("inputs")
+    write_test_bank(root / "kit")
+    write_test_transcription(root / "t.csv")
+    result = run("render", "--bank", root / "kit", "--transcription",
+                 root / "t.csv", "--out", root / "track", "--duration", 1.0)
+    assert result.exit_code == 0, result.output
+    return root
+
+
+def command_args(command: str, out: Path, kit: Path, transcription: Path,
+                 mixture: Path, refs: Path, ests: Path) -> list:
+    """Arguments of one run of each CLI command, writing under ``out``."""
+    return {
+        "render": ["render", "--bank", kit, "--transcription", transcription,
+                   "--out", out, "--duration", 1.0],
+        "generate": ["generate", "--banks", kit, "--tracks", 1,
+                     "--duration", 0.5, "--out", out],
+        "separate-nmfd-3": ["separate", "nmfd", "--case", "3", "--mixture",
+                            mixture, "--transcription", transcription,
+                            "--out", out],
+        "separate-nmfd-1a": ["separate", "nmfd", "--case", "1a", "--bank", kit,
+                             "--mixture", mixture, "--transcription",
+                             transcription, "--out", out],
+        "separate-abs": ["separate", "abs", "--steps", 1, "--mixture", mixture,
+                         "--transcription", transcription, "--out", out],
+        "detect-onsets": ["detect-onsets", "--mixture", mixture,
+                          "--out", out / "onsets.csv"],
+        "evaluate": ["evaluate", "--refs", refs, "--ests", ests,
+                     "--transcription", transcription,
+                     "--out", out / "report.json"],
+    }[command]
+
+
+# Runs one command in this interpreter and reports which scipy modules it
+# loaded; click ends every command with SystemExit.
+IMPORT_GUARD = """
+import sys
+from drumsep.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    print("scipy modules:", loaded, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", ["render", "generate", "separate-nmfd-3",
+                                     "separate-abs", "detect-onsets", "evaluate"])
+def test_commands_run_without_scipy(tmp_path, inputs, command):
+    track = inputs / "track"
+    args = command_args(command, tmp_path / "out", inputs / "kit",
+                        inputs / "t.csv", track / "mixture.wav", track, track)
+    env = dict(os.environ, PYTHONPATH=str(Path(drumsep.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "scipy modules: []"
+    assert any(p.is_file() for p in (tmp_path / "out").rglob("*"))
+
+
+# (command, the WAV it reads that is replaced by a bad one)
+WAV_READERS = [
+    ("render", "kit"), ("generate", "kit"), ("separate-nmfd-3", "mixture"),
+    ("separate-nmfd-1a", "kit"), ("separate-abs", "mixture"),
+    ("detect-onsets", "mixture"), ("evaluate", "ests"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+@pytest.mark.parametrize("command, slot", WAV_READERS)
+def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage):
+    kit = shutil.copytree(inputs / "kit", tmp_path / "kit")
+    ests = shutil.copytree(inputs / "track", tmp_path / "ests")
+    mixture = tmp_path / "mixture.wav"
+    shutil.copy(inputs / "track" / "mixture.wav", mixture)
+    bad = {"kit": kit / "kick.wav", "mixture": mixture,
+           "ests": ests / "kick.wav"}[slot]
+    # garbage is no RIFF file; truncated drops the last two float32 samples
+    bad.write_bytes(b"not a wav file at all" if damage == "garbage"
+                    else bad.read_bytes()[:-8])
+    out = tmp_path / "out"
+    result = run(*command_args(command, out, kit, inputs / "t.csv", mixture,
+                               inputs / "track", ests))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(bad) in lines[0]
+    assert not out.exists()

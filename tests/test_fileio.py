@@ -1,11 +1,16 @@
 """File formats: WAV, transcription CSV, banks, NMFD magnitudes, run config,
 reports."""
 
+import io
 import json
+import struct
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
@@ -30,6 +35,42 @@ from drumsep.signal import SAMPLE_RATE, Waveform
 from drumsep.transcription import Event, Transcription
 
 RNG = np.random.default_rng(13)
+
+# Sub-format GUIDs of a WAVE_FORMAT_EXTENSIBLE header (RFC 2361): the format
+# tag in the first four bytes, then a fixed tail.
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(chunk_id: bytes, payload: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte an odd-sized payload needs."""
+    pad = b"\x00" if len(payload) % 2 else b""
+    return chunk_id + struct.pack("<I", len(payload)) + payload + pad
+
+
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag: int, channels: int, bits: int, rate: int = SAMPLE_RATE,
+              sub_format: int | None = None) -> bytes:
+    """A ``fmt `` chunk; with ``sub_format`` it is WAVE_FORMAT_EXTENSIBLE."""
+    block = channels * bits // 8
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if sub_format is not None:
+        body += struct.pack("<HHI", 22, bits, 0)
+        body += struct.pack("<I", sub_format) + GUID_TAIL
+    return chunk(b"fmt ", body)
+
+
+def scipy_read_wav(path) -> np.ndarray:
+    """The reader's semantics as scipy.io.wavfile implements them: int16
+    scaled by 1/32768, float32 widened, channels averaged."""
+    _, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype == np.int16:
+        samples = samples / 32768.0
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
 
 
 class TestWav:
@@ -88,6 +129,116 @@ class TestWav:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
+
+
+class TestWavCodec:
+    """The numpy codec against scipy.io.wavfile as the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 400),
+                      elements=st.floats(-3, 3)))
+    def test_write_matches_scipy_bytes(self, tmp_path_factory, samples):
+        path = tmp_path_factory.mktemp("w") / "x.wav"
+        write_wav(path, Waveform(samples))
+        expected = io.BytesIO()
+        wavfile.write(expected, SAMPLE_RATE,
+                      np.clip(samples, -1.0, 1.0).astype(np.float32))
+        assert path.read_bytes() == expected.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([np.int16, np.float32]), st.integers(1, 3),
+           st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_read_matches_scipy_semantics(self, tmp_path_factory, dtype,
+                                          channels, frames, seed):
+        rng = np.random.default_rng(seed)
+        if dtype == np.int16:
+            data = rng.integers(-32768, 32768, (frames, channels)).astype(dtype)
+        else:
+            data = rng.uniform(-1, 1, (frames, channels)).astype(dtype)
+        if channels == 1:
+            data = data[:, 0]
+        path = tmp_path_factory.mktemp("r") / "x.wav"
+        wavfile.write(path, SAMPLE_RATE, data)
+        back = read_wav(path).samples
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, scipy_read_wav(path))
+
+    @pytest.mark.parametrize("sub_format, bits, dtype", [
+        (1, 16, np.int16), (3, 32, np.float32)])
+    def test_wave_format_extensible(self, tmp_path, sub_format, bits, dtype):
+        data = np.array([[1000, -2000], [3000, 5000]]).astype(dtype)
+        if dtype == np.float32:
+            data = data / np.float32(8192)
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff(fmt_chunk(0xFFFE, 2, bits, sub_format=sub_format),
+                              chunk(b"data", data.tobytes())))
+        expected = data.astype(np.float64).mean(axis=1)
+        if dtype == np.int16:
+            expected = (data.astype(np.float64) / 32768.0).mean(axis=1)
+        np.testing.assert_array_equal(read_wav(path).samples, expected)
+
+    def test_extensible_with_unknown_sub_format_rejected(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff(fmt_chunk(0xFFFE, 1, 16, sub_format=2),
+                              chunk(b"data", b"\x00" * 8)))
+        with pytest.raises(FileFormatError, match="unsupported sample format"):
+            read_wav(path)
+
+    def test_list_chunk_before_data_skipped(self, tmp_path):
+        data = np.array([0.25, -0.5, 0.75], dtype=np.float32)
+        path = tmp_path / "list.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 32),
+                              chunk(b"LIST", b"INFOISFT\x04\x00\x00\x00abc\x00"),
+                              chunk(b"data", data.tobytes())))
+        np.testing.assert_array_equal(read_wav(path).samples, data)
+
+    def test_odd_sized_chunk_and_its_pad_byte_skipped(self, tmp_path):
+        data = np.array([100, -200, 300], dtype=np.int16)
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(chunk(b"junk", b"xyz"), fmt_chunk(1, 1, 16),
+                              chunk(b"odd ", b"12345"),
+                              chunk(b"data", data.tobytes())))
+        np.testing.assert_array_equal(read_wav(path).samples, data / 32768.0)
+
+    @pytest.mark.parametrize("tag, bits, what", [
+        (1, 24, "24-bit"), (1, 32, "32-bit"), (3, 64, "64-bit"), (1, 8, "8-bit")])
+    def test_other_sample_formats_rejected(self, tmp_path, tag, bits, what):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(fmt_chunk(tag, 1, bits),
+                              chunk(b"data", b"\x00" * (bits // 8) * 4)))
+        with pytest.raises(FileFormatError, match=f"{what}.*expected PCM16 or "
+                                                  "float32") as info:
+            read_wav(path)
+        assert str(path) in str(info.value)
+
+    def test_truncated_data_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.linspace(-0.5, 0.5, 10)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FileFormatError) as info:
+            read_wav(path)
+        assert str(info.value) == (f"{path}: truncated WAV: data chunk declares "
+                                   "40 bytes, file holds 32")
+
+    def test_missing_fmt_chunk_rejected(self, tmp_path):
+        path = tmp_path / "nofmt.wav"
+        path.write_bytes(riff(chunk(b"data", b"\x00" * 8)))
+        with pytest.raises(FileFormatError,
+                           match="malformed WAV: no fmt chunk before data"):
+            read_wav(path)
+
+    def test_missing_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "nodata.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 32), chunk(b"LIST", b"")))
+        with pytest.raises(FileFormatError, match="malformed WAV: no data chunk"):
+            read_wav(path)
+
+    def test_chunk_running_past_the_end_rejected(self, tmp_path):
+        path = tmp_path / "overrun.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 32))
+                         + b"LIST" + struct.pack("<I", 1000) + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="no data chunk"):
+            read_wav(path)
 
 
 class TestTranscriptionCsv:

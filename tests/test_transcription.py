@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from drumsep.signal import SAMPLE_RATE, Waveform
 from drumsep.transcription import (
@@ -36,6 +38,14 @@ def brute_force_hits(est, ref, tolerance):
         )
         best = max(best, hits)
     return best
+
+
+def bipartite_hits(est, ref, tolerance):
+    """Maximum number of one-to-one pairs within tolerance, by scipy's
+    maximum bipartite matching over the feasibility graph."""
+    feasible = np.abs(np.subtract.outer(est, ref)) <= tolerance
+    matching = maximum_bipartite_matching(csr_matrix(feasible), perm_type="column")
+    return int((matching >= 0).sum())
 
 
 class TestTranscription:
@@ -202,3 +212,20 @@ class TestMatchOnsets:
             hits = brute_force_hits(est, ref, 0.08)
             assert p == pytest.approx(hits / len(est))
             assert r == pytest.approx(hits / len(ref))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.integers(0, 40), min_size=1, max_size=25),
+        st.lists(st.integers(0, 40), min_size=1, max_size=25),
+        st.one_of(st.sampled_from([0.0, 0.01, 0.03, 0.05]), st.floats(0, 0.5)),
+    )
+    def test_matches_scipy_bipartite_matching(self, est_ticks, ref_ticks,
+                                              tolerance):
+        # times on a 0.01 s lattice give duplicates and pairs exactly at the
+        # tolerance; the lists stay in drawing order, unsorted
+        est = np.array(est_ticks) * 0.01
+        ref = np.array(ref_ticks) * 0.01
+        hits = bipartite_hits(est, ref, tolerance)
+        precision, recall = hits / len(est), hits / len(ref)
+        f1 = 0.0 if hits == 0 else 2 * precision * recall / (precision + recall)
+        assert match_onsets(est, ref, tolerance) == (precision, recall, f1)
