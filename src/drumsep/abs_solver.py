@@ -56,15 +56,21 @@ from .signal import (
     StftConfig,
     Waveform,
     frame_padded,
-    frame_signal,
     hann_window,
+    magnitude,
     overlap_add,
+    stft,
 )
 from .transcription import Transcription, events_to_grid
 
 LN10 = float(np.log(10.0))
 EXP_SIGMOID_MAX = 2.0
 EXP_SIGMOID_FLOOR = 1e-7
+
+# Adam's moment decay rates and the denominator's epsilon.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def exp_sigmoid(x):
@@ -99,8 +105,7 @@ class LossConfig:
             if a <= b:
                 raise ValueError("scales must be strictly descending")
         for s in self.scales:
-            if s <= 0 or (s & (s - 1)) != 0:
-                raise ValueError(f"scale {s} is not a power of two")
+            self.stft_config(s)  # StftConfig's checks raise ValueError
 
     def stft_config(self, scale: int) -> StftConfig:
         return StftConfig(window_size=scale, hop_size=scale // 4)
@@ -112,10 +117,6 @@ class OptimizerConfig:
     grad_clip_norm: float = 0.5
     steps: int = 1000
     seed: int = 0
-    # Adam moments.
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
@@ -213,16 +214,10 @@ def effective_one_shots(params: AbsParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _scale_magnitudes(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Frame-major magnitude spectrogram (M x F) of a raw sample array."""
-    frames = frame_signal(x, cfg) * hann_window(cfg.window_size)
-    return np.abs(np.fft.rfft(frames, axis=1))
-
-
 def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
-    """Per-scale magnitude spectrograms of the target, precomputable once
-    per track."""
-    return {s: _scale_magnitudes(x.samples, cfg.stft_config(s)) for s in cfg.scales}
+    """Per-scale frame-major (M x F) magnitude spectrograms of the target,
+    precomputable once per track."""
+    return {s: magnitude(stft(x, cfg.stft_config(s))).T for s in cfg.scales}
 
 
 def _usable_cpus() -> int:
@@ -534,7 +529,6 @@ def solve_track(
     opt: OptimizerConfig = OptimizerConfig(),
     cfg: LossConfig = LossConfig(),
     one_shot_length: int = SAMPLE_RATE,
-    num_classes: int = NUM_CLASSES,
 ) -> SolveResult:
     """Fit the forward model to ``x`` with its onsets fixed to ``t``.
 
@@ -548,11 +542,8 @@ def solve_track(
         raise ValueError("transcription must contain at least one onset")
     n_frames = max(1, len(x) // DEFAULT_HOP)
     grid = events_to_grid(t, n_frames, DEFAULT_HOP)
-    if grid.num_classes != num_classes:
-        raise ValueError("transcription class count does not match solver")
-
     positions = onset_index(grid)
-    params = informed_init(x, positions, num_classes, one_shot_length, opt.seed)
+    params = informed_init(x, positions, NUM_CLASSES, one_shot_length, opt.seed)
 
     state_m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
@@ -572,14 +563,14 @@ def solve_track(
                 # sqrt(v_hat) + eps once the moments have read it, and
                 # ``tmp`` holds the step.
                 g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
-                m *= opt.beta1
-                m += np.multiply(g, 1 - opt.beta1, out=tmp)
-                v *= opt.beta2
-                v += np.multiply(np.square(g, out=tmp), 1 - opt.beta2, out=tmp)
-                np.divide(v, 1 - opt.beta2**step, out=g)
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+                v *= ADAM_BETA2
+                v += np.multiply(np.square(g, out=tmp), 1 - ADAM_BETA2, out=tmp)
+                np.divide(v, 1 - ADAM_BETA2**step, out=g)
                 np.sqrt(g, out=g)
-                g += opt.adam_eps
-                np.divide(m, 1 - opt.beta1**step, out=tmp)
+                g += ADAM_EPS
+                np.divide(m, 1 - ADAM_BETA1**step, out=tmp)
                 tmp *= opt.learning_rate
                 tmp /= g
                 p -= tmp

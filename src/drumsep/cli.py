@@ -13,13 +13,8 @@ import numpy as np
 from . import abs_solver, dataset, evaluation, fileio, masking, nmfd
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import render as render_stems
-from .signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
-from .transcription import (
-    PeakPickConfig,
-    events_to_grid,
-    peak_pick,
-    spectral_flux_curve,
-)
+from .signal import DEFAULT_HOP, SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
+from .transcription import events_to_grid, peak_pick, spectral_flux_curve
 
 
 def _fail(message: str):
@@ -43,16 +38,6 @@ def _load_config(path: str | None) -> fileio.RunConfig:
     return fileio.read_config(path) if path else fileio.default_config()
 
 
-def _write_stem_dir(out: Path, stems: np.ndarray):
-    for k, name in enumerate(CLASS_NAMES):
-        fileio.write_wav(out / f"{name}.wav", Waveform(stems[k]))
-
-
-def _echo_config(out: Path, values: dict):
-    lines = [f"{key} = {values[key]}" for key in sorted(values)]
-    fileio._atomic_write_text(out / "config.txt", "\n".join(lines) + "\n")
-
-
 @click.group()
 def main():
     """Drum source separation toolkit."""
@@ -73,13 +58,12 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
         last = max((e.time for e in t.events), default=0.0)
         duration = last + 1.0
     n_samples = int(round(duration * SAMPLE_RATE))
-    hop = fileio.CONFIG_DEFAULTS["stft.hop"]
-    grid = events_to_grid(t, max(1, n_samples // hop), hop)
+    grid = events_to_grid(t, max(1, n_samples // DEFAULT_HOP), DEFAULT_HOP)
     stems, mixture = render_stems(
         bank, grid, np.ones(NUM_CLASSES), np.zeros(NUM_CLASSES), n_samples
     )
     out = Path(out_dir)
-    _write_stem_dir(out, stems)
+    fileio.write_stems(stems, out)
     fileio.write_wav(out / "mixture.wav", Waveform(mixture))
 
 
@@ -100,7 +84,7 @@ def generate_cmd(bank_dirs, n_tracks, seed, duration, out_dir):
     for track in tracks:
         track_dir = out / track.track_id
         fileio.write_wav(track_dir / "mixture.wav", track.mixture)
-        _write_stem_dir(track_dir / "stems", track.stems)
+        fileio.write_stems(track.stems, track_dir / "stems")
         fileio.write_transcription(track.transcription, track_dir / "transcription.csv")
 
 
@@ -117,7 +101,7 @@ def separate_cmd():
               type=click.Path(exists=True))
 @click.option("--bank", "bank_dir", default=None, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
 @_guarded
 def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
@@ -130,19 +114,21 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     x = fileio.read_wav(mixture_path)
     t = fileio.read_transcription(transcription_path)
     bank = fileio.read_bank(bank_dir) if bank_dir else None
-    cfg = StftConfig(int(config["stft.window"]), int(config["stft.hop"]))
+    cfg = StftConfig(config["stft.window"], config["stft.hop"])
+    seed = seed if seed is not None else config["seed"]
 
     spec = stft(x, cfg)
     v = magnitude(spec)
     _, per_class = nmfd.nmfd_run(v, t, bank, case, seed=seed, hop_size=cfg.hop_size)
     mask_set = masking.compute_masks(
-        per_class, float(config["masking.alpha"]), float(config["masking.epsilon"])
+        per_class, config["masking.alpha"], config["masking.epsilon"]
     )
     stems = masking.apply_masks(x, mask_set, cfg)
     out = Path(out_dir)
-    _write_stem_dir(out / "masked", stems)
+    fileio.write_stems(stems, out / "masked")
     fileio.write_magnitudes(per_class, out / "magnitudes.npz")
-    _echo_config(out, dict(config.values) | {"nmfd.case": case.case_id, "seed": seed})
+    ran_with = {"nmfd.case": case.case_id, "seed": seed}
+    fileio.write_config(fileio.RunConfig(config.values | ran_with), out / "config.txt")
 
 
 @separate_cmd.command("abs")
@@ -160,27 +146,26 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     x = fileio.read_wav(mixture_path)
     t = fileio.read_transcription(transcription_path)
     opt = abs_solver.OptimizerConfig(
-        learning_rate=float(config["solver.lr"]),
-        grad_clip_norm=float(config["solver.clip"]),
-        steps=steps if steps is not None else int(config["solver.steps"]),
-        seed=seed if seed is not None else int(config["seed"]),
+        learning_rate=config["solver.lr"],
+        grad_clip_norm=config["solver.clip"],
+        steps=steps if steps is not None else config["solver.steps"],
+        seed=seed if seed is not None else config["seed"],
     )
     loss_cfg = abs_solver.LossConfig(scales=config.loss_scales)
     result = abs_solver.solve_track(x, t, opt, loss_cfg)
 
-    cfg = StftConfig(int(config["stft.window"]), int(config["stft.hop"]))
+    cfg = StftConfig(config["stft.window"], config["stft.hop"])
     masked = masking.mask_with_stems(
-        x, result.stems, cfg,
-        float(config["masking.alpha"]), float(config["masking.epsilon"]),
+        x, result.stems, cfg, config["masking.alpha"], config["masking.epsilon"]
     )
 
     out = Path(out_dir)
-    _write_stem_dir(out / "synth", result.stems)
-    _write_stem_dir(out / "masked", masked)
+    fileio.write_stems(result.stems, out / "synth")
+    fileio.write_stems(masked, out / "masked")
     fileio.write_wav(out / "reconstruction.wav", Waveform(result.mixture))
     fileio.write_loss_trace(result.loss_trace, out / "loss_trace.csv")
-    _echo_config(out, dict(config.values) | {"solver.steps": opt.steps,
-                                             "seed": opt.seed})
+    ran_with = {"solver.steps": opt.steps, "seed": opt.seed}
+    fileio.write_config(fileio.RunConfig(config.values | ran_with), out / "config.txt")
 
 
 @main.command("detect-onsets")
@@ -191,13 +176,10 @@ def detect_onsets_cmd(mixture_path, out_path):
     """Class-agnostic onsets from spectral flux and peak picking."""
     x = fileio.read_wav(mixture_path)
     curve = spectral_flux_curve(x)
-    frames = peak_pick(curve, PeakPickConfig())
-    hop = fileio.CONFIG_DEFAULTS["stft.hop"]
-    lines = [",".join(fileio.TRANSCRIPTION_HEADER)]
-    for m in frames:
-        time = m * hop / SAMPLE_RATE
-        lines.append(f"{time:.6f},unknown,{min(1.0, curve[m]):.6f}")
-    fileio._atomic_write_text(Path(out_path), "\n".join(lines) + "\n")
+    frames = peak_pick(curve)
+    fileio.write_onsets(
+        frames * DEFAULT_HOP / SAMPLE_RATE, np.minimum(curve[frames], 1.0), out_path
+    )
 
 
 @main.command("evaluate")
@@ -224,7 +206,7 @@ def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_pat
             raise click.UsageError("single-track evaluation requires --transcription")
         t = fileio.read_transcription(transcription_path)
         rows += evaluation.evaluate_track(
-            refs.name, _read_stems(refs), _read_stems(ests), t,
+            refs.name, fileio.read_stems(refs), fileio.read_stems(ests), t,
             grouping=grouping, estimate_kind=kind,
         )
     else:
@@ -238,8 +220,8 @@ def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_pat
                     f"{ests}: missing estimates for track {track_dir.name}"
                 )
             t = fileio.read_transcription(track_dir / "transcription.csv")
-            ref_stems = _read_stems(track_dir / "stems")
-            est_stems = _read_stems(
+            ref_stems = fileio.read_stems(track_dir / "stems")
+            est_stems = fileio.read_stems(
                 est_dir / "stems" if (est_dir / "stems").is_dir() else est_dir
             )
             rows += evaluation.evaluate_track(
@@ -258,16 +240,6 @@ def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_pat
         "aggregates": evaluation.aggregate(rows),
     }
     fileio.write_report(report, out_path)
-
-
-def _read_stems(directory: Path) -> dict[str, Waveform]:
-    stems = {}
-    for name in CLASS_NAMES:
-        path = directory / f"{name}.wav"
-        if not path.exists():
-            raise fileio.FileFormatError(f"{directory}: missing stem {name}.wav")
-        stems[name] = fileio.read_wav(path)
-    return stems
 
 
 if __name__ == "__main__":

@@ -27,6 +27,14 @@ DEFAULT_DENSITIES = {
     "ride": 0.5,
 }
 
+VELOCITY_RANGE = (0.5, 1.5)
+# Minimum spacing, in hops, between same-class onsets; keeps zero-insertion
+# aliasing negligible.
+MIN_GAP_HOPS = 2
+# Range of the random mixture gain, and of the per-class decay parameter.
+GAIN_RANGE = (0.3, 1.0)
+ALPHA_RANGE = (0.0, 0.3)
+
 
 @dataclass(frozen=True)
 class GenerationSpec:
@@ -35,14 +43,7 @@ class GenerationSpec:
     n_tracks: int = 10
     duration: float = 6.0
     densities: dict = field(default_factory=lambda: dict(DEFAULT_DENSITIES))
-    velocity_range: tuple[float, float] = (0.5, 1.5)
-    hop_size: int = DEFAULT_HOP
-    # Minimum spacing between same-class onsets; keeps zero-insertion
-    # aliasing negligible.
-    min_gap_hops: int = 2
     gain_probability: float = 0.8
-    gain_range: tuple[float, float] = (0.3, 1.0)
-    alpha_range: tuple[float, float] = (0.0, 0.3)
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,22 @@ def _sample_track(
     bank: OneShotBank, rng: np.random.Generator, spec: GenerationSpec
 ) -> tuple[np.ndarray, np.ndarray, Transcription]:
     n_samples = int(round(spec.duration * SAMPLE_RATE))
-    n_frames = n_samples // spec.hop_size
+    n_frames = n_samples // DEFAULT_HOP
     events = []
     for name in CLASS_NAMES:
         density = spec.densities.get(name, 0.0)
         count = rng.poisson(density * spec.duration)
         if count == 0:
             continue
-        frames = _spaced_frames(rng, count, n_frames, spec.min_gap_hops)
+        frames = _spaced_frames(rng, count, n_frames, MIN_GAP_HOPS)
         for m in frames:
-            velocity = rng.uniform(*spec.velocity_range)
-            events.append(Event(m * spec.hop_size / SAMPLE_RATE, name, velocity))
+            velocity = rng.uniform(*VELOCITY_RANGE)
+            events.append(Event(m * DEFAULT_HOP / SAMPLE_RATE, name, velocity))
     transcription = Transcription(tuple(events))
 
-    acts = events_to_grid(transcription, n_frames, spec.hop_size)
+    acts = events_to_grid(transcription, n_frames, DEFAULT_HOP)
     gains = np.ones(NUM_CLASSES)
-    alphas = rng.uniform(*spec.alpha_range, size=NUM_CLASSES)
+    alphas = rng.uniform(*ALPHA_RANGE, size=NUM_CLASSES)
     stems, mixture = render(bank, acts, gains, alphas, n_samples)
 
     # Normalize mixture (and stems, coherently) to [-1, 1], then apply the
@@ -81,7 +82,7 @@ def _sample_track(
     peak = np.abs(mixture).max()
     scale = 1.0 / peak if peak > 1e-12 else 1.0
     if rng.uniform() < spec.gain_probability:
-        scale *= rng.uniform(*spec.gain_range)
+        scale *= rng.uniform(*GAIN_RANGE)
     stems, mixture = stems * scale, mixture * scale
     # Stems that cancel in the mixture can still exceed full scale; bring them
     # within it, with the mixture, so a WAV write clips nothing.

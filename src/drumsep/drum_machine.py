@@ -173,6 +173,10 @@ def trigger_mixture(
     the rows are added in class order with the first copied, not added to
     0: the order in which ``trigger(...).sum(axis=0)`` adds, so the two are
     equal bit for bit."""
+    if n_samples == 1:
+        # numpy sums a K x 1 array as one contiguous run, pairwise from
+        # K = 8 on, not row by row; the K stems are K numbers here.
+        return trigger(shaped, onsets, amplitudes, 1).sum(axis=0)
     by_class: dict[int, list[tuple[int, float]]] = {}
     for (k, pos), amp in zip(onsets, amplitudes):
         by_class.setdefault(k, []).append((pos, amp))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classes import CLASS_NAMES, FIVE_CLASS_GROUPS, FIVE_CLASS_NAMES
 from .signal import DEFAULT_HOP, DEFAULT_WINDOW, StftConfig, Waveform, stft
-from .transcription import ONSET_TOLERANCE_SEC, Transcription, match_onsets
+from .transcription import Transcription, match_onsets
 
 METRIC_EPSILON = 1e-8
 PES_FRAME = 512
@@ -121,14 +121,15 @@ def evaluate_track(
     grouping: int = 9,
     estimate_kind: str = "masked",
     est_transcription: Transcription | None = None,
-    tolerance: float = ONSET_TOLERANCE_SEC,
 ) -> list[MetricsRow]:
     """Per-class metric rows for one track.
 
-    ``refs``/``ests`` map 9-class names to stems of equal length. nSDR is
-    emitted only for ``estimate_kind="masked"``; PES is computed for every
-    class, the rest only for active ones. Onset precision/recall is filled
-    when an estimated transcription is supplied.
+    ``refs``/``ests`` map 9-class names to stems of equal length; a stem
+    pair of unequal lengths raises ValueError naming the track and class.
+    nSDR is emitted only for ``estimate_kind="masked"``; PES is computed for
+    every class, the rest only for active ones. Onset precision/recall, at
+    the default ``match_onsets`` tolerance, is filled when an estimated
+    transcription is supplied.
     """
     if set(refs) != set(ests):
         raise ValueError(
@@ -137,6 +138,12 @@ def evaluate_track(
         )
     if estimate_kind not in ("masked", "synthesis"):
         raise ValueError(f"unknown estimate kind {estimate_kind!r}")
+    for name, ref in refs.items():
+        if len(ref) != len(ests[name]):
+            raise ValueError(
+                f"track {track_id}, class {name}: reference has {len(ref)} "
+                f"samples, estimate {len(ests[name])}"
+            )
 
     refs_g = group_stems(refs, grouping)
     ests_g = group_stems(ests, grouping)
@@ -157,7 +164,6 @@ def evaluate_track(
                 prec, rec, _ = match_onsets(
                     _group_times(est_transcription, name, grouping),
                     _group_times(t, name, grouping),
-                    tolerance,
                 )
         rows.append(
             MetricsRow(

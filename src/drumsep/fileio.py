@@ -1,5 +1,5 @@
-"""File formats: WAV, transcription CSV, bank directories, NMFD magnitudes,
-run config, report JSON and loss traces."""
+"""File formats: WAV, transcription CSV, class-stem and bank directories,
+NMFD magnitudes, run config, report JSON and loss traces."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
-from .signal import SAMPLE_RATE, Waveform
+from .signal import DEFAULT_HOP, DEFAULT_WINDOW, SAMPLE_RATE, Waveform
 from .transcription import Event, Transcription
 
 TRANSCRIPTION_HEADER = ["onset_sec", "class", "velocity"]
@@ -156,13 +156,9 @@ def _atomic_open(path: Path):
         raise
 
 
-def _atomic_write_bytes(path: Path, payload: bytes):
-    with _atomic_open(path) as handle:
-        handle.write(payload)
-
-
 def _atomic_write_text(path: Path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_open(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +200,57 @@ def read_transcription(path: str | Path) -> Transcription:
 
 def write_transcription(t: Transcription, path: str | Path):
     """Write events sorted by (class, time), 6 decimal places, LF endings."""
+    # Transcription keeps (class, time) order.
+    _write_event_rows(((e.time, e.class_name, e.velocity) for e in t.events), path)
+
+
+def write_onsets(times: np.ndarray, strengths: np.ndarray, path: str | Path):
+    """Write class-agnostic onsets in the transcription layout: class
+    ``unknown``, which ``read_transcription`` rejects, and each onset's
+    strength in the velocity column."""
+    _write_event_rows(((t, "unknown", s) for t, s in zip(times, strengths)), path)
+
+
+def _write_event_rows(rows, path: str | Path):
     lines = [",".join(TRANSCRIPTION_HEADER)]
-    for e in t.events:  # Transcription keeps (class, time) order
-        lines.append(f"{e.time:.6f},{e.class_name},{e.velocity:.6f}")
+    lines += [f"{time:.6f},{name},{value:.6f}" for time, name, value in rows]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# One-shot bank directories
+# Class-stem and one-shot bank directories
 # ---------------------------------------------------------------------------
 
 
-def read_bank(directory: str | Path) -> OneShotBank:
-    """Load `<class>.wav` for all nine classes from a kit directory."""
+def read_stems(directory: str | Path) -> dict[str, Waveform]:
+    """Load `<class>.wav` for all nine classes from a directory, by class."""
     directory = Path(directory)
-    waves = []
+    stems = {}
     for name in CLASS_NAMES:
-        wav_path = directory / f"{name}.wav"
-        if not wav_path.exists():
-            raise FileFormatError(f"{directory}: missing one-shot {name}.wav")
-        waves.append(read_wav(wav_path))
+        path = directory / f"{name}.wav"
+        if not path.exists():
+            raise FileFormatError(f"{directory}: missing {name}.wav")
+        stems[name] = read_wav(path)
+    return stems
+
+
+def write_stems(stems: np.ndarray, directory: str | Path):
+    """Write the rows of a K x T array as `<class>.wav`, in class order."""
+    directory = Path(directory)
+    for name, samples in zip(CLASS_NAMES, stems):
+        write_wav(directory / f"{name}.wav", Waveform(samples))
+
+
+def read_bank(directory: str | Path) -> OneShotBank:
+    """A stem directory as a kit named after it; each one-shot is cut or
+    zero-padded to one second."""
+    directory = Path(directory)
+    waves = list(read_stems(directory).values())
     return OneShotBank.from_waveforms(directory.name, waves)
 
 
 def write_bank(bank: OneShotBank, directory: str | Path):
-    directory = Path(directory)
-    for k, name in enumerate(CLASS_NAMES):
-        write_wav(directory / f"{name}.wav", Waveform(bank.one_shots[k]))
+    write_stems(bank.one_shots, directory)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +275,8 @@ def write_magnitudes(per_class: np.ndarray, path: str | Path):
 # ---------------------------------------------------------------------------
 
 CONFIG_DEFAULTS: dict[str, object] = {
-    "stft.window": 2048,
-    "stft.hop": 512,
+    "stft.window": DEFAULT_WINDOW,
+    "stft.hop": DEFAULT_HOP,
     "loss.scales": "2048,1024,512,256",
     "solver.steps": 1000,
     "solver.lr": 5e-3,
@@ -311,6 +331,13 @@ def read_config(path: str | Path) -> RunConfig:
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: bad value for {key}")
     return RunConfig(values)
+
+
+def write_config(config: RunConfig, path: str | Path):
+    """Write one `key = value` line per key, sorted; read_config reads the
+    file back to the same values."""
+    lines = [f"{key} = {config[key]}" for key in sorted(config.values)]
+    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

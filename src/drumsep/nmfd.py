@@ -35,7 +35,6 @@ class NmfdCase:
     template_length: int
     fixed_templates: bool
     informed_templates: bool
-    epsilon: float = EPSILON
 
     @staticmethod
     def preset(case_id: str) -> "NmfdCase":
@@ -128,7 +127,7 @@ def init_informed(
         raise ValueError("mixture magnitude must be a non-negative F x M matrix")
     n_bins, m = v.shape
 
-    h = np.maximum(events_to_grid(t, m, hop_size).onsets, case.epsilon)
+    h = np.maximum(events_to_grid(t, m, hop_size).onsets, EPSILON)
 
     if case.informed_templates:
         if bank is None:
@@ -145,18 +144,18 @@ def _templates_from_bank(
 ) -> np.ndarray:
     window = 2 * (n_bins - 1)
     cfg = StftConfig(window_size=window, hop_size=min(DEFAULT_HOP, window // 4))
-    w = np.full((NUM_CLASSES, n_bins, case.template_length), case.epsilon)
+    w = np.full((NUM_CLASSES, n_bins, case.template_length), EPSILON)
     for k in range(NUM_CLASSES):
         shot = bank.one_shots[k]
         if np.abs(shot).max() == 0:
             continue
         mag = magnitude(stft(Waveform(shot), cfg))
         frames = min(case.template_length, mag.shape[1])
-        w[k, :, :frames] = np.maximum(mag[:, :frames], case.epsilon)
+        w[k, :, :frames] = np.maximum(mag[:, :frames], EPSILON)
     return w
 
 
-def nmfd_step(model: NmfdModel, v: np.ndarray, eps: float = EPSILON) -> NmfdModel:
+def nmfd_step(model: NmfdModel, v: np.ndarray) -> NmfdModel:
     """One multiplicative KL update of H, then of W (unless templates are
     fixed), with the epsilon floor re-applied after each update."""
     v = np.asarray(v, dtype=np.float64)
@@ -170,16 +169,16 @@ def nmfd_step(model: NmfdModel, v: np.ndarray, eps: float = EPSILON) -> NmfdMode
 
     # H update: Lambda is linear in H, so this is a plain majorize-minimize
     # step on an expanded basis.
-    q = v / (w_mat @ _stacked(h, length) + eps)
+    q = v / (w_mat @ _stacked(h, length) + EPSILON)
     num = _lag_sum((w_mat.T @ q).reshape(k, length, m))
     den = _lag_sum(np.broadcast_to(w.sum(axis=1)[:, :, None], (k, length, m)))
-    h = np.maximum(h * num / np.maximum(den, eps), eps)
+    h = np.maximum(h * num / np.maximum(den, EPSILON), EPSILON)
 
     if not model.fixed_templates:
         h_s = _stacked(h, length)
-        q = v / (w_mat @ h_s + eps)
-        w_mat = w_mat * (q @ h_s.T) / np.maximum(h_s.sum(axis=1), eps)
-        w = np.maximum(w_mat, eps).reshape(n_bins, k, length).transpose(1, 0, 2)
+        q = v / (w_mat @ h_s + EPSILON)
+        w_mat = w_mat * (q @ h_s.T) / np.maximum(h_s.sum(axis=1), EPSILON)
+        w = np.maximum(w_mat, EPSILON).reshape(n_bins, k, length).transpose(1, 0, 2)
     return NmfdModel(w, h, model.fixed_templates)
 
 
@@ -195,5 +194,5 @@ def nmfd_run(
     (K x F x M), which sum to the full reconstruction."""
     model = init_informed(v, t, bank, case, seed=seed, hop_size=hop_size)
     for _ in range(case.iterations):
-        model = nmfd_step(model, v, eps=case.epsilon)
+        model = nmfd_step(model, v)
     return model, reconstruct_per_class(model, v.shape[1])

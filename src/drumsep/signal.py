@@ -34,7 +34,6 @@ class Waveform:
     intermediate signals may exceed the range, file I/O clips)."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -42,10 +41,6 @@ class Waveform:
             raise SignalError(f"waveform must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise SignalError("waveform contains non-finite samples")
-        if self.sample_rate != SAMPLE_RATE:
-            raise SignalError(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}"
-            )
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -53,20 +48,19 @@ class Waveform:
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
 class StftConfig:
     """Analysis parameters: power-of-two Hann window, hop dividing the window.
 
-    ``centered`` pads window_size/2 zeros on both ends so frame m is centered
-    on sample m*hop (zero padding, not reflection).
+    Framing pads window_size/2 zeros on both ends, so frame m is centered on
+    sample m*hop (zero padding, not reflection).
     """
 
     window_size: int = DEFAULT_WINDOW
     hop_size: int = DEFAULT_HOP
-    centered: bool = True
 
     def __post_init__(self):
         w, h = self.window_size, self.hop_size
@@ -118,20 +112,14 @@ def hann_window(size: int) -> np.ndarray:
 
 def num_frames(n_samples: int, cfg: StftConfig) -> int:
     """Frame count for a signal of ``n_samples`` under ``cfg``."""
-    pad = cfg.window_size // 2 if cfg.centered else 0
-    total = n_samples + 2 * pad
-    if total < cfg.window_size:
-        return 0
-    return 1 + (total - cfg.window_size) // cfg.hop_size
+    return 1 + n_samples // cfg.hop_size
 
 
 def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Slice (padded) signal into overlapping frames, shape (M, window).
 
     The frames are a read-only strided view of the padded signal."""
-    if num_frames(len(x), cfg) <= 0:
-        raise SignalError("signal too short for this configuration")
-    pad = cfg.window_size // 2 if cfg.centered else 0
+    pad = cfg.window_size // 2
     return frame_padded(np.pad(x, (pad, pad)), cfg)
 
 
@@ -170,9 +158,9 @@ def overlap_add(
 def stft(x: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     """Short-time Fourier transform with a periodic Hann analysis window.
 
-    Returns an F x M complex matrix, F = window_size/2 + 1. With
-    ``cfg.centered`` the signal is zero-padded by window_size/2 on both ends
-    so frame m covers samples around m*hop.
+    Returns an F x M complex matrix, F = window_size/2 + 1. The signal is
+    zero-padded by window_size/2 on both ends so frame m covers samples
+    around m*hop.
     """
     if len(x) == 0:
         raise SignalError("cannot take the STFT of an empty signal")
@@ -194,7 +182,7 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     window = hann_window(cfg.window_size)
     frames = np.fft.irfft(spec.bins.T, n=cfg.window_size, axis=1) * window
 
-    pad = cfg.window_size // 2 if cfg.centered else 0
+    pad = cfg.window_size // 2
     total = spec.origin_length + 2 * pad
     out = overlap_add(frames, cfg.hop_size, total)
     wsq = np.broadcast_to(window**2, frames.shape)
@@ -217,38 +205,27 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filterbank, n_mels x F non-negative weights."""
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """N_MELS x F non-negative weights at the default window: triangular
+    filters on the 2595*log10(1 + f/700) mel scale, spanning 0 Hz to
+    Nyquist.
 
-    weights: np.ndarray
-    f_min: float = 0.0
-    f_max: float = SAMPLE_RATE / 2
-
-
-def mel_filterbank(
-    n_mels: int = N_MELS, window_size: int = DEFAULT_WINDOW
-) -> MelFilterbank:
-    """Build triangular filters on the 2595*log10(1 + f/700) mel scale,
-    spanning 0 Hz to Nyquist."""
+    Cached and shared between callers, so it is read-only."""
     f_max = SAMPLE_RATE / 2
-    n_bins = window_size // 2 + 1
-    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / window_size
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), n_mels + 2)
+    n_bins = DEFAULT_WINDOW // 2 + 1
+    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / DEFAULT_WINDOW
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(f_max), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
 
-    weights = np.zeros((n_mels, n_bins))
-    for i in range(n_mels):
+    weights = np.zeros((N_MELS, n_bins))
+    for i in range(N_MELS):
         lo, center, hi = hz_points[i], hz_points[i + 1], hz_points[i + 2]
         up = (bin_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - bin_freqs) / max(hi - center, 1e-12)
         weights[i] = np.maximum(0.0, np.minimum(up, down))
-    return MelFilterbank(weights, 0.0, f_max)
-
-
-@lru_cache(maxsize=4)
-def _cached_mel_weights(n_mels: int, window_size: int) -> np.ndarray:
-    return mel_filterbank(n_mels, window_size).weights
+    weights.flags.writeable = False
+    return weights
 
 
 def log_mel(x: Waveform) -> np.ndarray:
@@ -256,5 +233,5 @@ def log_mel(x: Waveform) -> np.ndarray:
     hop 512 (86.1 Hz frame rate); natural log with a 1e-5 power floor."""
     spec = stft(x, StftConfig(DEFAULT_WINDOW, DEFAULT_HOP))
     power = np.abs(spec.bins) ** 2
-    mel = _cached_mel_weights(N_MELS, DEFAULT_WINDOW) @ power
+    mel = mel_filterbank() @ power
     return np.log(mel + LOG_MEL_FLOOR)

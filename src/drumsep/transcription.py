@@ -7,11 +7,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
+from .classes import CLASS_INDEX, NUM_CLASSES
 from .drum_machine import FrameActivations
 from .signal import SAMPLE_RATE, Waveform, log_mel
 
 ONSET_TOLERANCE_SEC = 0.05
+
+# Peak picking, in frames of the onset curve: a pick is the largest value
+# within PEAK_MAX_RADIUS frames, exceeds the mean within PEAK_MEAN_RADIUS
+# frames by delta, and lies more than PEAK_WAIT frames after the last pick.
+PEAK_MAX_RADIUS = 1
+PEAK_MEAN_RADIUS = 2
+PEAK_WAIT = 2
+PEAK_DELTA = 0.05
 
 
 class Event(NamedTuple):
@@ -80,35 +88,9 @@ def events_to_grid(t: Transcription, n_frames: int, hop: int) -> FrameActivation
     return FrameActivations(onsets, velocities, hop)
 
 
-def grid_to_events(acts: FrameActivations) -> Transcription:
-    """Inverse of events_to_grid up to frame quantization."""
-    events = []
-    ks, ms = np.nonzero(acts.onsets)
-    for k, m in zip(ks, ms):
-        time = m * acts.hop_size / SAMPLE_RATE
-        events.append(Event(time, CLASS_NAMES[k], float(acts.velocities[k, m])))
-    return Transcription(tuple(events))
-
-
-@dataclass(frozen=True)
-class PeakPickConfig:
-    """Windows (in frames) for the local-max / local-mean onset heuristic."""
-
-    pre_max: int = 1
-    post_max: int = 1
-    pre_avg: int = 2
-    post_avg: int = 2
-    delta: float = 0.05
-    wait: int = 2
-
-    def __post_init__(self):
-        if min(self.pre_max, self.post_max, self.pre_avg, self.post_avg, self.wait) < 0:
-            raise ValueError("peak-picking windows must be non-negative")
-
-
-def peak_pick(curve: np.ndarray, cfg: PeakPickConfig = PeakPickConfig()) -> np.ndarray:
-    """Select frames that are local maxima exceeding a local mean by delta,
-    at least ``wait`` frames after the previous selection.
+def peak_pick(curve: np.ndarray, delta: float = PEAK_DELTA) -> np.ndarray:
+    """Select frames that are local maxima exceeding a local mean by
+    ``delta``, more than PEAK_WAIT frames after the previous selection.
 
     Windows are clipped at the curve boundaries.
     """
@@ -118,15 +100,15 @@ def peak_pick(curve: np.ndarray, cfg: PeakPickConfig = PeakPickConfig()) -> np.n
     picks = []
     last = None
     for n in range(len(curve)):
-        lo = max(0, n - cfg.pre_max)
-        hi = min(len(curve), n + cfg.post_max + 1)
+        lo = max(0, n - PEAK_MAX_RADIUS)
+        hi = min(len(curve), n + PEAK_MAX_RADIUS + 1)
         if curve[n] < curve[lo:hi].max():
             continue
-        lo = max(0, n - cfg.pre_avg)
-        hi = min(len(curve), n + cfg.post_avg + 1)
-        if curve[n] < curve[lo:hi].mean() + cfg.delta:
+        lo = max(0, n - PEAK_MEAN_RADIUS)
+        hi = min(len(curve), n + PEAK_MEAN_RADIUS + 1)
+        if curve[n] < curve[lo:hi].mean() + delta:
             continue
-        if last is not None and n - last <= cfg.wait:
+        if last is not None and n - last <= PEAK_WAIT:
             continue
         picks.append(n)
         last = n

@@ -23,8 +23,9 @@ from drumsep.fileio import (
     read_wav,
     write_bank,
     write_transcription,
+    write_wav,
 )
-from drumsep.signal import SAMPLE_RATE, StftConfig, magnitude, stft
+from drumsep.signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
 from drumsep.transcription import Event, Transcription
 
 RUNNER = CliRunner()
@@ -265,6 +266,26 @@ class TestSeparate:
                 assert archive[name].dtype == np.float64
                 assert np.array_equal(archive[name], per_class[k])
 
+    def test_nmfd_seed_falls_back_to_config(self, tmp_path, bank_dir,
+                                            transcription_path):
+        out = tmp_path / "out"
+        run("render", "--bank", bank_dir, "--transcription", transcription_path,
+            "--out", out, "--duration", 1.0)
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 5\n")
+        args = ["separate", "nmfd", "--case", "3", "--mixture", out / "mixture.wav",
+                "--transcription", transcription_path]
+        runs = {"config": ["--config", config], "option": ["--seed", 5],
+                "default": []}
+        for name, extra in runs.items():
+            result = run(*args, *extra, "--out", tmp_path / name)
+            assert result.exit_code == 0, result.output
+        magnitudes = {name: (tmp_path / name / "magnitudes.npz").read_bytes()
+                      for name in runs}
+        assert magnitudes["config"] == magnitudes["option"]
+        assert magnitudes["config"] != magnitudes["default"]
+        assert read_config(tmp_path / "config" / "config.txt")["seed"] == 5
+
     @pytest.mark.parametrize("method", ["nmfd", "abs"])
     def test_config_echo_reads_back(self, tmp_path, bank_dir, transcription_path,
                                     method):
@@ -327,6 +348,21 @@ class TestEvaluate:
                      "--out", tmp_path / "r.json")
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    def test_length_mismatch_names_track_and_class(self, tmp_path, bank_dir):
+        data = tmp_path / "data"
+        run("generate", "--banks", bank_dir, "--tracks", 1, "--duration", 1.0,
+            "--seed", 7, "--out", data)
+        ests = shutil.copytree(data, tmp_path / "ests")
+        snare = ests / "track_0000" / "stems" / "snare.wav"
+        write_wav(snare, Waveform(read_wav(snare).samples[:-100]))
+        result = run("evaluate", "--refs", data, "--ests", ests,
+                     "--out", tmp_path / "r.json")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "track_0000" in lines[0] and "snare" in lines[0]
 
     def test_single_track_requires_transcription(self, tmp_path, bank_dir,
                                                  transcription_path):

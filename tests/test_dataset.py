@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
-from drumsep.dataset import DEFAULT_DENSITIES, GenerationSpec, generate_dataset
+from drumsep.dataset import (
+    DEFAULT_DENSITIES,
+    MIN_GAP_HOPS,
+    VELOCITY_RANGE,
+    GenerationSpec,
+    generate_dataset,
+)
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import read_wav, write_wav
-from drumsep.signal import Waveform
+from drumsep.signal import DEFAULT_HOP, Waveform
 
 
 def small_bank(seed=0):
@@ -76,12 +82,12 @@ class TestGenerate:
 
     def test_same_class_onsets_respect_min_gap(self):
         spec = GenerationSpec(n_tracks=3, duration=3.0)
-        hop_sec = spec.hop_size / 44100
+        hop_sec = DEFAULT_HOP / 44100
         for track in generate_dataset([small_bank()], 21, spec):
             for name in CLASS_NAMES:
                 times = track.transcription.times_for(name)
                 if len(times) > 1:
-                    assert np.diff(times).min() > spec.min_gap_hops * hop_sec
+                    assert np.diff(times).min() > MIN_GAP_HOPS * hop_sec
 
     def test_empty_bank_list_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +102,7 @@ class TestGenerate:
 
     def test_velocities_within_configured_range(self):
         spec = GenerationSpec(n_tracks=3, duration=2.0)
-        lo, hi = spec.velocity_range
+        lo, hi = VELOCITY_RANGE
         for track in generate_dataset([small_bank()], 8, spec):
             for e in track.transcription.events:
                 assert lo <= e.velocity <= hi

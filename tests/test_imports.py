@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in the package is used."""
+"""Import hygiene: every module-level import in the package is used, and no
+module reaches into another drumsep module's `_`-prefixed names."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,41 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_uses(source: str) -> list[str]:
+    """Another drumsep module's `_`-prefixed names used in ``source``:
+    imported by ``from .module import _name`` or read as ``module._name``
+    after ``from . import module``. Dunder names do not count."""
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_finds_a_private_use():
+    source = (
+        "from . import a, b as c\nfrom .d import _e, f\nfrom os import _g\n"
+        "a._h()\nc._i\nc.j\na.__doc__\nx._k\n"
+    )
+    assert sorted(private_uses(source)) == [
+        "a._h (line 4)", "c._i (line 5)", "d._e (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_of_other_modules(path):
+    assert private_uses(path.read_text()) == []

@@ -15,7 +15,6 @@ from drumsep.signal import (
     SignalError,
     StftConfig,
     Waveform,
-    frame_signal,
     hann_window,
     hz_to_mel,
     istft,
@@ -84,12 +83,6 @@ class TestStft:
     def test_empty_signal_rejected(self):
         with pytest.raises(SignalError):
             stft(Waveform(np.zeros(0)))
-
-    def test_uncentered_signal_shorter_than_window_rejected(self):
-        cfg = StftConfig(64, 16, centered=False)
-        assert frame_signal(np.zeros(64), cfg).shape == (1, 64)
-        with pytest.raises(SignalError):
-            frame_signal(np.zeros(63), cfg)
 
     def test_cached_window_is_read_only(self):
         window = hann_window(64)
@@ -183,10 +176,6 @@ class TestConfigValidation:
 
 
 class TestWaveform:
-    def test_rejects_other_sample_rates(self):
-        with pytest.raises(SignalError):
-            Waveform(np.zeros(10), sample_rate=48000)
-
     def test_rejects_nan(self):
         with pytest.raises(SignalError):
             Waveform(np.array([0.0, np.nan]))
@@ -221,10 +210,14 @@ class TestMel:
 
     def test_filterbank_shape_and_support(self):
         fb = mel_filterbank()
-        assert fb.weights.shape == (N_MELS, DEFAULT_WINDOW // 2 + 1)
-        assert fb.weights.min() >= 0
+        assert fb.shape == (N_MELS, DEFAULT_WINDOW // 2 + 1)
+        assert fb.min() >= 0
         # every filter has support
-        assert np.all(fb.weights.sum(axis=1) > 0)
+        assert np.all(fb.sum(axis=1) > 0)
+        # cached and shared, so read-only
+        assert mel_filterbank() is fb
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
 
     def test_log_mel_of_silence_is_log_floor(self):
         lm = log_mel(Waveform(np.zeros(SAMPLE_RATE)))
