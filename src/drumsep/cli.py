@@ -34,8 +34,11 @@ def _guarded(func):
     return wrapper
 
 
-def _load_config(path: str | None) -> fileio.RunConfig:
-    return fileio.read_config(path) if path else fileio.default_config()
+def _run_config(path: str | None, seed: int | None, steps: int | None = None) -> dict:
+    """The --config file's values, or the defaults without one, with the
+    --seed and --steps given written over their keys."""
+    given = {"seed": seed, "solver.steps": steps}
+    return fileio.read_config(path) | {k: v for k, v in given.items() if v is not None}
 
 
 @click.group()
@@ -107,7 +110,7 @@ def separate_cmd():
 def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
                   seed, config_path):
     """Transcription-informed NMFD followed by Wiener masking."""
-    config = _load_config(config_path)
+    config = _run_config(config_path, seed)
     case = nmfd.NmfdCase.preset(case_id)
     if case.informed_templates and bank_dir is None:
         raise click.UsageError(f"NMFD case {case.case_id} requires --bank")
@@ -115,11 +118,12 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     t = fileio.read_transcription(transcription_path)
     bank = fileio.read_bank(bank_dir) if bank_dir else None
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
-    seed = seed if seed is not None else config["seed"]
 
     spec = stft(x, cfg)
     v = magnitude(spec)
-    _, per_class = nmfd.nmfd_run(v, t, bank, case, seed=seed, hop_size=cfg.hop_size)
+    _, per_class = nmfd.nmfd_run(
+        v, t, bank, case, seed=config["seed"], hop_size=cfg.hop_size
+    )
     mask_set = masking.compute_masks(
         per_class, config["masking.alpha"], config["masking.epsilon"]
     )
@@ -127,8 +131,7 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     out = Path(out_dir)
     fileio.write_stems(stems, out / "masked")
     fileio.write_magnitudes(per_class, out / "magnitudes.npz")
-    ran_with = {"nmfd.case": case.case_id, "seed": seed}
-    fileio.write_config(fileio.RunConfig(config.values | ran_with), out / "config.txt")
+    fileio.write_config(config, out / "config.txt")
 
 
 @separate_cmd.command("abs")
@@ -142,16 +145,14 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
 @_guarded
 def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_path):
     """Analysis-by-synthesis separation, then Wiener masking of the mixture."""
-    config = _load_config(config_path)
+    config = _run_config(config_path, seed, steps)
     x = fileio.read_wav(mixture_path)
     t = fileio.read_transcription(transcription_path)
     opt = abs_solver.OptimizerConfig(
-        learning_rate=config["solver.lr"],
-        grad_clip_norm=config["solver.clip"],
-        steps=steps if steps is not None else config["solver.steps"],
-        seed=seed if seed is not None else config["seed"],
+        config["solver.lr"], config["solver.clip"], config["solver.steps"],
+        config["seed"],
     )
-    loss_cfg = abs_solver.LossConfig(scales=config.loss_scales)
+    loss_cfg = abs_solver.LossConfig(scales=config["loss.scales"])
     result = abs_solver.solve_track(x, t, opt, loss_cfg)
 
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
@@ -164,8 +165,7 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     fileio.write_stems(masked, out / "masked")
     fileio.write_wav(out / "reconstruction.wav", Waveform(result.mixture))
     fileio.write_loss_trace(result.loss_trace, out / "loss_trace.csv")
-    ran_with = {"solver.steps": opt.steps, "seed": opt.seed}
-    fileio.write_config(fileio.RunConfig(config.values | ran_with), out / "config.txt")
+    fileio.write_config(config, out / "config.txt")
 
 
 @main.command("detect-onsets")

@@ -9,14 +9,15 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .abs_solver import LossConfig, OptimizerConfig
 from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
-from .signal import DEFAULT_HOP, DEFAULT_WINDOW, SAMPLE_RATE, Waveform
+from .masking import DEFAULT_ALPHA, MASK_EPSILON, check_mask_params
+from .signal import DEFAULT_HOP, DEFAULT_WINDOW, SAMPLE_RATE, StftConfig, Waveform
 from .transcription import Event, Transcription
 
 TRANSCRIPTION_HEADER = ["onset_sec", "class", "velocity"]
@@ -274,43 +275,27 @@ def write_magnitudes(per_class: np.ndarray, path: str | Path):
 # Run configuration
 # ---------------------------------------------------------------------------
 
+# Each default is read from the module that owns it; its type is the key's.
 CONFIG_DEFAULTS: dict[str, object] = {
     "stft.window": DEFAULT_WINDOW,
     "stft.hop": DEFAULT_HOP,
-    "loss.scales": "2048,1024,512,256",
-    "solver.steps": 1000,
-    "solver.lr": 5e-3,
-    "solver.clip": 0.5,
-    "nmfd.case": "1A",
-    "masking.alpha": 1.0,
-    "masking.epsilon": 1e-8,
-    "seed": 0,
+    "loss.scales": LossConfig.scales,
+    "solver.steps": OptimizerConfig.steps,
+    "solver.lr": OptimizerConfig.learning_rate,
+    "solver.clip": OptimizerConfig.grad_clip_norm,
+    "masking.alpha": DEFAULT_ALPHA,
+    "masking.epsilon": MASK_EPSILON,
+    "seed": OptimizerConfig.seed,
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Key-value run configuration; unknown keys are rejected."""
-
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    @property
-    def loss_scales(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in str(self.values["loss.scales"]).split(","))
-
-
-def default_config() -> RunConfig:
-    return RunConfig(dict(CONFIG_DEFAULTS))
-
-
-def read_config(path: str | Path) -> RunConfig:
-    """Parse `section.key = value` lines; '#' starts a comment."""
+def read_config(path: str | Path | None) -> dict[str, object]:
+    """CONFIG_DEFAULTS overridden by the `section.key = value` lines of
+    ``path``, if given; '#' starts a comment. Each value takes its default's
+    type, and loss.scales is comma-separated ints."""
     values = dict(CONFIG_DEFAULTS)
-    path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -322,21 +307,31 @@ def read_config(path: str | Path) -> RunConfig:
             raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
         default = CONFIG_DEFAULTS[key]
         try:
-            if isinstance(default, int) and not isinstance(default, bool):
-                values[key] = int(value)
-            elif isinstance(default, float):
-                values[key] = float(value)
+            if isinstance(default, tuple):
+                values[key] = tuple(int(s) for s in value.split(","))
             else:
-                values[key] = value
+                values[key] = type(default)(value)
         except ValueError:
-            raise FileFormatError(f"{path}:{lineno}: bad value for {key}")
-    return RunConfig(values)
+            raise FileFormatError(f"{path}:{lineno}: bad value for {key}") from None
+    try:  # after the last line, as stft.window and stft.hop bound each other
+        StftConfig(values["stft.window"], values["stft.hop"])
+        LossConfig(values["loss.scales"])
+        OptimizerConfig(
+            values["solver.lr"], values["solver.clip"], values["solver.steps"]
+        )
+        check_mask_params(values["masking.alpha"], values["masking.epsilon"])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    return values
 
 
-def write_config(config: RunConfig, path: str | Path):
-    """Write one `key = value` line per key, sorted; read_config reads the
-    file back to the same values."""
-    lines = [f"{key} = {config[key]}" for key in sorted(config.values)]
+def write_config(config: dict[str, object], path: str | Path):
+    """Write one `key = value` line per key, sorted, a tuple's items joined
+    by commas; read_config reads the file back to the same values."""
+    lines = [
+        f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+        for key, value in sorted(config.items())
+    ]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -12,7 +12,6 @@ from .signal import (
     Waveform,
     istft,
     magnitude,
-    num_frames,
     stft,
 )
 
@@ -29,6 +28,13 @@ class MaskSet:
     epsilon: float
 
 
+def check_mask_params(alpha: float, epsilon: float):
+    """Raise ValueError unless alpha and epsilon are positive and finite."""
+    if not (0 < alpha < np.inf and 0 < epsilon < np.inf):
+        raise ValueError(f"masking alpha and epsilon must be positive and "
+                         f"finite, got {alpha} and {epsilon}")
+
+
 def compute_masks(
     estimates: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
@@ -39,6 +45,7 @@ def compute_masks(
     Each mask lies in [0, 1); the masks sum to just under 1 wherever the
     estimates carry energy well above epsilon.
     """
+    check_mask_params(alpha, epsilon)
     estimates = np.asarray(estimates, dtype=np.float64)
     if estimates.ndim != 3:
         raise ValueError(f"expected K x F x M estimates, got shape {estimates.shape}")
@@ -78,10 +85,6 @@ def mask_with_stems(
     epsilon: float = MASK_EPSILON,
 ) -> np.ndarray:
     """Mask the mixture with the magnitude spectrograms of K x T stem
-    estimates, a silent stem's being all zeros: K x len(x) masked stems."""
-    shape = (cfg.n_bins, num_frames(len(x), cfg))
-    estimates = np.stack([
-        magnitude(stft(Waveform(s), cfg)) if np.any(s) else np.zeros(shape)
-        for s in stems
-    ])
+    estimates: K x len(x) masked stems."""
+    estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
     return apply_masks(x, compute_masks(estimates, alpha, epsilon), cfg)

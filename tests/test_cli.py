@@ -17,6 +17,7 @@ from drumsep import abs_solver, nmfd
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
+    CONFIG_DEFAULTS,
     read_bank,
     read_config,
     read_transcription,
@@ -298,11 +299,8 @@ class TestSeparate:
                      "--transcription", transcription_path, "--out", sep,
                      "--seed", 5)
         assert result.exit_code == 0, result.output
-        echoed = dict(line.split(" = ", 1)
-                      for line in (sep / "config.txt").read_text().splitlines())
-        values = read_config(sep / "config.txt").values
-        assert {k: str(v) for k, v in values.items()} == echoed
-        assert values["seed"] == 5
+        ran_with = {"seed": 5} | ({"solver.steps": 1} if method == "abs" else {})
+        assert read_config(sep / "config.txt") == CONFIG_DEFAULTS | ran_with
 
 
 class TestDetectOnsets:
@@ -468,4 +466,31 @@ def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert str(bad) in lines[0]
+    assert not out.exists()
+
+
+# --config files that both separate commands reject
+BAD_CONFIGS = [
+    "solver.steps 10", "nmfd.case = 9", "solver.momentum = 0.9",
+    "solver.steps = ten", "loss.scales = 2048,abc", "loss.scales = 2048,2048",
+    "stft.window = 1000", "solver.lr = -1", "masking.epsilon = 0",
+    "masking.alpha = -1",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", BAD_CONFIGS)
+@pytest.mark.parametrize("command", ["separate-nmfd-3", "separate-abs"])
+def test_malformed_config_is_one_error_line(tmp_path, inputs, command, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(text + "\n")
+    track = inputs / "track"
+    out = tmp_path / "out"
+    args = command_args(command, out, inputs / "kit", inputs / "t.csv",
+                        track / "mixture.wav", track, track)
+    result = run(*args, "--config", config)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {config}"), lines
     assert not out.exists()

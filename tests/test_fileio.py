@@ -1,10 +1,13 @@
 """File formats: WAV, transcription CSV, banks, NMFD magnitudes, run config,
 reports."""
 
+import ast
 import io
 import json
+import re
 import struct
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,25 +16,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
+import drumsep
+from drumsep.abs_solver import LossConfig, OptimizerConfig
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
     CONFIG_DEFAULTS,
     FileFormatError,
     _atomic_open,
-    default_config,
     read_bank,
     read_config,
     read_transcription,
     read_wav,
     write_bank,
+    write_config,
     write_loss_trace,
     write_magnitudes,
     write_report,
     write_transcription,
     write_wav,
 )
-from drumsep.signal import SAMPLE_RATE, Waveform
+from drumsep.masking import DEFAULT_ALPHA, MASK_EPSILON
+from drumsep.signal import DEFAULT_HOP, DEFAULT_WINDOW, SAMPLE_RATE, Waveform
 from drumsep.transcription import Event, Transcription
 
 RNG = np.random.default_rng(13)
@@ -367,14 +373,48 @@ class TestMagnitudes:
             assert path.read_bytes() == before
 
 
+@st.composite
+def run_configs(draw):
+    """A config every value of which its owning type accepts."""
+    window = draw(st.integers(0, 16))
+    scales = draw(st.lists(st.integers(2, 16), min_size=1, max_size=6, unique=True))
+    positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    return {
+        "stft.window": 2**window,
+        "stft.hop": 2 ** draw(st.integers(0, window)),
+        "loss.scales": tuple(2**e for e in sorted(scales, reverse=True)),
+        "solver.steps": draw(st.integers(min_value=1)),
+        "solver.lr": draw(positive),
+        "solver.clip": draw(positive),
+        "masking.alpha": draw(positive),
+        "masking.epsilon": draw(positive),
+        "seed": draw(st.integers(min_value=0)),
+    }
+
+
+def unread_keys(package: Path) -> list[str]:
+    """CONFIG_DEFAULTS keys that no module of ``package`` but fileio.py
+    subscripts with a string literal."""
+    read = {
+        node.slice.value
+        for path in package.glob("*.py") if path.name != "fileio.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+    }
+    return sorted(set(CONFIG_DEFAULTS) - read)
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = default_config()
-        assert cfg["solver.steps"] == 1000
-        assert cfg["solver.lr"] == 5e-3
-        assert cfg["solver.clip"] == 0.5
-        assert cfg.loss_scales == (2048, 1024, 512, 256)
-        assert cfg["masking.alpha"] == 1.0
+        cfg = read_config(None)
+        assert cfg["solver.steps"] == OptimizerConfig.steps == 1000
+        assert cfg["solver.lr"] == OptimizerConfig.learning_rate == 5e-3
+        assert cfg["solver.clip"] == OptimizerConfig.grad_clip_norm == 0.5
+        assert cfg["seed"] == OptimizerConfig.seed == 0
+        assert cfg["loss.scales"] == LossConfig.scales == (2048, 1024, 512, 256)
+        assert cfg["masking.alpha"] == DEFAULT_ALPHA == 1.0
+        assert cfg["masking.epsilon"] == MASK_EPSILON
+        assert (cfg["stft.window"], cfg["stft.hop"]) == (DEFAULT_WINDOW, DEFAULT_HOP)
 
     def test_parse_overrides_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -404,6 +444,54 @@ class TestConfig:
         with pytest.raises(FileFormatError):
             read_config(path)
 
+    def test_scales_parse_to_ints(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("loss.scales = 1024, 256\n")
+        assert read_config(path)["loss.scales"] == (1024, 256)
+        path.write_text("solver.steps = 2\nloss.scales = 2048,abc\n")
+        with pytest.raises(FileFormatError, match=r":2: bad value for loss\.scales$"):
+            read_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "loss.scales = 2048,2048", "stft.window = 1000", "solver.lr = -1",
+        "solver.steps = 0", "masking.epsilon = 0", "masking.alpha = nan",
+    ])
+    def test_values_the_owner_rejects_name_the_file(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
+            read_config(path)
+
+    def test_values_are_checked_after_the_last_line(self, tmp_path):
+        # window 256 fails with the default hop 512; the next line sets the hop
+        path = tmp_path / "run.cfg"
+        path.write_text("stft.window = 256\nstft.hop = 64\n")
+        assert read_config(path)["stft.hop"] == 64
+
+    @given(run_configs())
+    def test_write_read_round_trip(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("cfg") / "config.txt"
+        write_config(values, path)
+        back = read_config(path)
+        assert back == values
+        assert {k: type(v) for k, v in back.items()} == {
+            k: type(v) for k, v in values.items()}
+
+    def test_default_config_text(self, tmp_path):
+        path = tmp_path / "config.txt"
+        write_config(read_config(None), path)
+        assert path.read_text() == (
+            "loss.scales = 2048,1024,512,256\nmasking.alpha = 1.0\n"
+            "masking.epsilon = 1e-08\nseed = 0\nsolver.clip = 0.5\n"
+            "solver.lr = 0.005\nsolver.steps = 1000\nstft.hop = 512\n"
+            "stft.window = 2048\n"
+        )
+
+    def test_every_key_is_read_outside_fileio(self):
+        """Each key is read as ``mapping["key"]`` in a module other than
+        fileio, so a key that no command reads fails here."""
+        assert unread_keys(Path(drumsep.__file__).parent) == []
+
 
 class TestReports:
     def test_report_is_stable_sorted_json(self, tmp_path):
@@ -422,7 +510,7 @@ class TestReports:
     def test_config_defaults_are_known_keys_only(self):
         expected = {
             "stft.window", "stft.hop", "loss.scales", "solver.steps",
-            "solver.lr", "solver.clip", "nmfd.case", "masking.alpha",
-            "masking.epsilon", "seed",
+            "solver.lr", "solver.clip", "masking.alpha", "masking.epsilon",
+            "seed",
         }
         assert set(CONFIG_DEFAULTS) == expected

@@ -59,6 +59,15 @@ class TestComputeMasks:
         with pytest.raises(ValueError):
             compute_masks(np.ones((3, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, epsilon", [
+        (0.0, 1e-8), (-1.0, 1e-8), (np.nan, 1e-8), (np.inf, 1e-8),
+        (1.0, 0.0), (1.0, -1e-8), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_non_positive_or_non_finite_parameters_rejected(self, alpha, epsilon):
+        with pytest.raises(ValueError, match="masking alpha and epsilon"):
+            compute_masks(np.zeros((2, 3, 3)), alpha, epsilon)
+
 
 class TestApplyMasks:
     def _mixture(self, n=20000):
