@@ -16,10 +16,11 @@ buffer that also hosts two of the four M x F float buffers while it is dead,
 a complex spectrum buffer that takes the overlap-add once it is dead, two
 float buffers and a mask). The loss scales are independent until their
 gradients are summed, so during a solve they run on min(#scales, usable
-CPUs, 2) threads, each in its own workspace: a worker allocates no array
-and calls only numpy and ``signal.overlap_add``, never a function a tracer
-may wrap. Two is the only thread count whose time and peak memory were
-measured; each further worker adds a workspace (13 MB on a 3 s track). The
+CPUs, 2) threads (``parallel.thread_count``), each in its own workspace: a
+worker allocates no array and calls only numpy and ``signal.overlap_add``,
+never a function a tracer may wrap. Two is the only thread count whose time
+and peak memory were measured; each further worker adds a workspace (13 MB
+on a 3 s track). The
 scales go in rounds of one per worker, and the main thread adds each
 round's losses and gradients in scale order before the next round reuses
 the workspaces, so every bit is the same for any number of workers, and
@@ -33,7 +34,6 @@ Adam and gradient clipping update their arrays in place.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,6 +50,7 @@ from .drum_machine import (
     trigger_mixture,
     trigger_mixture_adjoint,
 )
+from .parallel import thread_count
 from .signal import (
     DEFAULT_HOP,
     SAMPLE_RATE,
@@ -119,10 +120,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ValueError("learning rate and clip norm must be positive")
+        if not (0 < self.learning_rate < np.inf and 0 < self.grad_clip_norm < np.inf):
+            raise ValueError(
+                f"solver learning rate and clip norm must be positive and "
+                f"finite, got {self.learning_rate} and {self.grad_clip_norm}"
+            )
         if self.steps < 1:
             raise ValueError(f"solver steps must be at least 1, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -220,19 +226,6 @@ def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
     return {s: magnitude(stft(x, cfg.stft_config(s))).T for s in cfg.scales}
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# The most loss workers a solve starts: the count measured to be faster
-# than one with no more peak memory (2 vCPUs). Lift it only on measurements
-# from a machine with more CPUs.
-_MAX_WORKERS = 2
-
-
 class _Workspace:
     """One worker's buffers. Each is sized for the scale that needs the most
     of it; a scale works in views of its head.
@@ -260,7 +253,7 @@ class LossTargets:
     at every scale, and one workspace per worker.
 
     The scales run inline in one workspace, or, while ``workers()`` is
-    open, on min(#scales, usable CPUs, ``_MAX_WORKERS``) threads with one
+    open, on ``parallel.thread_count(#scales)`` threads with one
     workspace each. One instance serves one signal length and one caller
     at a time.
     """
@@ -294,7 +287,7 @@ class LossTargets:
         """Run the scales on one thread per workspace while open, adding the
         workspaces the threads need. They stay allocated after it closes,
         when the scales run inline in the first one again."""
-        count = min(len(self.cfg.scales), _usable_cpus(), _MAX_WORKERS)
+        count = thread_count(len(self.cfg.scales))
         if count == 1:
             yield self
             return

@@ -36,9 +36,12 @@ def _guarded(func):
 
 def _run_config(path: str | None, seed: int | None, steps: int | None = None) -> dict:
     """The --config file's values, or the defaults without one, with the
-    --seed and --steps given written over their keys."""
+    --seed and --steps given written over their keys and checked."""
     given = {"seed": seed, "solver.steps": steps}
-    return fileio.read_config(path) | {k: v for k, v in given.items() if v is not None}
+    config = fileio.read_config(path)
+    config |= {k: v for k, v in given.items() if v is not None}
+    fileio.check_config(config)
+    return config
 
 
 @click.group()

@@ -116,6 +116,8 @@ def generate_dataset(
     """
     if not banks:
         raise ValueError("at least one one-shot bank is required")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     tracks = []
     for i in range(spec.n_tracks):
         rng = np.random.default_rng([seed, i])

@@ -314,15 +314,21 @@ def read_config(path: str | Path | None) -> dict[str, object]:
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: bad value for {key}") from None
     try:  # after the last line, as stft.window and stft.hop bound each other
-        StftConfig(values["stft.window"], values["stft.hop"])
-        LossConfig(values["loss.scales"])
-        OptimizerConfig(
-            values["solver.lr"], values["solver.clip"], values["solver.steps"]
-        )
-        check_mask_params(values["masking.alpha"], values["masking.epsilon"])
+        check_config(values)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
     return values
+
+
+def check_config(config: dict[str, object]):
+    """Raise ValueError unless the owner of every value accepts it."""
+    StftConfig(config["stft.window"], config["stft.hop"])
+    LossConfig(config["loss.scales"])
+    OptimizerConfig(
+        config["solver.lr"], config["solver.clip"], config["solver.steps"],
+        config["seed"],
+    )
+    check_mask_params(config["masking.alpha"], config["masking.epsilon"])
 
 
 def write_config(config: dict[str, object], path: str | Path):

@@ -3,18 +3,15 @@ oracle, an allocate-per-op loss adjoint oracle, finite-difference gradient
 checks, allocation budgets, worker-count invariance, and small end-to-end
 solves."""
 
-import importlib.util
 import sys
-import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drumsep import abs_solver
+from drumsep import abs_solver, parallel
 from drumsep.abs_solver import (
     AbsParams,
     LossConfig,
@@ -37,6 +34,8 @@ from drumsep.classes import CLASS_INDEX
 from drumsep.drum_machine import FrameActivations, onset_index
 from drumsep.signal import Waveform, frame_signal, hann_window
 from drumsep.transcription import Event, Transcription
+
+from hooked_calls import record_hooked_calls
 
 RNG = np.random.default_rng(11)
 
@@ -184,9 +183,16 @@ class TestLossConfigs:
             OptimizerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_clip_norm=-1.0)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OptimizerConfig(learning_rate=value)
+            with pytest.raises(ValueError, match="finite"):
+                OptimizerConfig(grad_clip_norm=value)
         for steps in (0, -3):
             with pytest.raises(ValueError):
                 OptimizerConfig(steps=steps)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            OptimizerConfig(seed=-1)
 
 
 class TestReconLoss:
@@ -354,8 +360,8 @@ def test_loss_gradient_allocation_budget():
 
 def with_workers(monkeypatch, workers):
     """``workers`` usable CPUs, the cap lifted to match."""
-    monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(abs_solver, "_MAX_WORKERS", max(2, workers))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "MAX_THREADS", max(2, workers))
 
 
 class TestWorkers:
@@ -363,7 +369,7 @@ class TestWorkers:
     terms are summed in scale order, so the worker count changes no bit."""
 
     def test_two_workers_at_most_and_one_workspace_inline(self, monkeypatch):
-        monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
         targets = LossTargets(Waveform(np.zeros(4000)), LossConfig())
         assert len(targets._workspaces) == 1
         with targets.workers():
@@ -415,35 +421,9 @@ class TestWorkers:
         """bench/tracing.py wraps the functions its HOOKS list names, and
         its span stack is not thread-safe: none of those in abs_solver,
         signal or drum_machine may run on a loss worker."""
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        hooked = [(m, f) for m, f, _ in tracing.HOOKS
-                  if m in ("abs_solver", "signal", "drum_machine")]
-        assert ("abs_solver", "loss_gradient") in hooked
-
-        calls = []  # (name, ran on the main thread)
-
-        def recording(name, func):
-            def wrapper(*args, **kwargs):
-                main = threading.current_thread() is threading.main_thread()
-                calls.append((name, main))
-                return func(*args, **kwargs)
-            return wrapper
-
-        modules = [m for n, m in list(sys.modules.items())
-                   if n.startswith("drumsep.")]
-        wrapped = [(m, f, getattr(sys.modules[f"drumsep.{m}"], f))
-                   for m, f in hooked]
-        wrapped.append(("abs_solver", "_scale_terms", abs_solver._scale_terms))
-        for module_name, func_name, func in wrapped:
-            wrapper = recording(f"{module_name}.{func_name}", func)
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is func:
-                        monkeypatch.setattr(module, attr, wrapper)
-
+        calls = record_hooked_calls(
+            monkeypatch, ("abs_solver", "signal", "drum_machine"),
+            [("abs_solver", "_scale_terms")])
         with_workers(monkeypatch, 2)
         x, trans = TestSolve()._track()
         abs_solver.solve_track(x, trans, OptimizerConfig(steps=3, seed=0),

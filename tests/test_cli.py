@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import drumsep
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
-from drumsep import abs_solver, nmfd
+from drumsep import abs_solver, nmfd, parallel
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
@@ -229,7 +229,7 @@ class TestSeparate:
             "--out", out, "--duration", 1.0)
         trees = []
         for workers in (1, 2):
-            monkeypatch.setattr(abs_solver, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
             sep = tmp_path / f"sep{workers}"
             result = run("separate", "abs", "--mixture", out / "mixture.wav",
                          "--transcription", transcription_path,
@@ -473,7 +473,8 @@ def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage
 BAD_CONFIGS = [
     "solver.steps 10", "nmfd.case = 9", "solver.momentum = 0.9",
     "solver.steps = ten", "loss.scales = 2048,abc", "loss.scales = 2048,2048",
-    "stft.window = 1000", "solver.lr = -1", "masking.epsilon = 0",
+    "stft.window = 1000", "solver.lr = -1", "solver.lr = nan",
+    "solver.clip = inf", "seed = -1", "masking.epsilon = 0",
     "masking.alpha = -1",
 ]
 
@@ -493,4 +494,67 @@ def test_malformed_config_is_one_error_line(tmp_path, inputs, command, text):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {config}"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "separate-nmfd-3", "separate-abs"])
+def test_negative_seed_is_one_error_line(tmp_path, inputs, command):
+    track = inputs / "track"
+    out = tmp_path / "out"
+    args = command_args(command, out, inputs / "kit", inputs / "t.csv",
+                        track / "mixture.wav", track, track)
+    result = run(*args, "--seed", -1)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+# transcription files every reader rejects, and the line each error names
+BAD_TRANSCRIPTIONS = {
+    "missing header": ("0.200000,kick,1.000000\n", 1),
+    "non-numeric time": ("onset_sec,class,velocity\n0.200000,kick,1.0\n"
+                         "abc,snare,1.0\n", 3),
+    "negative time": ("onset_sec,class,velocity\n0.200000,kick,1.0\n"
+                      "-0.5,snare,1.0\n", 3),
+    "unknown class": ("onset_sec,class,velocity\n0.200000,kick,1.0\n"
+                      "0.5,cowbell,1.0\n", 3),
+    "short row": ("onset_sec,class,velocity\n0.200000,kick,1.0\n0.5,snare\n", 3),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory, inputs):
+    """One generated 0.5 s track, as multi-track evaluate reads it."""
+    data = tmp_path_factory.mktemp("dataset") / "data"
+    result = run("generate", "--banks", inputs / "kit", "--tracks", 1,
+                 "--duration", 0.5, "--out", data)
+    assert result.exit_code == 0, result.output
+    return data
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("damage", sorted(BAD_TRANSCRIPTIONS))
+@pytest.mark.parametrize("command", ["render", "separate-nmfd-3", "separate-abs",
+                                     "evaluate", "evaluate-tracks"])
+def test_malformed_transcription_is_one_error_line(tmp_path, inputs, dataset_dir,
+                                                   command, damage):
+    text, line = BAD_TRANSCRIPTIONS[damage]
+    track = inputs / "track"
+    out = tmp_path / "out"
+    if command == "evaluate-tracks":
+        data = shutil.copytree(dataset_dir, tmp_path / "data")
+        bad = data / "track_0000" / "transcription.csv"
+        args = ["evaluate", "--refs", data, "--ests", data,
+                "--out", out / "report.json"]
+    else:
+        bad = tmp_path / "t.csv"
+        args = command_args(command, out, inputs / "kit", bad,
+                            track / "mixture.wav", track, track)
+    bad.write_text(text)
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}:{line}: "), lines
     assert not out.exists()

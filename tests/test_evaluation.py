@@ -1,10 +1,18 @@
 """Metric closed forms, grouping, track evaluation and aggregation."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drumsep import evaluation, parallel
 from drumsep.classes import CLASS_NAMES, FIVE_CLASS_GROUPS, FIVE_CLASS_NAMES
 from drumsep.evaluation import (
+    LSD_BLOCK,
+    METRIC_EPSILON,
     MetricsRow,
     aggregate,
     evaluate_track,
@@ -13,8 +21,10 @@ from drumsep.evaluation import (
     nsdr,
     pes,
 )
-from drumsep.signal import SAMPLE_RATE, Waveform
+from drumsep.signal import DEFAULT_HOP, SAMPLE_RATE, Waveform, stft
 from drumsep.transcription import Event, Transcription
+
+from hooked_calls import record_hooked_calls
 
 RNG = np.random.default_rng(77)
 
@@ -65,6 +75,86 @@ class TestLsd:
         a = Waveform(RNG.normal(size=8000))
         b = Waveform(RNG.normal(size=8000))
         assert lsd(a, b) == pytest.approx(lsd(b, a), rel=1e-12)
+
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            lsd(Waveform(np.zeros(0)), Waveform(np.zeros(0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        frames=st.sampled_from([1, 2, LSD_BLOCK - 1, LSD_BLOCK, LSD_BLOCK + 1,
+                                2 * LSD_BLOCK, 2 * LSD_BLOCK + 1, 3 * LSD_BLOCK + 7]),
+        offset=st.integers(0, DEFAULT_HOP - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_closed_form_bit_for_bit(self, frames, offset, seed):
+        """Lengths from 1 sample over one block, exact multiples of it and
+        odd remainders: the blocked, threaded LSD is the closed form."""
+        n = max(1, (frames - 1) * DEFAULT_HOP + offset)
+        rng = np.random.default_rng(seed)
+        s = Waveform(rng.normal(size=n) * rng.uniform(0, 1, n))
+        s_hat = Waveform(0.7 * s.samples + 0.3 * rng.normal(size=n))
+        assert lsd(s, s_hat) == closed_form_lsd(s, s_hat)
+
+    def test_same_bits_for_any_lane_count(self, monkeypatch):
+        """One to three lanes, with thread switches forced every
+        microsecond: a lane writing outside its slice of frames, or into
+        another's buffers, changes bits."""
+        rng = np.random.default_rng(31)
+        pairs = [
+            (Waveform(rng.normal(size=n)), Waveform(rng.normal(size=n)))
+            for n in (1, 30000, 3 * LSD_BLOCK * DEFAULT_HOP, 100000)
+        ]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(parallel, "usable_cpus", lambda: lanes)
+                monkeypatch.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                results[lanes] = [lsd(s, s_hat) for s, s_hat in pairs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[2] == results[1] == results[3]
+        assert results[1] == [closed_form_lsd(s, s_hat) for s, s_hat in pairs]
+
+    def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
+        """No function that bench/tracing.py hooks in evaluation or signal
+        runs on an LSD lane."""
+        calls = record_hooked_calls(monkeypatch, ("evaluation", "signal"),
+                                    [("evaluation", "_lsd_lane")])
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        refs = TestEvaluateTrack()._stems(SAMPLE_RATE)
+        ests = {k: Waveform(0.5 * v.samples) for k, v in refs.items()}
+        evaluation.evaluate_track("t0", refs, ests,
+                                  TestEvaluateTrack()._transcription())
+        assert ("evaluation.lsd", True) in calls
+        # the frames did run on a lane, and nothing traced did
+        assert ("evaluation._lsd_lane", False) in calls
+        off_main = {name for name, main in calls if not main}
+        assert off_main == {"evaluation._lsd_lane"}
+
+    def test_allocation_budget(self):
+        """One lsd call on a 6 s pair peaks under 12 MB of traced
+        allocations: the two padded signals and each lane's block buffers.
+        Measured 10.8 MB; 21.2 MB when both full spectrograms were built."""
+        s = Waveform(RNG.normal(size=6 * SAMPLE_RATE))
+        s_hat = Waveform(RNG.normal(size=6 * SAMPLE_RATE))
+        tracemalloc.start()
+        try:
+            lsd(s, s_hat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+def closed_form_lsd(s: Waveform, s_hat: Waveform) -> float:
+    """LSD from the two full spectrograms, in one expression per step."""
+    p_ref = np.abs(stft(s).bins) ** 2
+    p_est = np.abs(stft(s_hat).bins) ** 2
+    ratio = np.log((p_est + METRIC_EPSILON) / (p_ref + METRIC_EPSILON))
+    return float(np.sqrt(np.mean(ratio**2, axis=0)).mean())
 
 
 class TestPes:

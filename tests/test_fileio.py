@@ -454,7 +454,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "loss.scales = 2048,2048", "stft.window = 1000", "solver.lr = -1",
-        "solver.steps = 0", "masking.epsilon = 0", "masking.alpha = nan",
+        "solver.lr = nan", "solver.clip = inf", "solver.steps = 0", "seed = -1",
+        "masking.epsilon = 0", "masking.alpha = nan",
     ])
     def test_values_the_owner_rejects_name_the_file(self, tmp_path, line):
         path = tmp_path / "run.cfg"
