@@ -11,20 +11,16 @@ themselves receive no gradient; their support is fixed.
 
 A solve builds one ``LossTargets`` per track: the target's magnitudes and
 floored log magnitudes at every scale, one padded copy of the estimate that
-every scale frames as a strided view, and one workspace per worker (a frames
+every scale frames as a strided view, and one workspace per lane (a frames
 buffer that also hosts two of the four M x F float buffers while it is dead,
 a complex spectrum buffer that takes the overlap-add once it is dead, two
 float buffers and a mask). The loss scales are independent until their
-gradients are summed, so during a solve they run on min(#scales, usable
-CPUs, 2) threads (``parallel.thread_count``), each in its own workspace: a
-worker allocates no array and calls only numpy and ``signal.overlap_add``,
-never a function a tracer may wrap. Two is the only thread count whose time
-and peak memory were measured; each further worker adds a workspace (13 MB
-on a 3 s track). The
-scales go in rounds of one per worker, and the main thread adds each
-round's losses and gradients in scale order before the next round reuses
-the workspaces, so every bit is the same for any number of workers, and
-with one worker the same per-scale function runs inline.
+gradients are summed, so they run on ``parallel.run_lanes``, one scale per
+lane and ``parallel.thread_count(#scales)`` lanes, under the rules in
+``parallel``'s docstring. The scales go in rounds of one per lane, and the
+calling thread adds each round's losses and gradients in scale order before
+the next round reuses the workspaces, so every bit is the same for any
+number of lanes. Each further lane adds a workspace (13 MB on a 3 s track).
 
 The step makes no BLAS call: the forward model's adjoints reduce by
 elementwise products and ``.sum()``. A BLAS dot or GEMV would wake the BLAS
@@ -34,8 +30,6 @@ Adam and gradient clipping update their arrays in place.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +44,7 @@ from .drum_machine import (
     trigger_mixture,
     trigger_mixture_adjoint,
 )
-from .parallel import thread_count
+from .parallel import run_lanes, thread_count
 from .signal import (
     DEFAULT_HOP,
     SAMPLE_RATE,
@@ -227,7 +221,7 @@ def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
 
 
 class _Workspace:
-    """One worker's buffers. Each is sized for the scale that needs the most
+    """One lane's buffers. Each is sized for the scale that needs the most
     of it; a scale works in views of its head.
 
     The frames buffer (M x window) is dead from the forward real FFT until
@@ -250,12 +244,9 @@ class _Workspace:
 class LossTargets:
     """The loss's per-track state: the target's magnitudes and floored log
     magnitudes at every scale, the estimate's padded signal and its frames
-    at every scale, and one workspace per worker.
-
-    The scales run inline in one workspace, or, while ``workers()`` is
-    open, on ``parallel.thread_count(#scales)`` threads with one
-    workspace each. One instance serves one signal length and one caller
-    at a time.
+    at every scale, and one workspace per lane, all allocated here on the
+    calling thread. One instance serves one signal length and one caller at
+    a time.
     """
 
     def __init__(self, x: Waveform, cfg: LossConfig):
@@ -278,52 +269,30 @@ class LossTargets:
         }
         self._windows = {s: hann_window(s) for s in cfg.scales}
         self._scaled_windows = {s: s * w for s, w in self._windows.items()}
-        self._shapes = {s: a.shape for s, a in self.magnitudes.items()}
-        self._workspaces = [_Workspace(self._shapes, n)]
-        self._map, self._in_use = map, 1
-
-    @contextmanager
-    def workers(self):
-        """Run the scales on one thread per workspace while open, adding the
-        workspaces the threads need. They stay allocated after it closes,
-        when the scales run inline in the first one again."""
-        count = thread_count(len(self.cfg.scales))
-        if count == 1:
-            yield self
-            return
-        self._workspaces += [
-            _Workspace(self._shapes, self.n_samples)
-            for _ in range(count - len(self._workspaces))
+        shapes = {s: a.shape for s, a in self.magnitudes.items()}
+        self._workspaces = [
+            _Workspace(shapes, n) for _ in range(thread_count(len(cfg.scales)))
         ]
-        with ThreadPoolExecutor(count) as pool:
-            self._map, self._in_use = pool.map, count
-            try:
-                yield self
-            finally:
-                self._map, self._in_use = map, 1
 
     def _per_scale(self, x_hat: np.ndarray, with_grad: bool):
         """Each scale's (magnitude L1, log-magnitude L1, dL/dx_hat or None),
         in scale order.
 
-        The scales run in rounds of one per workspace, so a gradient is a
-        view into its worker's buffers that stays valid only until the
-        caller asks for the next round."""
+        The scales run in rounds of one per lane, so a gradient is a view
+        into its lane's workspace that stays valid only until the caller
+        asks for the next round."""
         self._signal[:] = x_hat
-        scales, spaces = self.cfg.scales, self._workspaces[: self._in_use]
+        scales, spaces = self.cfg.scales, self._workspaces
         for start in range(0, len(scales), len(spaces)):
-            yield from self._map(
-                lambda scale, ws: _scale_terms(self, scale, ws, with_grad),
-                scales[start : start + len(spaces)],
-                spaces,
-            )
+            yield from run_lanes(_scale_terms, [
+                (self, scale, ws, with_grad)
+                for scale, ws in zip(scales[start:], spaces)
+            ])
 
 
 def _scale_terms(targets: LossTargets, scale: int, ws: _Workspace, with_grad: bool):
     """One scale's loss terms and, ``with_grad``, its dL/dx_hat, with every
-    intermediate in ``ws``. Runs on a worker thread: it allocates no array
-    and calls numpy and ``signal.overlap_add`` only, none of the functions
-    a tracer may wrap."""
+    intermediate in ``ws``. Runs on a lane (see ``parallel``)."""
     cfg = targets.cfg
     target = targets.magnitudes[scale]
     m, n_bins = target.shape
@@ -415,8 +384,8 @@ def _loss_and_grad_wrt_signal(
 
     Every intermediate lives in the buffers of ``targets``; only the
     returned gradient is allocated. The scales' terms are summed in scale
-    order whichever worker computed them, so the result does not depend on
-    the number of workers."""
+    order whichever lane computed them, so the result does not depend on
+    the number of lanes."""
     grad = np.zeros(len(x_hat))
     loss = 0.0
     for diff_l1, log_l1, g in targets._per_scale(x_hat, with_grad=True):
@@ -542,38 +511,38 @@ def solve_track(
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     scratch = {k: np.empty_like(v) for k, v in params.arrays().items()}
     trace, best, best_loss = [], params, np.inf
-    with LossTargets(x, cfg).workers() as targets:
-        for step in range(1, opt.steps + 1):
-            loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
-            if not np.isfinite(loss):
-                raise ValueError(f"abs solver: non-finite loss at step {step}")
-            trace.append(loss)
-            if loss < best_loss:
-                best, best_loss = params.copy(), loss
-            g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
-            for key, p in params.arrays().items():
-                # Adam, in place: the fresh gradient array holds
-                # sqrt(v_hat) + eps once the moments have read it, and
-                # ``tmp`` holds the step.
-                g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
-                m *= ADAM_BETA1
-                m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-                v *= ADAM_BETA2
-                v += np.multiply(np.square(g, out=tmp), 1 - ADAM_BETA2, out=tmp)
-                np.divide(v, 1 - ADAM_BETA2**step, out=g)
-                np.sqrt(g, out=g)
-                g += ADAM_EPS
-                np.divide(m, 1 - ADAM_BETA1**step, out=tmp)
-                tmp *= opt.learning_rate
-                tmp /= g
-                p -= tmp
+    targets = LossTargets(x, cfg)
+    for step in range(1, opt.steps + 1):
+        loss, grads = loss_gradient(params, x, grid, cfg, targets=targets)
+        if not np.isfinite(loss):
+            raise ValueError(f"abs solver: non-finite loss at step {step}")
+        trace.append(loss)
+        if loss < best_loss:
+            best, best_loss = params.copy(), loss
+        g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
+        for key, p in params.arrays().items():
+            # Adam, in place: the fresh gradient array holds
+            # sqrt(v_hat) + eps once the moments have read it, and
+            # ``tmp`` holds the step.
+            g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            v += np.multiply(np.square(g, out=tmp), 1 - ADAM_BETA2, out=tmp)
+            np.divide(v, 1 - ADAM_BETA2**step, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            np.divide(m, 1 - ADAM_BETA1**step, out=tmp)
+            tmp *= opt.learning_rate
+            tmp /= g
+            p -= tmp
 
-        # The last iterate's loss needs only its mixture; the stems are
-        # rendered once, for the iterate returned.
-        mixture = trigger_mixture(
-            effective_one_shots(params), positions, _amplitudes(params, grid), len(x)
-        )
-        final_loss = recon_loss(x, Waveform(mixture), cfg, targets=targets)
+    # The last iterate's loss needs only its mixture; the stems are
+    # rendered once, for the iterate returned.
+    mixture = trigger_mixture(
+        effective_one_shots(params), positions, _amplitudes(params, grid), len(x)
+    )
+    final_loss = recon_loss(x, Waveform(mixture), cfg, targets=targets)
     if final_loss > best_loss:
         params, final_loss = best, best_loss
     stems, mixture = render_from_params(params, grid, len(x))

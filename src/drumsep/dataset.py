@@ -4,7 +4,7 @@ through the drum machine, with amplitude normalization and gain augmentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .transcription import Event, Transcription, events_to_grid
 
 # Onsets per second for each of the 9 classes; roughly a rock-kit feel with
 # sparse toms and cymbals.
-DEFAULT_DENSITIES = {
+DENSITIES = {
     "kick": 2.0,
     "snare": 1.5,
     "hihat_closed": 3.0,
@@ -28,6 +28,8 @@ DEFAULT_DENSITIES = {
 }
 
 VELOCITY_RANGE = (0.5, 1.5)
+# Chance that a track's mixture gets a random gain from GAIN_RANGE.
+GAIN_PROBABILITY = 0.8
 # Minimum spacing, in hops, between same-class onsets; keeps zero-insertion
 # aliasing negligible.
 MIN_GAP_HOPS = 2
@@ -42,8 +44,16 @@ class GenerationSpec:
 
     n_tracks: int = 10
     duration: float = 6.0
-    densities: dict = field(default_factory=lambda: dict(DEFAULT_DENSITIES))
-    gain_probability: float = 0.8
+
+    def __post_init__(self):
+        if self.n_tracks < 1:
+            raise ValueError(f"tracks must be at least 1, got {self.n_tracks}")
+        if not (np.isfinite(self.duration)
+                and round(self.duration * SAMPLE_RATE) >= DEFAULT_HOP):
+            raise ValueError(
+                f"duration must be finite and at least one hop ({DEFAULT_HOP} "
+                f"samples), got {self.duration} s"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ def _sample_track(
     n_frames = n_samples // DEFAULT_HOP
     events = []
     for name in CLASS_NAMES:
-        density = spec.densities.get(name, 0.0)
+        density = DENSITIES.get(name, 0.0)
         count = rng.poisson(density * spec.duration)
         if count == 0:
             continue
@@ -81,7 +91,7 @@ def _sample_track(
     # random gain augmentation to everything so stems still sum to the mix.
     peak = np.abs(mixture).max()
     scale = 1.0 / peak if peak > 1e-12 else 1.0
-    if rng.uniform() < spec.gain_probability:
+    if rng.uniform() < GAIN_PROBABILITY:
         scale *= rng.uniform(*GAIN_RANGE)
     stems, mixture = stems * scale, mixture * scale
     # Stems that cancel in the mixture can still exceed full scale; bring them

@@ -5,26 +5,20 @@ masked and synthesized outputs. Apart from PES, metrics are restricted to
 active stems (at least one onset in the track). Overall aggregates pool
 per-track, per-class scores flattened, independent of class.
 
-LSD's frames are independent until their mean, so ``lsd`` splits them over
-``parallel.thread_count`` lanes, the calling thread being one. The calling
-thread pads both signals and allocates every lane's buffers; a lane
-allocates no array and calls only numpy, never a function a tracer may
-wrap. Arrays a worker thread allocates land in a per-thread malloc arena
-that is not given back to the system, which raised the peak RSS of
-``evaluate``. Each lane writes its own slice of the per-frame values and
-the mean is taken once over all of them, so every bit is the same for any
-number of lanes.
+LSD's frames are independent until their mean, so ``lsd`` splits them
+into one slice per lane of ``parallel.run_lanes``, under the rules in
+``parallel``'s docstring. The mean is taken once over all slices, so every
+bit is the same for any number of lanes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classes import CLASS_NAMES, FIVE_CLASS_GROUPS, FIVE_CLASS_NAMES
-from .parallel import thread_count
+from .parallel import run_lanes, thread_count
 from .signal import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
@@ -75,14 +69,7 @@ def lsd(s: Waveform, s_hat: Waveform) -> float:
         (ref, est, per_frame, bounds[i], bounds[i + 1], _LsdBuffers(block, cfg))
         for i in range(lanes)
     ]
-    if lanes == 1:
-        _lsd_lane(*work[0])
-    else:
-        with ThreadPoolExecutor(lanes - 1) as pool:
-            futures = [pool.submit(_lsd_lane, *w) for w in work[1:]]
-            _lsd_lane(*work[0])
-            for future in futures:
-                future.result()
+    run_lanes(_lsd_lane, work)
     return float(per_frame.mean())
 
 
@@ -100,8 +87,8 @@ class _LsdBuffers:
 
 def _lsd_lane(ref, est, per_frame, start, stop, buf: _LsdBuffers):
     """RMS over frequency of the log power ratio of frames [start, stop)
-    into ``per_frame``, in blocks that live in ``buf``. Runs on a lane: it
-    allocates no array and calls numpy only."""
+    into ``per_frame``, in blocks that live in ``buf``. Runs on a lane (see
+    ``parallel``)."""
     block = len(buf.frames)
     for a in range(start, stop, block):
         b = min(a + block, stop)

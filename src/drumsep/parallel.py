@@ -1,9 +1,24 @@
-"""How many threads a computation split into independent parts may use:
-the loss scales of ``abs_solver`` and the frames of ``evaluation.lsd``."""
+"""Lanes: a computation split into ``thread_count(parts)`` independent
+slices that ``run_lanes`` runs at once, one thread each. The loss scales of
+``abs_solver`` and the frames of ``evaluation.lsd`` run this way.
+
+Every lane user keeps three rules, so that the lane count changes no bit
+and adds no memory beyond each lane's buffers:
+
+- The calling thread allocates every buffer a lane writes. Arrays a worker
+  thread allocates land in a per-thread malloc arena that is not given back
+  to the system, which raised peak RSS by up to 16 %.
+- A lane allocates no array and calls numpy (and ``signal.overlap_add``)
+  only, never a function a tracer may wrap: a tracer's span stack is not
+  thread-safe.
+- A lane writes only its own buffers or its own slice of a shared output,
+  and the caller reduces the lanes' results in a fixed order.
+"""
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 # The most threads a computation uses: the count measured to be faster than
 # one with no more peak memory (2 vCPUs). Lift it only on measurements from
@@ -22,3 +37,15 @@ def thread_count(parts: int) -> int:
     """Threads for ``parts`` independent parts: min(parts, usable CPUs,
     ``MAX_THREADS``), at least one."""
     return max(1, min(parts, usable_cpus(), MAX_THREADS))
+
+
+def run_lanes(lane, args: list[tuple]) -> list:
+    """``[lane(*a) for a in args]``, each on its own thread: ``args[0]`` on
+    the calling thread, the others on a pool of ``len(args) - 1`` threads
+    (none for one lane). A lane's exception reaches the caller."""
+    if len(args) == 1:
+        return [lane(*args[0])]
+    with ThreadPoolExecutor(len(args) - 1) as pool:
+        futures = [pool.submit(lane, *a) for a in args[1:]]
+        first = lane(*args[0])
+        return [first] + [future.result() for future in futures]

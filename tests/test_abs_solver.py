@@ -368,17 +368,15 @@ class TestWorkers:
     """The loss scales run on min(#scales, usable CPUs, 2) threads; the
     terms are summed in scale order, so the worker count changes no bit."""
 
-    def test_two_workers_at_most_and_one_workspace_inline(self, monkeypatch):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
-        targets = LossTargets(Waveform(np.zeros(4000)), LossConfig())
-        assert len(targets._workspaces) == 1
-        with targets.workers():
-            assert len(targets._workspaces) == targets._in_use == 2
-        assert targets._in_use == 1
+    def test_two_lanes_at_most_each_with_its_workspace(self, monkeypatch):
+        for cpus, lanes in ((1, 1), (2, 2), (8, 2)):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            targets = LossTargets(Waveform(np.zeros(4000)), LossConfig())
+            assert len(targets._workspaces) == lanes
 
-    def test_loss_adjoint_same_for_any_worker_count(self, monkeypatch):
-        """One to four workers, more than a two-core machine runs at once,
-        with thread switches forced every microsecond: a worker writing into
+    def test_loss_adjoint_same_for_any_lane_count(self, monkeypatch):
+        """One to four lanes, more than a two-core machine runs at once,
+        with thread switches forced every microsecond: a lane writing into
         another's workspace, or a round reduced out of order, changes
         bits."""
         rng = np.random.default_rng(30)
@@ -388,17 +386,17 @@ class TestWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for workers in (1, 2, 3, 4):
-                with_workers(monkeypatch, workers)
-                with LossTargets(x, LossConfig()).workers() as targets:
-                    assert len(targets._workspaces) == workers
-                    results[workers] = [
-                        _loss_and_grad_wrt_signal(e, targets) for e in estimates]
+            for lanes in (1, 2, 3, 4):
+                with_workers(monkeypatch, lanes)
+                targets = LossTargets(x, LossConfig())
+                assert len(targets._workspaces) == lanes
+                results[lanes] = [
+                    _loss_and_grad_wrt_signal(e, targets) for e in estimates]
         finally:
             sys.setswitchinterval(interval)
-        for workers in (2, 3, 4):
+        for lanes in (2, 3, 4):
             for (loss, grad), (ref_loss, ref_grad) in zip(
-                    results[workers], results[1]):
+                    results[lanes], results[1]):
                 assert loss == ref_loss
                 assert np.array_equal(grad, ref_grad)
 

@@ -510,6 +510,24 @@ def test_negative_seed_is_one_error_line(tmp_path, inputs, command):
     assert not out.exists()
 
 
+# generate options it rejects; each error names the option
+BAD_GENERATE_OPTIONS = [("--tracks", 0), ("--tracks", -2), ("--duration", -1),
+                        ("--duration", 0), ("--duration", "nan"),
+                        ("--duration", 1e-4)]
+
+
+@pytest.mark.parametrize("option, value", BAD_GENERATE_OPTIONS)
+def test_bad_generate_option_is_one_error_line(tmp_path, inputs, option, value):
+    out = tmp_path / "out"
+    result = run("generate", "--banks", inputs / "kit", "--tracks", 1,
+                 "--out", out, option, value)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option[2:]} "), lines
+    assert not out.exists()
+
+
 # transcription files every reader rejects, and the line each error names
 BAD_TRANSCRIPTIONS = {
     "missing header": ("0.200000,kick,1.000000\n", 1),

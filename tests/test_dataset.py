@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from drumsep import dataset
 from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
 from drumsep.dataset import (
-    DEFAULT_DENSITIES,
+    DENSITIES,
     MIN_GAP_HOPS,
     VELOCITY_RANGE,
     GenerationSpec,
@@ -47,10 +48,9 @@ class TestGenerate:
                 track.stems.sum(axis=0), track.mixture.samples, atol=1e-12
             )
 
-    def test_zero_density_class_is_silent(self):
-        densities = dict(DEFAULT_DENSITIES)
-        densities["kick"] = 0.0
-        spec = GenerationSpec(n_tracks=3, duration=2.0, densities=densities)
+    def test_zero_density_class_is_silent(self, monkeypatch):
+        monkeypatch.setitem(DENSITIES, "kick", 0.0)
+        spec = GenerationSpec(n_tracks=3, duration=2.0)
         for track in generate_dataset([small_bank()], 3, spec):
             assert "kick" not in track.transcription.active_classes()
             assert np.all(track.stems[CLASS_INDEX["kick"]] == 0)
@@ -60,14 +60,16 @@ class TestGenerate:
         for track in generate_dataset([small_bank()], 11, spec):
             assert np.abs(track.mixture.samples).max() <= 1.0 + 1e-12
 
-    def test_cancelling_stems_written_without_clipping(self, tmp_path):
+    def test_cancelling_stems_written_without_clipping(self, tmp_path,
+                                                       monkeypatch):
         # kick is s and snare -s; on a one-frame track both hit frame 0, so
         # the mixture nearly cancels and its peak alone understates the stems'
         s = small_bank().one_shots[0]
         shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
         shots[CLASS_INDEX["kick"]], shots[CLASS_INDEX["snare"]] = s, -s
-        spec = GenerationSpec(n_tracks=3, duration=512 / 44100,
-                              densities={"kick": 1000.0, "snare": 1000.0})
+        monkeypatch.setattr(dataset, "DENSITIES",
+                            {"kick": 1000.0, "snare": 1000.0})
+        spec = GenerationSpec(n_tracks=3, duration=512 / 44100)
         for track in generate_dataset([OneShotBank("cancel", shots)], 0, spec):
             written = []
             for i, stem in enumerate(track.stems):
@@ -93,11 +95,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_dataset([], 0)
 
-    def test_onset_counts_match_poisson_mean(self):
-        spec = GenerationSpec(n_tracks=100, duration=1.0, gain_probability=0.0)
+    def test_onset_counts_match_poisson_mean(self, monkeypatch):
+        monkeypatch.setattr(dataset, "GAIN_PROBABILITY", 0.0)
+        spec = GenerationSpec(n_tracks=100, duration=1.0)
         tracks = generate_dataset([small_bank()], 17, spec)
         total = sum(len(t.transcription) for t in tracks)
-        mean = sum(DEFAULT_DENSITIES.values()) * spec.duration * spec.n_tracks
+        mean = sum(DENSITIES.values()) * spec.duration * spec.n_tracks
         assert abs(total - mean) < 3 * np.sqrt(mean)
 
     def test_velocities_within_configured_range(self):

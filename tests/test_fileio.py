@@ -260,6 +260,23 @@ class TestTranscriptionCsv:
         back = read_transcription(path)
         assert back == t
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(Event, st.floats(0, 3600),
+                              st.sampled_from(CLASS_NAMES), st.floats(0, 2)),
+                    max_size=30))
+    def test_any_transcription_round_trips(self, tmp_path_factory, events):
+        t = Transcription(tuple(events))
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        write_transcription(t, path)
+        back = read_transcription(path)
+        assert [e.class_name for e in back.events] == [
+            e.class_name for e in t.events]
+        # half a unit of the sixth decimal, plus the parse's rounding
+        for field in ("time", "velocity"):
+            np.testing.assert_allclose(
+                [getattr(e, field) for e in back.events],
+                [getattr(e, field) for e in t.events], rtol=0, atol=5e-7 + 1e-12)
+
     def test_written_format(self, tmp_path):
         t = Transcription((Event(1.5, "snare", 0.75),))
         path = tmp_path / "t.csv"
