@@ -1,15 +1,28 @@
 """Per-track analysis-by-synthesis over the drum-machine forward model.
 
-Given a mixture and its ground-truth onsets, jointly optimizes one-shot
-waveforms, per-onset velocities, track gains and envelope decays by Adam on
-the multi-resolution STFT loss. The mixture comes from the drum-machine
+Two solvers fit the forward model to a mixture with its onsets fixed to the
+annotated ones.
+
+``least_squares``, which ``separate abs`` runs, also fixes each onset's
+amplitude to its annotated velocity. The mixture is then linear in the nine
+one-shots (each with its track gain folded in), so it solves for them by
+damped CGLS, conjugate gradients on the normal equations, with
+``trigger_mixture`` and ``trigger_mixture_adjoint`` as the operator and its
+transpose. Each one-shot spans its full second, written as exp(-t /
+``LSQ_DECAY_SECONDS``) times u, and ``LSQ_DAMPING`` weighs ||u||.
+``LSQ_ITERATIONS`` is the default iteration count. The solve runs on the
+calling thread.
+
+``solve_track`` jointly optimizes one-shot waveforms, per-onset
+velocities, track gains and envelope decays by Adam on the
+multi-resolution STFT loss. The mixture comes from the drum-machine
 forward model (``drum_machine.trigger_mixture``). Gradients are computed by
 a hand-written reverse pass: magnitude adjoint, windowed overlap-add STFT
 adjoint, the forward model's adjoints (``trigger_mixture_adjoint``,
 ``apply_envelope_adjoint``), then the squashing chain rules. Onsets
 themselves receive no gradient; their support is fixed.
 
-A solve builds one ``LossTargets`` per track: the target's magnitudes and
+An Adam solve builds one ``LossTargets`` per track: the target's magnitudes and
 floored log magnitudes at every scale, one padded copy of the estimate that
 every scale frames as a strided view, and one workspace per lane (a frames
 buffer that also hosts two of the four M x F float buffers while it is dead,
@@ -22,10 +35,11 @@ calling thread adds each round's losses and gradients in scale order before
 the next round reuses the workspaces, so every bit is the same for any
 number of lanes. Each further lane adds a workspace (13 MB on a 3 s track).
 
-The step makes no BLAS call: the forward model's adjoints reduce by
-elementwise products and ``.sum()``. A BLAS dot or GEMV would wake the BLAS
-library's threads, which then busy-wait on the cores the loss scales run on.
-Adam and gradient clipping update their arrays in place.
+Neither solver makes a BLAS call: the forward model's adjoints and the
+CGLS inner products reduce by elementwise products and ``.sum()``. A BLAS
+dot or GEMV would wake the BLAS library's threads, which then busy-wait on
+the cores the loss scales run on, and its rounding would depend on the
+BLAS thread count. Adam and gradient clipping update their arrays in place.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ import numpy as np
 
 from .classes import NUM_CLASSES
 from .drum_machine import (
+    ONE_SHOT_LENGTH,
     FrameActivations,
     apply_envelope,
     apply_envelope_adjoint,
@@ -66,6 +81,21 @@ EXP_SIGMOID_FLOOR = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# The one-shots are written w = e * u with e = exp(-t / LSQ_DECAY_SECONDS),
+# and LSQ_DAMPING weighs ||u||: a prior that lets a one-shot ring for its
+# full second but makes its tail cost more the later it sounds. Plain
+# damping of ||w|| barely acts on the first CG iterations, which start
+# from zero; the substitution acts from the first one.
+LSQ_DECAY_SECONDS = 0.2
+LSQ_DAMPING = 1e-3
+LSQ_ITERATIONS = 30  # the knee of nSDR improvement against time
+
+
+def check_iterations(iterations: int):
+    """Raise ValueError unless ``iterations`` is at least 1."""
+    if iterations < 1:
+        raise ValueError(f"solver steps must be at least 1, got {iterations}")
 
 
 def exp_sigmoid(x):
@@ -119,8 +149,7 @@ class OptimizerConfig:
                 f"solver learning rate and clip norm must be positive and "
                 f"finite, got {self.learning_rate} and {self.grad_clip_norm}"
             )
-        if self.steps < 1:
-            raise ValueError(f"solver steps must be at least 1, got {self.steps}")
+        check_iterations(self.steps)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -548,3 +577,84 @@ def solve_track(
     stems, mixture = render_from_params(params, grid, len(x))
     trace.append(final_loss)
     return SolveResult(params, stems, mixture, trace)
+
+
+# ---------------------------------------------------------------------------
+# Least squares over the one-shots
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LeastSquaresResult:
+    one_shots: np.ndarray  # K x R, track gains folded in
+    stems: np.ndarray  # K x T synthesis estimates
+    mixture: np.ndarray  # T
+    loss_trace: list[float]  # damped objective at iterates 0..iterations
+
+
+def least_squares(
+    x: Waveform, t: Transcription, iterations: int = LSQ_ITERATIONS
+) -> LeastSquaresResult:
+    """Fit the nine one-shots to ``x`` by damped CGLS (conjugate gradients
+    on the normal equations), with the onsets and velocities fixed to ``t``.
+
+    With the onsets and their amplitudes fixed, the mixture is linear in
+    the one-shots: ``trigger_mixture`` is the operator and
+    ``trigger_mixture_adjoint`` its transpose. Each one-shot spans
+    ``ONE_SHOT_LENGTH`` samples and absorbs its class's track gain. The
+    solve minimizes ||x - A(e * u)||^2 + LSQ_DAMPING^2 ||u||^2 over u (see
+    ``LSQ_DECAY_SECONDS``); the trace holds that objective from u = 0 on,
+    and it does not rise. The one-shots of a track whose gradient is zero at
+    the start (silence, or every velocity 0) stay zero. A non-finite
+    objective stops the solve with a ``ValueError`` that names the step.
+    """
+    if len(t) == 0:
+        raise ValueError("transcription must contain at least one onset")
+    check_iterations(iterations)
+    n = len(x)
+    grid = events_to_grid(t, max(1, n // DEFAULT_HOP), DEFAULT_HOP)
+    onsets = onset_index(grid)
+    amps = grid.velocities[np.nonzero(grid.onsets)]
+    env = np.exp(np.arange(ONE_SHOT_LENGTH) / (-LSQ_DECAY_SECONDS * SAMPLE_RATE))
+    damping = LSQ_DAMPING**2
+    # e times the operator's argument; the adjoint reads only its shape and
+    # the amplitude gradient it also returns, which goes unused
+    shots = np.empty((NUM_CLASSES, ONE_SHOT_LENGTH))
+
+    def squares(a: np.ndarray, out: np.ndarray) -> float:
+        return float(np.multiply(a, a, out=out).sum())
+
+    def normal_gradient(r: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """e * A^T r - damping * u, into ``out``."""
+        g, _ = trigger_mixture_adjoint(r, shots, onsets, amps)
+        np.multiply(g, env, out=out)
+        out -= np.multiply(u, damping, out=g)
+
+    u = np.zeros_like(shots)
+    s, p, tmp = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    r = x.samples.copy()
+    r_tmp = np.empty(n)
+    normal_gradient(r, u, s)
+    p[:] = s
+    gamma = squares(s, tmp)
+    trace = [squares(r, r_tmp)]
+    for step in range(1, iterations + 1):
+        if gamma == 0.0:  # u is the minimizer: nothing is left to descend
+            trace.append(trace[-1])
+            continue
+        np.multiply(p, env, out=shots)
+        q = trigger_mixture(shots, onsets, amps, n)
+        alpha = gamma / (squares(q, r_tmp) + damping * squares(p, tmp))
+        u += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(q, alpha, out=q)
+        trace.append(squares(r, r_tmp) + damping * squares(u, tmp))
+        if not np.isfinite(trace[-1]):
+            raise ValueError(f"abs solver: non-finite loss at step {step}")
+        normal_gradient(r, u, s)
+        gamma, previous = squares(s, tmp), gamma
+        p *= gamma / previous
+        p += s
+
+    np.multiply(u, env, out=shots)
+    stems = trigger(shots, onsets, amps, n)
+    return LeastSquaresResult(shots, stems, stems.sum(axis=0), trace)

@@ -147,16 +147,13 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
 @_guarded
 def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_path):
-    """Analysis-by-synthesis separation, then Wiener masking of the mixture."""
+    """Least-squares one-shots on the annotated onsets, then Wiener masking
+    of the mixture. --steps is the solver's iteration count; --seed is
+    echoed to config.txt, and the solve does not use it."""
     config = _run_config(config_path, seed, steps)
     x = fileio.read_wav(mixture_path)
     t = fileio.read_transcription(transcription_path)
-    opt = abs_solver.OptimizerConfig(
-        config["solver.lr"], config["solver.clip"], config["solver.steps"],
-        config["seed"],
-    )
-    loss_cfg = abs_solver.LossConfig(scales=config["loss.scales"])
-    result = abs_solver.solve_track(x, t, opt, loss_cfg)
+    result = abs_solver.least_squares(x, t, config["solver.steps"])
 
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
     masked = masking.mask_with_stems(

@@ -9,11 +9,12 @@ impulse train with the one-shot, computed onset by onset.
 ``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
 ``trigger`` summed over classes without building the stems, and
 ``trigger_mixture_adjoint`` and ``apply_envelope_adjoint`` are exact
-transposes, which the analysis-by-synthesis solver chains into its reverse
-pass. The adjoints reduce by elementwise products and ``.sum()``, never a
-BLAS call: a BLAS dot or GEMV wakes the BLAS library's own threads, which
-then spin on the cores the solver's loss scales run on, and its rounding
-would depend on the BLAS thread count. All functions are pure, so the
+transposes, which the Adam solver chains into its reverse pass; the
+least-squares solver uses ``trigger_mixture`` and its adjoint as its
+operator pair. The adjoints reduce by elementwise products and ``.sum()``,
+never a BLAS call: a BLAS dot or GEMV wakes the BLAS library's own threads,
+which then spin on the cores the solver's loss scales run on, and its
+rounding would depend on the BLAS thread count. All functions are pure, so the
 renderer can run concurrently per track.
 """
 

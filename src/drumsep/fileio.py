@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abs_solver import LossConfig, OptimizerConfig
+from .abs_solver import LSQ_ITERATIONS, OptimizerConfig, check_iterations
 from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
 from .masking import DEFAULT_ALPHA, MASK_EPSILON, check_mask_params
@@ -279,10 +279,7 @@ def write_magnitudes(per_class: np.ndarray, path: str | Path):
 CONFIG_DEFAULTS: dict[str, object] = {
     "stft.window": DEFAULT_WINDOW,
     "stft.hop": DEFAULT_HOP,
-    "loss.scales": LossConfig.scales,
-    "solver.steps": OptimizerConfig.steps,
-    "solver.lr": OptimizerConfig.learning_rate,
-    "solver.clip": OptimizerConfig.grad_clip_norm,
+    "solver.steps": LSQ_ITERATIONS,
     "masking.alpha": DEFAULT_ALPHA,
     "masking.epsilon": MASK_EPSILON,
     "seed": OptimizerConfig.seed,
@@ -292,7 +289,7 @@ CONFIG_DEFAULTS: dict[str, object] = {
 def read_config(path: str | Path | None) -> dict[str, object]:
     """CONFIG_DEFAULTS overridden by the `section.key = value` lines of
     ``path``, if given; '#' starts a comment. Each value takes its default's
-    type, and loss.scales is comma-separated ints."""
+    type."""
     values = dict(CONFIG_DEFAULTS)
     lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
     for lineno, raw in enumerate(lines, 1):
@@ -305,12 +302,8 @@ def read_config(path: str | Path | None) -> dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_DEFAULTS:
             raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        default = CONFIG_DEFAULTS[key]
         try:
-            if isinstance(default, tuple):
-                values[key] = tuple(int(s) for s in value.split(","))
-            else:
-                values[key] = type(default)(value)
+            values[key] = type(CONFIG_DEFAULTS[key])(value)
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: bad value for {key}") from None
     try:  # after the last line, as stft.window and stft.hop bound each other
@@ -323,21 +316,15 @@ def read_config(path: str | Path | None) -> dict[str, object]:
 def check_config(config: dict[str, object]):
     """Raise ValueError unless the owner of every value accepts it."""
     StftConfig(config["stft.window"], config["stft.hop"])
-    LossConfig(config["loss.scales"])
-    OptimizerConfig(
-        config["solver.lr"], config["solver.clip"], config["solver.steps"],
-        config["seed"],
-    )
+    check_iterations(config["solver.steps"])
+    OptimizerConfig(seed=config["seed"])
     check_mask_params(config["masking.alpha"], config["masking.epsilon"])
 
 
 def write_config(config: dict[str, object], path: str | Path):
-    """Write one `key = value` line per key, sorted, a tuple's items joined
-    by commas; read_config reads the file back to the same values."""
-    lines = [
-        f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
-        for key, value in sorted(config.items())
-    ]
+    """Write one `key = value` line per key, sorted; read_config reads the
+    file back to the same values."""
+    lines = [f"{key} = {value}" for key, value in sorted(config.items())]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -1,7 +1,7 @@
 """Analysis-by-synthesis solver: squashing closed forms, a naive-DFT loss
 oracle, an allocate-per-op loss adjoint oracle, finite-difference gradient
-checks, allocation budgets, worker-count invariance, and small end-to-end
-solves."""
+checks, allocation budgets, worker-count invariance, small end-to-end
+solves, and the least-squares solve's objective."""
 
 import sys
 import tracemalloc
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from drumsep import abs_solver, parallel
 from drumsep.abs_solver import (
+    LSQ_DAMPING,
+    LSQ_DECAY_SECONDS,
     AbsParams,
     LossConfig,
     LossTargets,
@@ -24,16 +26,22 @@ from drumsep.abs_solver import (
     informed_init,
     init_params,
     inverse_exp_sigmoid,
+    least_squares,
     loss_gradient,
     recon_loss,
     render_from_params,
     solve_track,
     target_magnitudes,
 )
-from drumsep.classes import CLASS_INDEX
-from drumsep.drum_machine import FrameActivations, onset_index
-from drumsep.signal import Waveform, frame_signal, hann_window
-from drumsep.transcription import Event, Transcription
+from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
+from drumsep.drum_machine import (
+    ONE_SHOT_LENGTH,
+    FrameActivations,
+    onset_index,
+    trigger,
+)
+from drumsep.signal import SAMPLE_RATE, Waveform, frame_signal, hann_window
+from drumsep.transcription import Event, Transcription, events_to_grid
 
 from hooked_calls import record_hooked_calls
 
@@ -554,3 +562,66 @@ class TestSolve:
     def test_empty_transcription_rejected(self):
         with pytest.raises(ValueError):
             solve_track(Waveform(np.zeros(44100)), Transcription(()))
+
+
+def grid_transcription(rng, n_samples, n_events):
+    """Random events on the 512-sample grid of an ``n_samples`` track, with
+    velocities in [0, 2]."""
+    frames = max(1, n_samples // 512)
+    return Transcription(tuple(
+        Event(int(m) * 512 / SAMPLE_RATE, CLASS_NAMES[k], float(v))
+        for m, k, v in zip(rng.integers(0, frames, n_events),
+                           rng.integers(0, NUM_CLASSES, n_events),
+                           rng.uniform(0.0, 2.0, n_events))
+    ))
+
+
+def damped_objective(x, result):
+    """||x - mixture||^2 + LSQ_DAMPING^2 ||u||^2 with w = exp(-t / tau) * u,
+    from the returned one-shots."""
+    env = np.exp(-np.arange(ONE_SHOT_LENGTH) / (LSQ_DECAY_SECONDS * SAMPLE_RATE))
+    u = result.one_shots / env
+    return (np.sum((x - result.mixture) ** 2)
+            + LSQ_DAMPING**2 * np.sum(u**2))
+
+
+class TestLeastSquares:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6000),
+           n_events=st.integers(1, 6), iterations=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_objective_never_rises(self, seed, n, n_events, iterations):
+        rng = np.random.default_rng(seed)
+        x = with_silence(rng, n)
+        result = least_squares(
+            Waveform(x), grid_transcription(rng, n, n_events), iterations)
+        trace = result.loss_trace
+        assert len(trace) == iterations + 1
+        assert trace[0] == np.sum(x * x)
+        for before, after in zip(trace, trace[1:]):
+            assert after <= before * (1 + 1e-12)
+
+    def test_fits_a_self_rendered_track(self):
+        rng = np.random.default_rng(7)
+        n = 2 * SAMPLE_RATE
+        t = grid_transcription(rng, n, 12)
+        decay = np.exp(-np.arange(ONE_SHOT_LENGTH) / 2000)
+        shots = rng.uniform(-1, 1, (NUM_CLASSES, ONE_SHOT_LENGTH)) * decay
+        grid = events_to_grid(t, n // 512, 512)
+        onsets, amps = onset_index(grid), grid.velocities[np.nonzero(grid.onsets)]
+        x = trigger(shots, onsets, amps, n).sum(axis=0)
+        solved = least_squares(Waveform(x), t, 30)
+        # 5.9e-5 here; steepest descent, CG without its conjugate
+        # directions, stops at 5.0e-4
+        assert solved.loss_trace[-1] < 2e-4 * solved.loss_trace[0]
+        assert solved.loss_trace[-1] == pytest.approx(
+            damped_objective(x, solved), rel=1e-9)
+        np.testing.assert_array_equal(
+            solved.stems, trigger(solved.one_shots, onsets, amps, n))
+        np.testing.assert_array_equal(solved.mixture, solved.stems.sum(axis=0))
+
+    def test_bad_input_rejected(self):
+        x = Waveform(np.ones(4096))
+        with pytest.raises(ValueError, match="at least one onset"):
+            least_squares(x, Transcription(()))
+        with pytest.raises(ValueError, match="^solver steps must be at least 1, got 0$"):
+            least_squares(x, Transcription((Event(0.0, "kick", 1.0),)), 0)

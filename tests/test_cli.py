@@ -202,15 +202,17 @@ class TestSeparate:
     def test_abs_non_finite_loss_is_one_error_line(self, tmp_path, bank_dir,
                                                    transcription_path,
                                                    monkeypatch):
-        real = abs_solver.loss_gradient
+        # the solver applies its operator once per step, so a NaN from the
+        # third application makes the objective of step 3 NaN
+        real = abs_solver.trigger_mixture
         calls = []
 
         def nan_at_step_3(*args, **kwargs):
             calls.append(None)
-            loss, grads = real(*args, **kwargs)
-            return (float("nan") if len(calls) == 3 else loss), grads
+            mixture = real(*args, **kwargs)
+            return mixture * np.nan if len(calls) == 3 else mixture
 
-        monkeypatch.setattr(abs_solver, "loss_gradient", nan_at_step_3)
+        monkeypatch.setattr(abs_solver, "trigger_mixture", nan_at_step_3)
         out = tmp_path / "out"
         run("render", "--bank", bank_dir, "--transcription", transcription_path,
             "--out", out, "--duration", 1.0)
@@ -220,6 +222,75 @@ class TestSeparate:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: abs solver: non-finite loss at step 3\n"
+
+    @pytest.mark.parametrize("silent", ["mixture", "velocities"])
+    def test_abs_without_a_gradient_writes_zero_stems(self, tmp_path, bank_dir,
+                                                      silent):
+        # a silent mixture, or onsets that all have velocity 0, leave the
+        # least-squares solve no gradient to follow
+        t = write_test_transcription(tmp_path / "t.csv")
+        mixture = tmp_path / "track" / "mixture.wav"
+        if silent == "mixture":
+            write_wav(mixture, Waveform(np.zeros(SAMPLE_RATE)))
+        else:
+            run("render", "--bank", bank_dir, "--transcription", t,
+                "--out", tmp_path / "track", "--duration", 1.0)
+            events = read_transcription(t).events
+            write_transcription(Transcription(
+                tuple(e._replace(velocity=0.0) for e in events)), t)
+        sep = tmp_path / "sep"
+        result = run("separate", "abs", "--mixture", mixture, "--transcription",
+                     t, "--out", sep, "--steps", 4)
+        assert result.exit_code == 0, result.output
+        for name in CLASS_NAMES:
+            assert not read_wav(sep / "synth" / f"{name}.wav").samples.any()
+        trace = (sep / "loss_trace.csv").read_text().splitlines()
+        assert len(trace) == 1 + 4 + 1
+        assert len({line.split(",")[1] for line in trace[1:]}) == 1
+
+    def test_abs_masked_stems_sum_to_a_long_ringing_mixture(self, tmp_path):
+        # every one-shot rings for its full second: a solve over a shorter
+        # support leaves the tails' time-frequency cells to no synth stem,
+        # and their energy out of every masked stem
+        rng = np.random.default_rng(4)
+        ring = np.exp(-np.arange(ONE_SHOT_LENGTH) / (0.4 * SAMPLE_RATE))
+        shots = rng.uniform(-1, 1, (NUM_CLASSES, ONE_SHOT_LENGTH)) * ring
+        write_bank(OneShotBank("ringing", shots), tmp_path / "kit")
+        result = run("generate", "--banks", tmp_path / "kit", "--tracks", 1,
+                     "--duration", 2.0, "--seed", 1, "--out", tmp_path / "data")
+        assert result.exit_code == 0, result.output
+        track = tmp_path / "data" / "track_0000"
+        sep = tmp_path / "sep"
+        result = run("separate", "abs", "--mixture", track / "mixture.wav",
+                     "--transcription", track / "transcription.csv",
+                     "--out", sep, "--steps", 10)
+        assert result.exit_code == 0, result.output
+        mixture = read_wav(track / "mixture.wav").samples
+        masked = sum(read_wav(sep / "masked" / f"{name}.wav").samples
+                     for name in CLASS_NAMES)
+        error_db = 10 * np.log10(np.sum((masked - mixture) ** 2)
+                                 / np.sum(mixture**2))
+        assert error_db <= -60.0
+
+    def test_abs_output_same_for_one_and_two_blas_threads(self, tmp_path,
+                                                          inputs):
+        track = inputs / "track"
+        trees = []
+        for threads in ("1", "2"):
+            sep = tmp_path / f"sep{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(drumsep.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "drumsep.cli", "separate", "abs",
+                 "--mixture", str(track / "mixture.wav"), "--transcription",
+                 str(inputs / "t.csv"), "--out", str(sep), "--steps", "5"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append({p.relative_to(sep): p.read_bytes()
+                          for p in sorted(sep.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 2 * NUM_CLASSES + 3
+        assert trees[0] == trees[1]
 
     def test_abs_output_same_for_one_and_two_workers(self, tmp_path, bank_dir,
                                                      transcription_path,
@@ -475,7 +546,7 @@ BAD_CONFIGS = [
     "solver.steps = ten", "loss.scales = 2048,abc", "loss.scales = 2048,2048",
     "stft.window = 1000", "solver.lr = -1", "solver.lr = nan",
     "solver.clip = inf", "seed = -1", "masking.epsilon = 0",
-    "masking.alpha = -1",
+    "masking.alpha = -1", "solver.lr = 0.005",
 ]
 
 
@@ -494,6 +565,9 @@ def test_malformed_config_is_one_error_line(tmp_path, inputs, command, text):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {config}"), lines
+    key = text.partition("=")[0].strip()
+    if "=" in text and key not in CONFIG_DEFAULTS:
+        assert lines[0] == f"error: {config}:1: unknown key {key!r}"
     assert not out.exists()
 
 

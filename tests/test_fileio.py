@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
 import drumsep
-from drumsep.abs_solver import LossConfig, OptimizerConfig
+from drumsep.abs_solver import LSQ_ITERATIONS, OptimizerConfig
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
@@ -394,15 +394,11 @@ class TestMagnitudes:
 def run_configs(draw):
     """A config every value of which its owning type accepts."""
     window = draw(st.integers(0, 16))
-    scales = draw(st.lists(st.integers(2, 16), min_size=1, max_size=6, unique=True))
     positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
     return {
         "stft.window": 2**window,
         "stft.hop": 2 ** draw(st.integers(0, window)),
-        "loss.scales": tuple(2**e for e in sorted(scales, reverse=True)),
         "solver.steps": draw(st.integers(min_value=1)),
-        "solver.lr": draw(positive),
-        "solver.clip": draw(positive),
         "masking.alpha": draw(positive),
         "masking.epsilon": draw(positive),
         "seed": draw(st.integers(min_value=0)),
@@ -424,11 +420,8 @@ def unread_keys(package: Path) -> list[str]:
 class TestConfig:
     def test_defaults(self):
         cfg = read_config(None)
-        assert cfg["solver.steps"] == OptimizerConfig.steps == 1000
-        assert cfg["solver.lr"] == OptimizerConfig.learning_rate == 5e-3
-        assert cfg["solver.clip"] == OptimizerConfig.grad_clip_norm == 0.5
+        assert cfg["solver.steps"] == LSQ_ITERATIONS == 30
         assert cfg["seed"] == OptimizerConfig.seed == 0
-        assert cfg["loss.scales"] == LossConfig.scales == (2048, 1024, 512, 256)
         assert cfg["masking.alpha"] == DEFAULT_ALPHA == 1.0
         assert cfg["masking.epsilon"] == MASK_EPSILON
         assert (cfg["stft.window"], cfg["stft.hop"]) == (DEFAULT_WINDOW, DEFAULT_HOP)
@@ -441,7 +434,7 @@ class TestConfig:
         cfg = read_config(path)
         assert cfg["solver.steps"] == 10
         assert cfg["masking.alpha"] == 2.0
-        assert cfg["solver.lr"] == 5e-3  # untouched default
+        assert cfg["seed"] == 0  # untouched default
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -461,17 +454,19 @@ class TestConfig:
         with pytest.raises(FileFormatError):
             read_config(path)
 
-    def test_scales_parse_to_ints(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "loss.scales = 2048,1024,512,256", "solver.lr = 0.005", "solver.clip = 0.5",
+    ])
+    def test_removed_keys_are_unknown(self, tmp_path, line):
+        # the keys of the Adam solve, which separate abs no longer runs
         path = tmp_path / "run.cfg"
-        path.write_text("loss.scales = 1024, 256\n")
-        assert read_config(path)["loss.scales"] == (1024, 256)
-        path.write_text("solver.steps = 2\nloss.scales = 2048,abc\n")
-        with pytest.raises(FileFormatError, match=r":2: bad value for loss\.scales$"):
+        path.write_text("solver.steps = 2\n" + line + "\n")
+        key = line.partition(" ")[0]
+        with pytest.raises(FileFormatError, match=f":2: unknown key '{key}'$"):
             read_config(path)
 
     @pytest.mark.parametrize("line", [
-        "loss.scales = 2048,2048", "stft.window = 1000", "solver.lr = -1",
-        "solver.lr = nan", "solver.clip = inf", "solver.steps = 0", "seed = -1",
+        "stft.window = 1000", "solver.steps = 0", "seed = -1",
         "masking.epsilon = 0", "masking.alpha = nan",
     ])
     def test_values_the_owner_rejects_name_the_file(self, tmp_path, line):
@@ -499,10 +494,8 @@ class TestConfig:
         path = tmp_path / "config.txt"
         write_config(read_config(None), path)
         assert path.read_text() == (
-            "loss.scales = 2048,1024,512,256\nmasking.alpha = 1.0\n"
-            "masking.epsilon = 1e-08\nseed = 0\nsolver.clip = 0.5\n"
-            "solver.lr = 0.005\nsolver.steps = 1000\nstft.hop = 512\n"
-            "stft.window = 2048\n"
+            "masking.alpha = 1.0\nmasking.epsilon = 1e-08\nseed = 0\n"
+            "solver.steps = 30\nstft.hop = 512\nstft.window = 2048\n"
         )
 
     def test_every_key_is_read_outside_fileio(self):
@@ -527,8 +520,7 @@ class TestReports:
 
     def test_config_defaults_are_known_keys_only(self):
         expected = {
-            "stft.window", "stft.hop", "loss.scales", "solver.steps",
-            "solver.lr", "solver.clip", "masking.alpha", "masking.epsilon",
-            "seed",
+            "stft.window", "stft.hop", "solver.steps", "masking.alpha",
+            "masking.epsilon", "seed",
         }
         assert set(CONFIG_DEFAULTS) == expected
