@@ -455,7 +455,9 @@ class TestConfig:
             read_config(path)
 
     @pytest.mark.parametrize("line", [
-        "loss.scales = 2048,1024,512,256", "solver.lr = 0.005", "solver.clip = 0.5",
+        "loss.scales = 2048,1024,512,256", "loss.scales = 2048,2048",
+        "solver.lr = 0.005", "solver.lr = -1", "solver.lr = nan",
+        "solver.clip = 0.5", "solver.clip = inf",
     ])
     def test_removed_keys_are_unknown(self, tmp_path, line):
         # the keys of the Adam solve, which separate abs no longer runs
