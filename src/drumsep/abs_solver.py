@@ -19,8 +19,9 @@ multi-resolution STFT loss. The mixture comes from the drum-machine
 forward model (``drum_machine.trigger_mixture``). Gradients are computed by
 a hand-written reverse pass: magnitude adjoint, windowed overlap-add STFT
 adjoint, the forward model's adjoints (``trigger_mixture_adjoint``,
-``apply_envelope_adjoint``), then the squashing chain rules. Onsets
-themselves receive no gradient; their support is fixed.
+``trigger_mixture_amplitude_adjoint``, ``apply_envelope_adjoint``), then
+the squashing chain rules. Onsets themselves receive no gradient; their
+support is fixed.
 
 An Adam solve builds one ``LossTargets`` per track: the target's magnitudes and
 floored log magnitudes at every scale, one padded copy of the estimate that
@@ -58,6 +59,7 @@ from .drum_machine import (
     trigger,
     trigger_mixture,
     trigger_mixture_adjoint,
+    trigger_mixture_amplitude_adjoint,
 )
 from .parallel import run_lanes, thread_count
 from .signal import (
@@ -90,6 +92,10 @@ ADAM_EPS = 1e-8
 LSQ_DECAY_SECONDS = 0.2
 LSQ_DAMPING = 1e-3
 LSQ_ITERATIONS = 30  # the knee of nSDR improvement against time
+# The solve stops once the squared normal-equation gradient falls to this
+# fraction of its start: the gradient is then rounding noise, and a step
+# along it can raise the objective.
+LSQ_GRADIENT_FLOOR = np.finfo(np.float64).eps ** 2
 
 
 def check_iterations(iterations: int):
@@ -452,7 +458,8 @@ def loss_gradient(
         trigger_mixture(shaped, onsets, amps, len(x)), targets
     )
 
-    g_shaped, g_amps = trigger_mixture_adjoint(g_xhat, shaped, onsets, amps)
+    g_shaped = trigger_mixture_adjoint(g_xhat, shaped, onsets, amps)
+    g_amps = trigger_mixture_amplitude_adjoint(g_xhat, shaped, onsets)
     del g_xhat
     # ``shaped`` is dead from here on: it takes the decay product, then
     # 1 - w^2 for the tanh chain rule.
@@ -604,9 +611,11 @@ def least_squares(
     ``ONE_SHOT_LENGTH`` samples and absorbs its class's track gain. The
     solve minimizes ||x - A(e * u)||^2 + LSQ_DAMPING^2 ||u||^2 over u (see
     ``LSQ_DECAY_SECONDS``); the trace holds that objective from u = 0 on,
-    and it does not rise. The one-shots of a track whose gradient is zero at
-    the start (silence, or every velocity 0) stay zero. A non-finite
-    objective stops the solve with a ``ValueError`` that names the step.
+    and it does not rise. The solve holds its iterate once the gradient is
+    down to ``LSQ_GRADIENT_FLOOR`` of its start, so the one-shots of a
+    track whose gradient is zero at the start (silence, or every velocity
+    0) stay zero. A non-finite objective stops the solve with a
+    ``ValueError`` that names the step.
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
@@ -617,8 +626,7 @@ def least_squares(
     amps = grid.velocities[np.nonzero(grid.onsets)]
     env = np.exp(np.arange(ONE_SHOT_LENGTH) / (-LSQ_DECAY_SECONDS * SAMPLE_RATE))
     damping = LSQ_DAMPING**2
-    # e times the operator's argument; the adjoint reads only its shape and
-    # the amplitude gradient it also returns, which goes unused
+    # e times the operator's argument; the adjoint reads only its shape
     shots = np.empty((NUM_CLASSES, ONE_SHOT_LENGTH))
 
     def squares(a: np.ndarray, out: np.ndarray) -> float:
@@ -626,7 +634,7 @@ def least_squares(
 
     def normal_gradient(r: np.ndarray, u: np.ndarray, out: np.ndarray):
         """e * A^T r - damping * u, into ``out``."""
-        g, _ = trigger_mixture_adjoint(r, shots, onsets, amps)
+        g = trigger_mixture_adjoint(r, shots, onsets, amps)
         np.multiply(g, env, out=out)
         out -= np.multiply(u, damping, out=g)
 
@@ -637,9 +645,10 @@ def least_squares(
     normal_gradient(r, u, s)
     p[:] = s
     gamma = squares(s, tmp)
+    floor = LSQ_GRADIENT_FLOOR * gamma
     trace = [squares(r, r_tmp)]
     for step in range(1, iterations + 1):
-        if gamma == 0.0:  # u is the minimizer: nothing is left to descend
+        if gamma <= floor:  # u is the minimizer: nothing is left to descend
             trace.append(trace[-1])
             continue
         np.multiply(p, env, out=shots)

@@ -122,15 +122,13 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     bank = fileio.read_bank(bank_dir) if bank_dir else None
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
 
-    spec = stft(x, cfg)
-    v = magnitude(spec)
     _, per_class = nmfd.nmfd_run(
-        v, t, bank, case, seed=config["seed"], hop_size=cfg.hop_size
+        magnitude(stft(x, cfg)), t, bank, case, seed=config["seed"],
+        hop_size=cfg.hop_size,
     )
-    mask_set = masking.compute_masks(
-        per_class, config["masking.alpha"], config["masking.epsilon"]
+    stems = masking.mask_with_magnitudes(
+        x, per_class, cfg, config["masking.alpha"], config["masking.epsilon"]
     )
-    stems = masking.apply_masks(x, mask_set, cfg)
     out = Path(out_dir)
     fileio.write_stems(stems, out / "masked")
     fileio.write_magnitudes(per_class, out / "magnitudes.npz")

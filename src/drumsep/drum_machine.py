@@ -7,15 +7,17 @@ the sum of stems. This is the linear convolution of a sparse audio-rate
 impulse train with the one-shot, computed onset by onset.
 
 ``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
-``trigger`` summed over classes without building the stems, and
-``trigger_mixture_adjoint`` and ``apply_envelope_adjoint`` are exact
-transposes, which the Adam solver chains into its reverse pass; the
-least-squares solver uses ``trigger_mixture`` and its adjoint as its
-operator pair. The adjoints reduce by elementwise products and ``.sum()``,
-never a BLAS call: a BLAS dot or GEMV wakes the BLAS library's own threads,
-which then spin on the cores the solver's loss scales run on, and its
-rounding would depend on the BLAS thread count. All functions are pure, so the
-renderer can run concurrently per track.
+``trigger`` summed over classes without building the stems.
+``trigger_mixture_adjoint`` (in the one-shots),
+``trigger_mixture_amplitude_adjoint`` (in the amplitudes) and
+``apply_envelope_adjoint`` are exact transposes, which the Adam solver
+chains into its reverse pass; the least-squares solver uses
+``trigger_mixture`` and its one-shot adjoint as its operator pair. The
+adjoints reduce by elementwise products and ``.sum()``, never a BLAS call:
+a BLAS dot or GEMV wakes the BLAS library's own threads, which then spin on
+the cores the solver's loss scales run on, and its rounding would depend on
+the BLAS thread count. All functions are pure, so the renderer can run
+concurrently per track.
 """
 
 from __future__ import annotations
@@ -201,19 +203,32 @@ def trigger_mixture_adjoint(
     shaped: np.ndarray,
     onsets: list[tuple[int, int]],
     amplitudes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transpose of ``trigger_mixture`` in each argument: given dL/dmixture
-    (T), returns dL/dshaped (K x R) and dL/damplitudes (one per onset)."""
+) -> np.ndarray:
+    """Transpose of ``trigger_mixture`` in ``shaped``: given dL/dmixture
+    (T), returns dL/dshaped (K x R)."""
     r = shaped.shape[1]
     g_shaped = np.zeros_like(shaped)
+    product = np.empty(r)
+    for j, (k, pos) in enumerate(onsets):
+        seg = g_mixture[pos : pos + r]
+        g_shaped[k, : len(seg)] += np.multiply(amplitudes[j], seg, out=product[: len(seg)])
+    return g_shaped
+
+
+def trigger_mixture_amplitude_adjoint(
+    g_mixture: np.ndarray,
+    shaped: np.ndarray,
+    onsets: list[tuple[int, int]],
+) -> np.ndarray:
+    """Transpose of ``trigger_mixture`` in ``amplitudes``: given
+    dL/dmixture (T), returns dL/damplitudes (one per onset)."""
+    r = shaped.shape[1]
     g_amps = np.zeros(len(onsets))
     product = np.empty(r)
     for j, (k, pos) in enumerate(onsets):
         seg = g_mixture[pos : pos + r]
-        head = product[: len(seg)]
-        g_amps[j] = np.multiply(seg, shaped[k, : len(seg)], out=head).sum()
-        g_shaped[k, : len(seg)] += np.multiply(amplitudes[j], seg, out=head)
-    return g_shaped, g_amps
+        g_amps[j] = np.multiply(seg, shaped[k, : len(seg)], out=product[: len(seg)]).sum()
+    return g_amps
 
 
 def sequence(one_shot: np.ndarray, activation: np.ndarray) -> np.ndarray:

@@ -17,7 +17,14 @@ from .abs_solver import LSQ_ITERATIONS, OptimizerConfig, check_iterations
 from .classes import CLASS_NAMES
 from .drum_machine import OneShotBank
 from .masking import DEFAULT_ALPHA, MASK_EPSILON, check_mask_params
-from .signal import DEFAULT_HOP, DEFAULT_WINDOW, SAMPLE_RATE, StftConfig, Waveform
+from .signal import (
+    DEFAULT_HOP,
+    DEFAULT_WINDOW,
+    SAMPLE_RATE,
+    StftConfig,
+    Waveform,
+    check_cola,
+)
 from .transcription import Event, Transcription
 
 TRANSCRIPTION_HEADER = ["onset_sec", "class", "velocity"]
@@ -314,8 +321,9 @@ def read_config(path: str | Path | None) -> dict[str, object]:
 
 
 def check_config(config: dict[str, object]):
-    """Raise ValueError unless the owner of every value accepts it."""
-    StftConfig(config["stft.window"], config["stft.hop"])
+    """Raise ValueError unless the owner of every value accepts it, and the
+    STFT can be inverted by overlap-add, as both separate commands do."""
+    check_cola(StftConfig(config["stft.window"], config["stft.hop"]))
     check_iterations(config["solver.steps"])
     OptimizerConfig(seed=config["seed"])
     check_mask_params(config["masking.alpha"], config["masking.epsilon"])

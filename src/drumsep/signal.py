@@ -168,6 +168,25 @@ def stft(x: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1).T, cfg, len(x))
 
 
+def check_cola(cfg: StftConfig):
+    """Raise SignalError unless ``cfg`` can be inverted by overlap-add."""
+    if not cfg.cola:
+        raise SignalError(
+            f"stft hop {cfg.hop_size} > window/2 does not satisfy overlap-add"
+        )
+
+
+def overlap_add_norm(cfg: StftConfig, n_frames: int, total: int) -> np.ndarray:
+    """What the inverse STFT divides its overlap-add of ``n_frames`` frames
+    by: the overlap-added squared window over ``total`` samples, with 1
+    where that sum is at most 1e-10, so those samples stay as they are."""
+    window = hann_window(cfg.window_size)
+    wsq = np.broadcast_to(window**2, (n_frames, cfg.window_size))
+    norm = overlap_add(wsq, cfg.hop_size, total)
+    norm[norm <= 1e-10] = 1.0
+    return norm
+
+
 def istft(spec: ComplexSpectrogram) -> Waveform:
     """Inverse STFT by windowed overlap-add with window-sum normalization.
 
@@ -175,20 +194,14 @@ def istft(spec: ComplexSpectrogram) -> Waveform:
     is trimmed to ``spec.origin_length``.
     """
     cfg = spec.config
-    if not cfg.cola:
-        raise SignalError(
-            f"hop {cfg.hop_size} > window/2 does not satisfy overlap-add"
-        )
+    check_cola(cfg)
     window = hann_window(cfg.window_size)
     frames = np.fft.irfft(spec.bins.T, n=cfg.window_size, axis=1) * window
 
     pad = cfg.window_size // 2
     total = spec.origin_length + 2 * pad
     out = overlap_add(frames, cfg.hop_size, total)
-    wsq = np.broadcast_to(window**2, frames.shape)
-    norm = overlap_add(wsq, cfg.hop_size, total)
-    good = norm > 1e-10
-    out[good] /= norm[good]
+    out /= overlap_add_norm(cfg, len(frames), total)
     return Waveform(out[pad : pad + spec.origin_length])
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drumsep import abs_solver, parallel
@@ -589,6 +589,9 @@ class TestLeastSquares:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6000),
            n_events=st.integers(1, 6), iterations=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
+    # one sample, solved in one step: the steps after it were rounding
+    # noise, and the fifth raised the objective by 5e-6 of itself
+    @example(seed=388, n=1, n_events=1, iterations=5)
     def test_objective_never_rises(self, seed, n, n_events, iterations):
         rng = np.random.default_rng(seed)
         x = with_silence(rng, n)

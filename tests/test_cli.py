@@ -547,6 +547,7 @@ BAD_CONFIGS = [
     "stft.window = 1000", "solver.lr = -1", "solver.lr = nan",
     "solver.clip = inf", "seed = -1", "masking.epsilon = 0",
     "masking.alpha = -1", "solver.lr = 0.005",
+    "stft.window = 1024\nstft.hop = 1024",
 ]
 
 

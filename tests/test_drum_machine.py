@@ -21,6 +21,7 @@ from drumsep.drum_machine import (
     trigger,
     trigger_mixture,
     trigger_mixture_adjoint,
+    trigger_mixture_amplitude_adjoint,
 )
 from drumsep.signal import Waveform
 
@@ -197,15 +198,17 @@ def test_trigger_mixture_is_stem_sum(k, r, t, n_onsets, seed):
 )
 @settings(max_examples=200, deadline=None)
 def test_adjoints_are_exact_transposes(k, r, t, n_onsets, seed):
-    """trigger_mixture is bilinear, so its adjoint is the transpose in each
-    argument: <F(shaped, amps), g> = <shaped, g_shaped> = <amps, g_amps>."""
+    """trigger_mixture is bilinear, so each of its two adjoints is the
+    transpose in one argument: <F(shaped, amps), g> = <shaped, g_shaped>
+    = <amps, g_amps>."""
     rng = np.random.default_rng(seed)
     onsets = random_onsets(rng, k, r, t, n_onsets)
     shaped = rng.normal(size=(k, r))
     amps = rng.normal(size=n_onsets)
     g = rng.normal(size=t)
 
-    g_shaped, g_amps = trigger_mixture_adjoint(g, shaped, onsets, amps)
+    g_shaped = trigger_mixture_adjoint(g, shaped, onsets, amps)
+    g_amps = trigger_mixture_amplitude_adjoint(g, shaped, onsets)
     lhs = float(np.sum(trigger_mixture(shaped, onsets, amps, t) * g))
     scale = float(np.sum(
         trigger_mixture(np.abs(shaped), onsets, np.abs(amps), t) * np.abs(g)))

@@ -392,12 +392,13 @@ class TestMagnitudes:
 
 @st.composite
 def run_configs(draw):
-    """A config every value of which its owning type accepts."""
-    window = draw(st.integers(0, 16))
+    """A config every value of which its owning type accepts, with a hop
+    of at most half the window."""
+    window = draw(st.integers(1, 16))
     positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
     return {
         "stft.window": 2**window,
-        "stft.hop": 2 ** draw(st.integers(0, window)),
+        "stft.hop": 2 ** draw(st.integers(0, window - 1)),
         "solver.steps": draw(st.integers(min_value=1)),
         "masking.alpha": draw(positive),
         "masking.epsilon": draw(positive),
@@ -469,7 +470,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "stft.window = 1000", "solver.steps = 0", "seed = -1",
-        "masking.epsilon = 0", "masking.alpha = nan",
+        "masking.epsilon = 0", "masking.alpha = nan", "stft.hop = 2048",
     ])
     def test_values_the_owner_rejects_name_the_file(self, tmp_path, line):
         path = tmp_path / "run.cfg"

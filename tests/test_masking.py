@@ -1,15 +1,34 @@
-"""Alpha-Wiener masks: scalar closed forms, partition and reconstruction."""
+"""Alpha-Wiener masks: scalar closed forms, partition and reconstruction,
+and the blocked masking kernel against the composition it replaced."""
+
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from drumsep import masking, parallel
 from drumsep.masking import (
     MaskSet,
     apply_masks,
     compute_masks,
+    mask_with_magnitudes,
     mask_with_stems,
 )
-from drumsep.signal import StftConfig, Waveform, magnitude, num_frames, stft
+from drumsep.signal import (
+    SAMPLE_RATE,
+    StftConfig,
+    Waveform,
+    hann_window,
+    magnitude,
+    num_frames,
+    overlap_add,
+    stft,
+)
+
+from hooked_calls import record_hooked_calls
 
 RNG = np.random.default_rng(55)
 
@@ -134,3 +153,148 @@ class TestMaskingHelpers:
         ])
         expected = apply_masks(x, compute_masks(estimates, alpha, eps), cfg)
         assert np.array_equal(mask_with_stems(x, stems, cfg, alpha, eps), expected)
+
+    @pytest.mark.parametrize("shape, fill, match", [
+        ((2, 257, 24), -1.0, "non-negative"),
+        ((257, 24), 1.0, "K x F x M"),
+        ((2, 257, 23), 1.0, "does not match"),
+    ])
+    def test_mask_with_magnitudes_rejects_what_compute_masks_rejects(
+            self, shape, fill, match):
+        x = Waveform(RNG.normal(0, 0.3, 3000))  # 24 frames at hop 128
+        with pytest.raises(ValueError, match=match):
+            mask_with_magnitudes(x, np.full(shape, fill), StftConfig(512, 128))
+
+    @pytest.mark.parametrize("stems, match", [
+        (np.zeros((2, 2999)), "stems"), (np.full((2, 3000), np.nan), "non-finite"),
+    ])
+    def test_mask_with_stems_rejects_bad_stems(self, stems, match):
+        x = Waveform(RNG.normal(0, 0.3, 3000))
+        with pytest.raises(ValueError, match=match):
+            mask_with_stems(x, stems, StftConfig(512, 128))
+
+
+def reference_masking(x, estimates, cfg, alpha, epsilon):
+    """The masked stems as the per-class inverse STFT of masks[i] * stft(x)
+    built them before masking ran in blocks: full K x F x M masks, then one
+    windowed overlap-add per class with the window-sum normalization."""
+    masks = estimates**alpha
+    masks /= masks.sum(axis=0, keepdims=True) + epsilon
+    spec = stft(x, cfg).bins
+    window = hann_window(cfg.window_size)
+    pad = cfg.window_size // 2
+    total = len(x) + 2 * pad
+    stems = np.empty((len(masks), len(x)))
+    for i in range(len(masks)):
+        frames = np.fft.irfft((masks[i] * spec).T, n=cfg.window_size, axis=1)
+        frames *= window
+        out = overlap_add(frames, cfg.hop_size, total)
+        wsq = np.broadcast_to(window**2, frames.shape)
+        norm = overlap_add(wsq, cfg.hop_size, total)
+        good = norm > 1e-10
+        out[good] /= norm[good]
+        stems[i] = out[pad : pad + len(x)]
+    return stems, masks
+
+
+@st.composite
+def masking_cases(draw):
+    """A config, a mixture length, K stems (some silent), alpha and a block
+    size: lengths from one sample to several blocks of the smallest block."""
+    window, hop = draw(st.sampled_from([(512, 128), (1024, 256), (2048, 512)]))
+    n = draw(st.one_of(
+        st.integers(1, hop - 1),  # under one hop
+        st.integers(hop, window - 1),  # under one window
+        st.integers(window, 14 * window),  # several blocks, and lanes
+    ))
+    k = draw(st.integers(1, 9))
+    silent = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    alpha = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    block = draw(st.sampled_from([1, 8, masking.MASK_BLOCK]))
+    return StftConfig(window, hop), n, silent, alpha, block, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBlockedKernel:
+    @given(masking_cases())
+    @settings(max_examples=40, deadline=None)
+    @example((StftConfig(512, 128), 1, [False], 1.0, 1, 0))
+    @example((StftConfig(2048, 512), 3 * 44100 // 4, [False] * 8 + [True], 2.0,
+              masking.MASK_BLOCK, 1))
+    def test_same_bits_as_per_class_inverse(self, case):
+        """Every entry point gives the bits of the per-class inverse STFT of
+        the full masks, for any block size and 1, 2 or 3 lanes."""
+        cfg, n, silent, alpha, block, seed = case
+        rng = np.random.default_rng(seed)
+        eps = 1e-8
+        x = Waveform(rng.normal(0, 0.3, n))
+        stems = rng.normal(0, 0.3, (len(silent), n))
+        stems[silent] = 0.0
+        estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
+        want, masks = reference_masking(x, estimates, cfg, alpha, eps)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(masking, "MASK_BLOCK", block)
+                for lanes in (1, 2, 3):
+                    mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
+                    mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                    got = [
+                        mask_with_stems(x, stems, cfg, alpha, eps),
+                        mask_with_magnitudes(x, estimates, cfg, alpha, eps),
+                        apply_masks(x, MaskSet(masks, alpha, eps), cfg),
+                    ]
+                    for stems_out in got:
+                        assert stems_out.shape == want.shape
+                        assert stems_out.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
+        """No function that bench/tracing.py hooks in masking or signal runs
+        on a masking lane."""
+        calls = record_hooked_calls(monkeypatch, ("masking", "signal"),
+                                    [("masking", "_mask_lane")])
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        cfg = StftConfig(1024, 256)
+        x = Waveform(RNG.normal(0, 0.3, SAMPLE_RATE))
+        stems = RNG.normal(0, 0.3, (3, SAMPLE_RATE))
+        estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
+        masking.mask_with_stems(x, stems, cfg)
+        masking.mask_with_magnitudes(x, estimates, cfg)
+        masking.apply_masks(x, masking.compute_masks(estimates), cfg)
+        assert ("masking.apply_masks", True) in calls
+        # the blocks did run on a lane, and nothing traced did
+        assert ("masking._mask_lane", False) in calls
+        off_main = {name for name, main in calls if not main}
+        assert off_main == {"masking._mask_lane"}
+
+    @pytest.fixture
+    def track(self, monkeypatch):
+        """A 3 s mixture with nine stems and their magnitudes, on two lanes."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        rng = np.random.default_rng(3)
+        n = 3 * SAMPLE_RATE
+        stems = rng.normal(0, 0.3, (9, n))
+        estimates = np.stack([magnitude(stft(Waveform(s))) for s in stems])
+        return Waveform(rng.normal(0, 0.3, n)), stems, estimates
+
+    @staticmethod
+    def _peak(func, *args) -> int:
+        tracemalloc.start()
+        try:
+            func(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_masking_with_stems_stays_in_budget(self, track):
+        """The output and two lanes' buffers: measured 25.0 MB; 64.9 MB when
+        the K x F x M estimates and masks were built."""
+        x, stems, _ = track
+        assert self._peak(mask_with_stems, x, stems) < 36e6
+
+    def test_masking_with_magnitudes_stays_in_budget(self, track):
+        """Measured 22.2 MB; 45.8 MB when the K x F x M masks were built."""
+        x, _, estimates = track
+        assert self._peak(mask_with_magnitudes, x, estimates) < 26e6
