@@ -23,24 +23,17 @@ adjoint, the forward model's adjoints (``trigger_mixture_adjoint``,
 the squashing chain rules. Onsets themselves receive no gradient; their
 support is fixed.
 
-An Adam solve builds one ``LossTargets`` per track: the target's magnitudes and
-floored log magnitudes at every scale, one padded copy of the estimate that
-every scale frames as a strided view, and one workspace per lane (a frames
-buffer that also hosts two of the four M x F float buffers while it is dead,
-a complex spectrum buffer that takes the overlap-add once it is dead, two
-float buffers and a mask). The loss scales are independent until their
-gradients are summed, so they run on ``parallel.run_lanes``, one scale per
-lane and ``parallel.thread_count(#scales)`` lanes, under the rules in
-``parallel``'s docstring. The scales go in rounds of one per lane, and the
-calling thread adds each round's losses and gradients in scale order before
-the next round reuses the workspaces, so every bit is the same for any
-number of lanes. Each further lane adds a workspace (13 MB on a 3 s track).
+An Adam solve builds one ``LossTargets`` per track: the target's magnitudes
+and floored log magnitudes at every scale, and one workspace that holds a
+buffer per intermediate of the loss. The scales run in order on the calling
+thread, each framing the estimate with ``signal.frame_signal`` as ``stft``
+does.
 
 Neither solver makes a BLAS call: the forward model's adjoints and the
-CGLS inner products reduce by elementwise products and ``.sum()``. A BLAS
-dot or GEMV would wake the BLAS library's threads, which then busy-wait on
-the cores the loss scales run on, and its rounding would depend on the
-BLAS thread count. Adam and gradient clipping update their arrays in place.
+CGLS inner products reduce by elementwise products and ``.sum()``, because
+a BLAS dot or GEMV would round differently for different BLAS thread
+counts. Gradient clipping scales its arrays in place; the Adam update
+builds new ones.
 """
 
 from __future__ import annotations
@@ -61,13 +54,12 @@ from .drum_machine import (
     trigger_mixture_adjoint,
     trigger_mixture_amplitude_adjoint,
 )
-from .parallel import run_lanes, thread_count
 from .signal import (
     DEFAULT_HOP,
     SAMPLE_RATE,
     StftConfig,
     Waveform,
-    frame_padded,
+    frame_signal,
     hann_window,
     magnitude,
     overlap_add,
@@ -79,7 +71,10 @@ LN10 = float(np.log(10.0))
 EXP_SIGMOID_MAX = 2.0
 EXP_SIGMOID_FLOOR = 1e-7
 
-# Adam's moment decay rates and the denominator's epsilon.
+# Adam's step size, moment decay rates and the denominator's epsilon, and
+# the global norm each step's gradient is clipped to.
+ADAM_LEARNING_RATE = 5e-3
+ADAM_CLIP_NORM = 0.5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -144,17 +139,10 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    learning_rate: float = 5e-3
-    grad_clip_norm: float = 0.5
     steps: int = 1000
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < np.inf and 0 < self.grad_clip_norm < np.inf):
-            raise ValueError(
-                f"solver learning rate and clip norm must be positive and "
-                f"finite, got {self.learning_rate} and {self.grad_clip_norm}"
-            )
         check_iterations(self.steps)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -256,90 +244,51 @@ def target_magnitudes(x: Waveform, cfg: LossConfig) -> dict[int, np.ndarray]:
 
 
 class _Workspace:
-    """One lane's buffers. Each is sized for the scale that needs the most
-    of it; a scale works in views of its head.
-
-    The frames buffer (M x window) is dead from the forward real FFT until
-    the inverse one writes it again, so it is sized M x (window + 2), twice
-    M x F, and hosts two of the four M x F float buffers in between. The
-    spectrum buffer is dead after the inverse FFT, so it takes the scale's
-    overlap-add."""
+    """The loss's buffers, one per intermediate. Each is sized for the scale
+    that needs the most of it; a scale works in views of its head."""
 
     def __init__(self, shapes: dict[int, tuple[int, int]], n_samples: int):
         cells = max(m * f for m, f in shapes.values())
-        self.frames = np.empty(2 * cells)
-        self.spec = np.empty(
-            max(max(m * f, (n_samples + s + 1) // 2) for s, (m, f) in shapes.items()),
-            dtype=np.complex128,
-        )
-        self.work = np.empty((2, cells))
+        self.frames = np.empty(max(m * s for s, (m, _) in shapes.items()))
+        self.spec = np.empty(cells, dtype=np.complex128)
+        self.mag, self.diff, self.log_diff, self.tmp = np.empty((4, cells))
         self.mask = np.empty(cells, dtype=bool)
+        self.padded = np.empty(n_samples + max(shapes))  # the largest scale's padding
 
 
 class LossTargets:
     """The loss's per-track state: the target's magnitudes and floored log
-    magnitudes at every scale, the estimate's padded signal and its frames
-    at every scale, and one workspace per lane, all allocated here on the
-    calling thread. One instance serves one signal length and one caller at
-    a time.
+    magnitudes at every scale and the workspace, all allocated here. One
+    instance serves one signal length and one caller at a time.
     """
 
     def __init__(self, x: Waveform, cfg: LossConfig):
         self.cfg = cfg
-        self.n_samples = n = len(x)
+        self.n_samples = len(x)
         self.magnitudes = target_magnitudes(x, cfg)
         self.log_magnitudes = {
             s: np.log(a + cfg.log_floor) for s, a in self.magnitudes.items()
         }
-        # The estimate, with window/2 zeros on both ends at the largest scale:
-        # the caller writes it once per call and every scale frames a view.
-        pad = max(cfg.scales) // 2
-        self._padded = np.zeros(n + 2 * pad)
-        self._signal = self._padded[pad : pad + n]
-        self._frames_of = {
-            s: frame_padded(
-                self._padded[pad - s // 2 : pad + n + s // 2], cfg.stft_config(s)
-            )
-            for s in cfg.scales
-        }
-        self._windows = {s: hann_window(s) for s in cfg.scales}
-        self._scaled_windows = {s: s * w for s, w in self._windows.items()}
         shapes = {s: a.shape for s, a in self.magnitudes.items()}
-        self._workspaces = [
-            _Workspace(shapes, n) for _ in range(thread_count(len(cfg.scales)))
-        ]
-
-    def _per_scale(self, x_hat: np.ndarray, with_grad: bool):
-        """Each scale's (magnitude L1, log-magnitude L1, dL/dx_hat or None),
-        in scale order.
-
-        The scales run in rounds of one per lane, so a gradient is a view
-        into its lane's workspace that stays valid only until the caller
-        asks for the next round."""
-        self._signal[:] = x_hat
-        scales, spaces = self.cfg.scales, self._workspaces
-        for start in range(0, len(scales), len(spaces)):
-            yield from run_lanes(_scale_terms, [
-                (self, scale, ws, with_grad)
-                for scale, ws in zip(scales[start:], spaces)
-            ])
+        self._workspace = _Workspace(shapes, self.n_samples)
 
 
-def _scale_terms(targets: LossTargets, scale: int, ws: _Workspace, with_grad: bool):
-    """One scale's loss terms and, ``with_grad``, its dL/dx_hat, with every
-    intermediate in ``ws``. Runs on a lane (see ``parallel``)."""
-    cfg = targets.cfg
+def _scale_terms(targets: LossTargets, scale: int, x_hat: np.ndarray, with_grad: bool):
+    """One scale's magnitude L1, log-magnitude L1 and, ``with_grad``, its
+    dL/dx_hat (else None), with every intermediate in the workspace. The
+    gradient is a view into the workspace, valid until the next call."""
+    cfg, ws = targets.cfg, targets._workspace
     target = targets.magnitudes[scale]
     m, n_bins = target.shape
-    cells = m * n_bins
     frames = _view(ws.frames, m, scale)
     spec = _view(ws.spec, m, n_bins)
-    mag, diff = _view(ws.frames, m, n_bins), _view(ws.frames[cells:], m, n_bins)
-    log_diff, tmp = (_view(w, m, n_bins) for w in ws.work)
+    mag, diff = _view(ws.mag, m, n_bins), _view(ws.diff, m, n_bins)
+    log_diff, tmp = _view(ws.log_diff, m, n_bins), _view(ws.tmp, m, n_bins)
     mask = _view(ws.mask, m, n_bins)
 
-    np.multiply(targets._frames_of[scale], targets._windows[scale], out=frames)
-    np.fft.rfft(frames, axis=1, out=spec)  # M x F; the frames are dead
+    window = hann_window(scale)
+    np.multiply(frame_signal(x_hat, cfg.stft_config(scale)), window, out=frames)
+    np.fft.rfft(frames, axis=1, out=spec)  # M x F
     np.abs(spec, out=mag)
 
     np.subtract(mag, target, out=diff)
@@ -352,27 +301,26 @@ def _scale_terms(targets: LossTargets, scale: int, ws: _Workspace, with_grad: bo
         return diff_l1, log_l1, None
 
     # Adjoint of the magnitude: dL/dS = dL/d|S| * S / |S|, 0 where S = 0.
-    # g_mag = sign(diff) + sign(log_diff) / (mag + floor) goes into diff.
+    # g_mag = sign(diff) + sign(log_diff) / (mag + floor) goes into diff,
+    # and g_mag / |S| into tmp.
     np.sign(diff, out=diff)
     np.sign(log_diff, out=log_diff)
     log_diff /= np.add(mag, cfg.log_floor, out=tmp)
     diff += log_diff
-    ratio = tmp
-    ratio.fill(0.0)
-    np.divide(diff, mag, out=ratio, where=np.greater(mag, 0.0, out=mask))
+    tmp.fill(0.0)
+    np.divide(diff, mag, out=tmp, where=np.greater(mag, 0.0, out=mask))
 
     # Adjoint of the real FFT, Re(sum_k g_k e^{+2 pi i k n / N}), as
     # N * irfft: irfft counts each interior bin twice (its conjugate
     # mirror), so those bins are halved; DC and Nyquist are not.
-    ratio[:, 1:-1] *= 0.5
-    spec *= ratio
+    tmp[:, 1:-1] *= 0.5
+    spec *= tmp
     g_frames = np.fft.irfft(spec, n=scale, axis=1, out=frames)
-    g_frames *= targets._scaled_windows[scale]
+    g_frames *= scale * window
 
-    # Adjoint of framing: overlap-add back into the padded signal, which
-    # lands in the dead spectrum buffer.
+    # Adjoint of framing: overlap-add back into the padded signal.
     n, pad = targets.n_samples, scale // 2
-    padded = ws.spec.view(np.float64)[: n + 2 * pad]
+    padded = ws.padded[: n + 2 * pad]
     padded.fill(0.0)
     overlap_add(g_frames, scale // 4, n + 2 * pad, out=padded)
     return diff_l1, log_l1, padded[pad : pad + n]
@@ -406,7 +354,8 @@ def recon_loss(
         raise ValueError(f"length mismatch: {len(x)} vs {len(x_hat)}")
     targets = _targets_for(x, cfg, targets)
     total = 0.0
-    for diff_l1, log_l1, _ in targets._per_scale(x_hat.samples, with_grad=False):
+    for scale in cfg.scales:
+        diff_l1, log_l1, _ = _scale_terms(targets, scale, x_hat.samples, False)
         total += diff_l1
         total += log_l1
     return float(total)
@@ -417,13 +366,13 @@ def _loss_and_grad_wrt_signal(
 ) -> tuple[float, np.ndarray]:
     """Loss value and dL/dx_hat through every scale's magnitude STFT.
 
-    Every intermediate lives in the buffers of ``targets``; only the
-    returned gradient is allocated. The scales' terms are summed in scale
-    order whichever lane computed them, so the result does not depend on
-    the number of lanes."""
+    Every intermediate lives in the workspace of ``targets``; only the
+    returned gradient and one padded copy of ``x_hat`` per scale are
+    allocated."""
     grad = np.zeros(len(x_hat))
     loss = 0.0
-    for diff_l1, log_l1, g in targets._per_scale(x_hat, with_grad=True):
+    for scale in targets.cfg.scales:
+        diff_l1, log_l1, g = _scale_terms(targets, scale, x_hat, True)
         loss += diff_l1 + log_l1
         grad += g
     return float(loss), grad
@@ -545,7 +494,6 @@ def solve_track(
 
     state_m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
     state_v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-    scratch = {k: np.empty_like(v) for k, v in params.arrays().items()}
     trace, best, best_loss = [], params, np.inf
     targets = LossTargets(x, cfg)
     for step in range(1, opt.steps + 1):
@@ -554,24 +502,17 @@ def solve_track(
             raise ValueError(f"abs solver: non-finite loss at step {step}")
         trace.append(loss)
         if loss < best_loss:
-            best, best_loss = params.copy(), loss
-        g_arrays = _clip_global_norm(grads, opt.grad_clip_norm).arrays()
+            best, best_loss = params, loss
+        g_arrays = _clip_global_norm(grads, ADAM_CLIP_NORM).arrays()
+        updated = {}
         for key, p in params.arrays().items():
-            # Adam, in place: the fresh gradient array holds
-            # sqrt(v_hat) + eps once the moments have read it, and
-            # ``tmp`` holds the step.
-            g, m, v, tmp = g_arrays[key], state_m[key], state_v[key], scratch[key]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-            v *= ADAM_BETA2
-            v += np.multiply(np.square(g, out=tmp), 1 - ADAM_BETA2, out=tmp)
-            np.divide(v, 1 - ADAM_BETA2**step, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            np.divide(m, 1 - ADAM_BETA1**step, out=tmp)
-            tmp *= opt.learning_rate
-            tmp /= g
-            p -= tmp
+            g = g_arrays[key]
+            m = state_m[key] = state_m[key] * ADAM_BETA1 + g * (1 - ADAM_BETA1)
+            v = state_v[key] = state_v[key] * ADAM_BETA2 + g * g * (1 - ADAM_BETA2)
+            m_hat, v_hat = m / (1 - ADAM_BETA1**step), v / (1 - ADAM_BETA2**step)
+            denom = np.sqrt(v_hat) + ADAM_EPS
+            updated[key] = p - m_hat * ADAM_LEARNING_RATE / denom
+        params = AbsParams(**updated)
 
     # The last iterate's loss needs only its mixture; the stems are
     # rendered once, for the iterate returned.

@@ -14,9 +14,8 @@ impulse train with the one-shot, computed onset by onset.
 chains into its reverse pass; the least-squares solver uses
 ``trigger_mixture`` and its one-shot adjoint as its operator pair. The
 adjoints reduce by elementwise products and ``.sum()``, never a BLAS call:
-a BLAS dot or GEMV wakes the BLAS library's own threads, which then spin on
-the cores the solver's loss scales run on, and its rounding would depend on
-the BLAS thread count. All functions are pure, so the renderer can run
+a BLAS dot or GEMV would round differently for different BLAS thread
+counts. All functions are pure, so the renderer can run
 concurrently per track.
 """
 

@@ -25,7 +25,7 @@ from .signal import (
     SignalError,
     StftConfig,
     Waveform,
-    frame_padded,
+    frame_signal,
     hann_window,
 )
 from .transcription import Transcription, match_onsets
@@ -58,8 +58,7 @@ def lsd(s: Waveform, s_hat: Waveform) -> float:
     if len(s) == 0:
         raise SignalError("cannot take the STFT of an empty signal")
     cfg = StftConfig(DEFAULT_WINDOW, DEFAULT_HOP)
-    pad = cfg.window_size // 2
-    ref, est = (frame_padded(np.pad(x.samples, (pad, pad)), cfg) for x in (s, s_hat))
+    ref, est = (frame_signal(x.samples, cfg) for x in (s, s_hat))
     n_frames = len(ref)
     lanes = thread_count(-(-n_frames // LSD_BLOCK))
     bounds = [n_frames * i // lanes for i in range(lanes + 1)]

@@ -1,7 +1,7 @@
 """Lanes: a computation split into ``thread_count(parts)`` independent
-slices that ``run_lanes`` runs at once, one thread each. The loss scales of
-``abs_solver``, the frames of ``evaluation.lsd`` and the hop blocks of
-``masking`` run this way.
+slices that ``run_lanes`` runs at once, one thread each. The hop blocks of
+``masking`` and the frames of ``evaluation.lsd`` run this way; no other
+module starts a thread.
 
 Every lane user keeps three rules, so that the lane count changes no bit
 and adds no memory beyond each lane's buffers:

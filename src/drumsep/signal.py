@@ -120,13 +120,7 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
     The frames are a read-only strided view of the padded signal."""
     pad = cfg.window_size // 2
-    return frame_padded(np.pad(x, (pad, pad)), cfg)
-
-
-def frame_padded(padded: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Frames (M, window) of a signal already padded as ``cfg`` pads it: a
-    read-only strided view of ``padded``, so a caller that keeps one padded
-    buffer frames it without copying."""
+    padded = np.pad(x, (pad, pad))
     return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
 
 

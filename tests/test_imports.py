@@ -74,3 +74,39 @@ def test_finds_a_private_use():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_of_other_modules(path):
     assert private_uses(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of the modules ``source`` imports, relative ones as
+    ``.name``: ``from .a import b`` gives ``.a``, ``from . import a`` gives
+    ``.a`` and ``from a import b`` gives ``a`` and ``a.b``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.module:
+                found.add(base)
+            sep = "" if base.endswith(".") else "."
+            found.update(base + sep + alias.name for alias in node.names)
+    return found
+
+
+def test_finds_imported_modules():
+    source = ("import threading\nfrom concurrent import futures\n"
+              "from .parallel import run_lanes\nfrom . import signal\n")
+    assert imported_modules(source) == {
+        "threading", "concurrent", "concurrent.futures", ".parallel",
+        ".parallel.run_lanes", ".signal"}
+
+
+def test_threads_start_only_in_parallel():
+    """The lane users are the modules that import ``parallel``, and only
+    ``parallel`` imports a thread module. A new lane user updates this
+    list and ``parallel``'s docstring together."""
+    imports = {p.stem: imported_modules(p.read_text()) for p in MODULES}
+    assert {m for m, names in imports.items() if ".parallel" in names} == {
+        "masking", "evaluation"}
+    threads = {"threading", "concurrent.futures"}
+    assert {m for m, names in imports.items() if names & threads} == {"parallel"}
