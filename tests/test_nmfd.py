@@ -215,12 +215,15 @@ class TestInit:
         off = h[h != 1.0]
         np.testing.assert_array_equal(off, EPSILON)
 
-    def test_informed_templates_match_one_shot_stft(self):
-        v = RNG.uniform(0, 1, (1025, 60))
+    @pytest.mark.parametrize("window, hop", [(2048, 512), (2048, 256),
+                                             (2048, 1024), (1024, 256)])
+    def test_informed_templates_match_one_shot_stft(self, window, hop):
+        # the templates take the mixture's window and hop
+        v = RNG.uniform(0, 1, (window // 2 + 1, 120))
         case = NmfdCase.preset("1B")
         bank = self._bank()
-        model = init_informed(v, self._transcription(), bank, case)
-        mag = magnitude(stft(Waveform(bank.one_shots[0]), StftConfig(2048, 512)))
+        model = init_informed(v, self._transcription(), bank, case, hop_size=hop)
+        mag = magnitude(stft(Waveform(bank.one_shots[0]), StftConfig(window, hop)))
         np.testing.assert_allclose(
             model.templates[0], np.maximum(mag[:, : case.template_length], EPSILON)
         )
