@@ -1,7 +1,7 @@
 """Drum source separation toolkit.
 
-A drum-machine forward model (one-shots sequenced by onset/velocity
-activations) inverted two ways: transcription-informed convolutive NMF and
+A drum-machine forward model (one-shots triggered at each onset, scaled by
+its velocity) inverted two ways: transcription-informed convolutive NMF and
 per-track analysis-by-synthesis, which fits the one-shots by damped
 conjugate-gradient least squares (CGLS; the library also keeps an Adam
 solver on a multi-resolution STFT loss), with alpha-Wiener masking and a

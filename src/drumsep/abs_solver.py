@@ -65,7 +65,7 @@ from .signal import (
     overlap_add,
     stft,
 )
-from .transcription import Transcription, events_to_grid
+from .transcription import Transcription, events_to_grid, onset_samples
 
 LN10 = float(np.log(10.0))
 EXP_SIGMOID_MAX = 2.0
@@ -562,9 +562,7 @@ def least_squares(
         raise ValueError("transcription must contain at least one onset")
     check_iterations(iterations)
     n = len(x)
-    grid = events_to_grid(t, max(1, n // DEFAULT_HOP), DEFAULT_HOP)
-    onsets = onset_index(grid)
-    amps = grid.velocities[np.nonzero(grid.onsets)]
+    onsets, amps = onset_samples(t, n)
     env = np.exp(np.arange(ONE_SHOT_LENGTH) / (-LSQ_DECAY_SECONDS * SAMPLE_RATE))
     damping = LSQ_DAMPING**2
     # e times the operator's argument; the adjoint reads only its shape

@@ -14,7 +14,7 @@ from . import abs_solver, dataset, evaluation, fileio, masking, nmfd
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import render as render_stems
 from .signal import DEFAULT_HOP, SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
-from .transcription import events_to_grid, peak_pick, spectral_flux_curve
+from .transcription import onset_samples, peak_pick, spectral_flux_curve
 
 
 def _fail(message: str):
@@ -68,10 +68,9 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
             f"duration must be finite and at least one sample, got {duration} s"
         )
     n_samples = int(round(duration * SAMPLE_RATE))
-    grid = events_to_grid(t, max(1, n_samples // DEFAULT_HOP), DEFAULT_HOP)
-    stems, mixture = render_stems(
-        bank, grid, np.ones(NUM_CLASSES), np.zeros(NUM_CLASSES), n_samples
-    )
+    onsets, velocities = onset_samples(t, n_samples)
+    stems, mixture = render_stems(bank, onsets, velocities, np.zeros(NUM_CLASSES),
+                                  n_samples)
     out = Path(out_dir)
     fileio.write_stems(stems, out)
     fileio.write_wav(out / "mixture.wav", Waveform(mixture))
@@ -207,7 +206,9 @@ def evaluate_cmd(refs_dir, ests_dir, transcription_path, grouping, kind, out_pat
     if (refs / f"{CLASS_NAMES[0]}.wav").exists():
         if transcription_path is None:
             raise click.UsageError("single-track evaluation requires --transcription")
-        tracks.append((refs.name, refs, ests, transcription_path))
+        named = refs.absolute()  # generate writes <track>/stems
+        track_id = named.parent.name if named.name == "stems" else named.name
+        tracks.append((track_id, refs, ests, transcription_path))
     elif transcription_path is not None:
         raise click.UsageError(
             "--transcription is for a single track; each track directory "

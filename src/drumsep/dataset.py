@@ -11,7 +11,7 @@ import numpy as np
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import OneShotBank, render
 from .signal import SAMPLE_RATE, DEFAULT_HOP, Waveform
-from .transcription import Event, Transcription, events_to_grid
+from .transcription import Event, Transcription, onset_samples
 
 # Onsets per second for each of the 9 classes; roughly a rock-kit feel with
 # sparse toms and cymbals.
@@ -82,10 +82,9 @@ def _sample_track(
             events.append(Event(m * DEFAULT_HOP / SAMPLE_RATE, name, velocity))
     transcription = Transcription(tuple(events))
 
-    acts = events_to_grid(transcription, n_frames, DEFAULT_HOP)
-    gains = np.ones(NUM_CLASSES)
+    onsets, velocities = onset_samples(transcription, n_samples)
     alphas = rng.uniform(*ALPHA_RANGE, size=NUM_CLASSES)
-    stems, mixture = render(bank, acts, gains, alphas, n_samples)
+    stems, mixture = render(bank, onsets, velocities, alphas, n_samples)
 
     # Normalize mixture (and stems, coherently) to [-1, 1], then apply the
     # random gain augmentation to everything so stems still sum to the mix.

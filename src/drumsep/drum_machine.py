@@ -1,10 +1,12 @@
-"""Forward model: onset/velocity activations trigger one-shot samples.
+"""Forward model: onsets trigger one-shot samples.
 
-A stem is its class's one-shot, decayed by an exponential envelope, placed
-at every onset of the class and scaled by that onset's amplitude (velocity
-times track gain); the tail past the track end is dropped and the mixture is
-the sum of stems. This is the linear convolution of a sparse audio-rate
-impulse train with the one-shot, computed onset by onset.
+An onset is a class and a sample position, with one amplitude. A stem is
+its class's one-shot, decayed by an exponential envelope, placed at every
+onset of the class and scaled by that onset's amplitude; the tail past the
+track end is dropped and the mixture is the sum of stems. This is the
+linear convolution of a sparse audio-rate impulse train with the one-shot,
+computed onset by onset. ``render`` takes the onset list of
+``transcription.onset_samples``; ``onset_index`` reads one off a frame grid.
 
 ``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
 ``trigger`` summed over classes without building the stems.
@@ -50,14 +52,6 @@ class FrameActivations:
             raise ValueError("velocities must lie in [0, 2]")
         object.__setattr__(self, "onsets", o)
         object.__setattr__(self, "velocities", v)
-
-    @property
-    def num_classes(self) -> int:
-        return self.onsets.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.onsets.shape[1]
 
 
 @dataclass(frozen=True)
@@ -243,29 +237,20 @@ def sequence(one_shot: np.ndarray, activation: np.ndarray) -> np.ndarray:
 
 def render(
     bank: OneShotBank,
-    acts: FrameActivations,
-    gains: np.ndarray,
+    onsets: list[tuple[int, int]],
+    velocities: np.ndarray,
     alphas: np.ndarray,
     n_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Render per-class stems and their mixture.
+    """Render per-class stems and their mixture from an onset list.
 
-    Each onset (k, m) plays one_shot_k * envelope(alphas[k]) at sample
-    m * hop, scaled by gains[k] * onsets[k, m] * velocities[k, m]; the
-    mixture is the exact sample-wise sum of the stems.
+    The j-th onset (k, pos), as ``transcription.onset_samples`` gives it,
+    plays one_shot_k * envelope(alphas[k]) at sample pos, scaled by
+    ``velocities[j]``; the mixture is the exact sample-wise sum of the stems.
 
     Returns (stems K x T, mixture T).
     """
-    gains = np.asarray(gains, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    k = acts.num_classes
-    if not (bank.one_shots.shape[0] == len(gains) == len(alphas) == k):
-        raise ValueError("class count mismatch between bank, activations and gains")
-    if gains.size and (gains.min() < 0 or gains.max() > 2):
-        raise ValueError("gains must lie in [0, 2]")
-
-    ks, ms = np.nonzero(acts.onsets)  # the order of onset_index
-    amps = gains[ks] * (acts.onsets * acts.velocities)[ks, ms]
-    shaped = apply_envelope(bank.one_shots, alphas)
-    stems = trigger(shaped, onset_index(acts), amps, n_samples)
+    if len(alphas) != NUM_CLASSES:
+        raise ValueError(f"expected {NUM_CLASSES} decays, got {len(alphas)}")
+    stems = trigger(apply_envelope(bank.one_shots, alphas), onsets, velocities, n_samples)
     return stems, stems.sum(axis=0)

@@ -1,4 +1,4 @@
-"""Event lists, frame grids, peak picking and onset matching."""
+"""Event lists, onset placement, frame grids, peak picking and matching."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from .classes import CLASS_INDEX, NUM_CLASSES
 from .drum_machine import FrameActivations
-from .signal import SAMPLE_RATE, Waveform, log_mel
+from .signal import DEFAULT_HOP, SAMPLE_RATE, Waveform, log_mel
 
 ONSET_TOLERANCE_SEC = 0.05
 
@@ -61,7 +61,7 @@ class Transcription:
 
 
 class GridRangeError(ValueError):
-    """An event falls beyond the activation grid."""
+    """An event falls past the track's last whole hop."""
 
 
 def nearest_frame(time_sec: float, hop: int) -> int:
@@ -70,21 +70,35 @@ def nearest_frame(time_sec: float, hop: int) -> int:
     return max(0, int(np.ceil(pos - 0.5)))
 
 
-def events_to_grid(t: Transcription, n_frames: int, hop: int) -> FrameActivations:
-    """Place each event on its nearest frame: onset 1 and the event velocity
-    at that cell, zeros elsewhere."""
-    onsets = np.zeros((NUM_CLASSES, n_frames))
-    velocities = np.zeros((NUM_CLASSES, n_frames))
+def onset_samples(
+    t: Transcription, n_samples: int, hop: int = DEFAULT_HOP
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Each event's (class, sample position) in ``t.events`` order, the
+    order of ``onset_index``, and the velocities. An event sounds on its
+    nearest hop, and same-class events on one hop all sound; one past the
+    track's ``max(1, n_samples // hop)`` whole hops raises ``GridRangeError``."""
+    n_frames = max(1, n_samples // hop)
+    onsets = []
     for e in t.events:
         m = nearest_frame(e.time, hop)
         if m >= n_frames:
             raise GridRangeError(
-                f"event at {e.time:.6f} s ({e.class_name}) maps to frame {m} "
-                f"beyond grid of {n_frames} frames"
+                f"event at {e.time:.6f} s ({e.class_name}) falls past the last "
+                f"whole {hop}-sample hop of the {n_samples / SAMPLE_RATE:g} s track"
             )
-        k = CLASS_INDEX[e.class_name]
-        onsets[k, m] = 1.0
-        velocities[k, m] = e.velocity
+        onsets.append((CLASS_INDEX[e.class_name], m * hop))
+    return onsets, np.array([e.velocity for e in t.events])
+
+
+def events_to_grid(t: Transcription, n_frames: int, hop: int) -> FrameActivations:
+    """The frames of ``onset_samples``: onset 1 and the event velocity at
+    each event's frame, zeros elsewhere; of events sharing a cell, the later
+    one's velocity is kept."""
+    onsets = np.zeros((NUM_CLASSES, n_frames))
+    velocities = np.zeros((NUM_CLASSES, n_frames))
+    for (k, pos), v in zip(*onset_samples(t, n_frames * hop, hop)):
+        onsets[k, pos // hop] = 1.0
+        velocities[k, pos // hop] = v
     return FrameActivations(onsets, velocities, hop)
 
 

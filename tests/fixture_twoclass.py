@@ -6,7 +6,7 @@ import numpy as np
 from drumsep.classes import CLASS_INDEX, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank, render
 from drumsep.signal import SAMPLE_RATE, Waveform
-from drumsep.transcription import Event, Transcription, events_to_grid
+from drumsep.transcription import Event, Transcription, onset_samples
 
 CLASS_A = "kick"          # low band
 CLASS_B = "hihat_closed"  # high band
@@ -45,11 +45,12 @@ def two_class_mixture():
     bank = two_class_bank()
     trans = two_class_transcription()
     n = int(DURATION * SAMPLE_RATE)
-    grid = events_to_grid(trans, n // HOP, HOP)
+    onsets, velocities = onset_samples(trans, n, HOP)
     gains = np.zeros(NUM_CLASSES)
     gains[CLASS_INDEX[CLASS_A]] = 0.9
     gains[CLASS_INDEX[CLASS_B]] = 0.7
-    stems, mix = render(bank, grid, gains, np.zeros(NUM_CLASSES), n)
+    amplitudes = gains[[k for k, _ in onsets]] * velocities
+    stems, mix = render(bank, onsets, amplitudes, np.zeros(NUM_CLASSES), n)
     scale = 0.8 / np.abs(mix).max()
     return Waveform(mix * scale), stems * scale, trans, bank
 

@@ -41,7 +41,7 @@ from drumsep.drum_machine import (
     trigger,
 )
 from drumsep.signal import SAMPLE_RATE, Waveform, frame_signal, hann_window
-from drumsep.transcription import Event, Transcription, events_to_grid
+from drumsep.transcription import Event, Transcription, events_to_grid, onset_samples
 
 from hooked_calls import record_hooked_calls
 
@@ -584,8 +584,7 @@ class TestLeastSquares:
         t = grid_transcription(rng, n, 12)
         decay = np.exp(-np.arange(ONE_SHOT_LENGTH) / 2000)
         shots = rng.uniform(-1, 1, (NUM_CLASSES, ONE_SHOT_LENGTH)) * decay
-        grid = events_to_grid(t, n // 512, 512)
-        onsets, amps = onset_index(grid), grid.velocities[np.nonzero(grid.onsets)]
+        onsets, amps = onset_samples(t, n)
         x = trigger(shots, onsets, amps, n).sum(axis=0)
         solved = least_squares(Waveform(x), t, 30)
         # 5.9e-5 here; steepest descent, CG without its conjugate

@@ -118,6 +118,38 @@ class TestRender:
         assert not out.exists()
 
 
+    def test_short_duration_is_one_error_line(self, tmp_path, bank_dir,
+                                              transcription_path):
+        out = tmp_path / "out"
+        result = run("render", "--bank", bank_dir, "--transcription",
+                     transcription_path, "--out", out, "--duration", 0.5)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: event at 0.800000 s (kick) falls past the last whole "
+            "512-sample hop of the 0.5 s track"]
+        assert not out.exists()
+
+    def test_same_frame_events_both_sound(self, tmp_path, bank_dir):
+        # 0.2 s and 0.201 s both lie nearest hop 17, sample 8704
+        shots = read_bank(bank_dir).one_shots.copy()
+        kick = CLASS_NAMES.index("kick")
+        shots[kick] *= 0.5  # so that 1.5x stays within full scale
+        write_bank(OneShotBank("halfkick", shots), tmp_path / "halfkick")
+        write_transcription(
+            Transcription((Event(0.2, "kick", 1.0), Event(0.201, "kick", 0.5))),
+            tmp_path / "t.csv")
+        out = tmp_path / "out"
+        result = run("render", "--bank", tmp_path / "halfkick", "--transcription",
+                     tmp_path / "t.csv", "--out", out, "--duration", 1.0)
+        assert result.exit_code == 0, result.output
+        shot = read_bank(tmp_path / "halfkick").one_shots[kick]
+        expected = np.zeros(SAMPLE_RATE)
+        expected[8704:] = 1.5 * shot[: SAMPLE_RATE - 8704]
+        np.testing.assert_allclose(read_wav(out / "kick.wav").samples, expected,
+                                   atol=1e-7)
+
+
 class TestGenerate:
     def test_layout_and_coherence(self, tmp_path, bank_dir):
         out = tmp_path / "data"
@@ -196,6 +228,19 @@ class TestSeparate:
         assert len(trace) == 1 + 3 + 1  # header, per-step, final
         assert (sep / "reconstruction.wav").exists()
 
+    def test_abs_mixture_shorter_than_transcription_is_one_error_line(
+            self, tmp_path, transcription_path):
+        mixture = tmp_path / "mix.wav"
+        write_wav(mixture, Waveform(np.full(SAMPLE_RATE // 2, 0.1)))
+        out = tmp_path / "out"
+        result = run("separate", "abs", "--mixture", mixture, "--transcription",
+                     transcription_path, "--out", out, "--steps", 2)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: event at 0.800000 s (kick) falls past the last whole "
+            "512-sample hop of the 0.5 s track"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_abs_rejects_non_positive_steps(self, tmp_path, bank_dir,
@@ -491,8 +536,8 @@ class TestEvaluate:
             assert result.exit_code == 0, result.output
             reports.append(json.loads(report_path.read_text()))
         single, layout = reports
-        assert {row.pop("track") for row in single["tracks"]} == {"stems"}
-        assert {row.pop("track") for row in layout["tracks"]} == {"track_0000"}
+        # a stems/ directory is named after its track, as in the layout
+        assert {row["track"] for row in single["tracks"]} == {"track_0000"}
         assert single == layout
         assert any(row["nsdr"] is not None for row in single["tracks"])
 

@@ -16,6 +16,7 @@ from drumsep.drum_machine import (
     apply_envelope,
     apply_envelope_adjoint,
     envelope,
+    onset_index,
     render,
     sequence,
     trigger,
@@ -44,17 +45,13 @@ def make_acts(onsets, velocities, hop=4):
 def upsampled(acts: FrameActivations, n_samples: int) -> np.ndarray:
     """Render through a bank of unit impulses: the zero-insertion upsampling
     of onset * velocity to audio rate, K x T."""
-    k = acts.num_classes
-    padded = FrameActivations(
-        np.vstack([acts.onsets, np.zeros((NUM_CLASSES - k, acts.num_frames))]),
-        np.vstack([acts.velocities, np.zeros((NUM_CLASSES - k, acts.num_frames))]),
-        acts.hop_size,
-    )
+    ks, ms = np.nonzero(acts.onsets)  # the order of onset_index
     impulses = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
     impulses[:, 0] = 1.0
-    stems, _ = render(OneShotBank("impulses", impulses), padded,
-                      np.ones(NUM_CLASSES), np.zeros(NUM_CLASSES), n_samples)
-    return stems[:k]
+    stems, _ = render(OneShotBank("impulses", impulses), onset_index(acts),
+                      (acts.onsets * acts.velocities)[ks, ms],
+                      np.zeros(NUM_CLASSES), n_samples)
+    return stems[: len(acts.onsets)]
 
 
 class TestActivations:
@@ -251,6 +248,10 @@ class TestBank:
 
 
 class TestRender:
+    # (class, sample) onsets on hops 2 and 7 of a 512-sample grid
+    ONSETS = [(0, 2 * 512), (1, 7 * 512)]
+    VELOCITIES = np.array([1.0, 0.5])
+
     def _bank(self):
         rng = np.random.default_rng(123)
         shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
@@ -258,31 +259,20 @@ class TestRender:
         shots[1, :100] = rng.uniform(-1, 1, 100)
         return OneShotBank("kit", shots)
 
-    def _acts(self, n_frames=20, hop=512):
-        onsets = np.zeros((NUM_CLASSES, n_frames))
-        velocities = np.zeros((NUM_CLASSES, n_frames))
-        onsets[0, 2] = onsets[1, 7] = 1.0
-        velocities[0, 2] = 1.0
-        velocities[1, 7] = 0.5
-        return FrameActivations(onsets, velocities, hop)
-
     def test_mixture_is_exact_stem_sum(self):
-        stems, mix = render(self._bank(), self._acts(),
-                            np.ones(NUM_CLASSES), np.zeros(NUM_CLASSES), 12000)
+        stems, mix = render(self._bank(), self.ONSETS, self.VELOCITIES,
+                            np.zeros(NUM_CLASSES), 12000)
         np.testing.assert_array_equal(mix, stems.sum(axis=0))
 
-    def test_zero_gains_silence_everything(self):
-        stems, mix = render(self._bank(), self._acts(),
-                            np.zeros(NUM_CLASSES), np.zeros(NUM_CLASSES), 12000)
+    def test_zero_velocities_silence_everything(self):
+        stems, mix = render(self._bank(), self.ONSETS, np.zeros(2),
+                            np.zeros(NUM_CLASSES), 12000)
         assert np.all(stems == 0) and np.all(mix == 0)
 
-    def test_gain_scales_stem_linearly(self):
-        gains = np.ones(NUM_CLASSES)
-        stems1, _ = render(self._bank(), self._acts(), gains,
+    def test_velocity_scales_stem_linearly(self):
+        stems1, _ = render(self._bank(), self.ONSETS, self.VELOCITIES,
                            np.zeros(NUM_CLASSES), 12000)
-        gains2 = gains.copy()
-        gains2[0] = 2.0
-        stems2, _ = render(self._bank(), self._acts(), gains2,
+        stems2, _ = render(self._bank(), self.ONSETS, np.array([2.0, 0.5]),
                            np.zeros(NUM_CLASSES), 12000)
         np.testing.assert_allclose(stems2[0], 2.0 * stems1[0], atol=1e-12)
         np.testing.assert_array_equal(stems2[1], stems1[1])
@@ -291,7 +281,7 @@ class TestRender:
         bank = self._bank()
         alphas = np.zeros(NUM_CLASSES)
         alphas[0] = 0.2
-        stems, _ = render(bank, self._acts(), np.ones(NUM_CLASSES), alphas, 12000)
+        stems, _ = render(bank, self.ONSETS, self.VELOCITIES, alphas, 12000)
         start = 2 * 512
         expected = bank.one_shots[0, :100] * envelope(0.2)[:100]
         np.testing.assert_allclose(stems[0, start : start + 100], expected, atol=1e-9)
@@ -303,27 +293,23 @@ class TestRender:
         hop, n = 512, 3 * ONE_SHOT_LENGTH // 2 + 77
         n_frames = n // hop + 3  # the last frames lie past the track end
         for _ in range(5):
-            onsets = (rng.uniform(size=(NUM_CLASSES, n_frames)) < 0.05).astype(float)
-            onsets[:, -6:] = rng.uniform(size=(NUM_CLASSES, 6)) < 0.5
-            velocities = rng.uniform(0, 2, (NUM_CLASSES, n_frames)) * onsets
-            acts = FrameActivations(onsets, velocities, hop)
-            gains = rng.uniform(0, 2, NUM_CLASSES)
+            # drawn with replacement, so one class may sound twice on a frame
+            ks = np.sort(rng.integers(0, NUM_CLASSES, 60))
+            ms = np.concatenate([rng.integers(0, n_frames, 50),
+                                 rng.integers(n_frames - 6, n_frames, 10)])
+            onsets = [(int(k), int(m) * hop) for k, m in zip(ks, ms)]
+            velocities = rng.uniform(0, 2, len(onsets))
             alphas = rng.uniform(0, 0.5, NUM_CLASSES)
-            stems, mix = render(bank, acts, gains, alphas, n)
+            stems, mix = render(bank, onsets, velocities, alphas, n)
             for k in range(NUM_CLASSES):
                 a = np.zeros(n)
-                for m in np.flatnonzero(onsets[k]):
-                    if m * hop < n:
-                        a[m * hop] = velocities[k, m]
-                expected = gains[k] * naive_sequence(shots[k] * envelope(alphas[k]), a)
+                for (c, pos), v in zip(onsets, velocities):
+                    if c == k and pos < n:
+                        a[pos] += v
+                expected = naive_sequence(shots[k] * envelope(alphas[k]), a)
                 np.testing.assert_allclose(stems[k], expected, atol=1e-12)
             np.testing.assert_array_equal(mix, stems.sum(axis=0))
 
-    def test_gain_range_enforced(self):
-        with pytest.raises(ValueError):
-            render(self._bank(), self._acts(), np.full(NUM_CLASSES, 3.0),
-                   np.zeros(NUM_CLASSES), 12000)
-
     def test_class_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            render(self._bank(), self._acts(), np.ones(4), np.zeros(4), 12000)
+        with pytest.raises(ValueError, match="expected 9 decays, got 4"):
+            render(self._bank(), self.ONSETS, self.VELOCITIES, np.zeros(4), 12000)

@@ -110,3 +110,32 @@ def test_threads_start_only_in_parallel():
         "masking", "evaluation"}
     threads = {"threading", "concurrent.futures"}
     assert {m for m, names in imports.items() if names & threads} == {"parallel"}
+
+
+def read_names(source: str) -> set[str]:
+    """Every name ``source`` reads or imports by ``from``, attribute names
+    included: ``m.f(x)`` reads ``m``, ``f`` and ``x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_finds_read_names():
+    source = "from .a import b as c\nimport d\nd.e.f(g)\ndef h(): pass\n"
+    assert read_names(source) == {"b", "d", "e", "f", "g"}
+
+
+def test_onsets_are_placed_only_in_transcription():
+    """``transcription.onset_samples`` is the one code that maps event
+    times to samples. Only ``transcription`` reads ``nearest_frame``, and
+    only NMFD's activations and the Adam solver build the frame grid."""
+    names = {p.stem: read_names(p.read_text()) for p in MODULES}
+    assert {m for m, n in names.items() if "nearest_frame" in n} == {"transcription"}
+    assert {m for m, n in names.items() if "events_to_grid" in n} == {
+        "nmfd", "abs_solver"}

@@ -1,5 +1,5 @@
-"""Event grids, peak picking, spectral flux and onset matching (with a
-brute-force matching oracle)."""
+"""Onset placement and event grids, peak picking, spectral flux and onset
+matching (with a brute-force matching oracle)."""
 
 from itertools import permutations
 
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from drumsep.classes import CLASS_NAMES
+from drumsep.drum_machine import onset_index
 from drumsep.signal import SAMPLE_RATE, Waveform
 from drumsep.transcription import (
     Event,
@@ -18,6 +20,7 @@ from drumsep.transcription import (
     events_to_grid,
     match_onsets,
     nearest_frame,
+    onset_samples,
     peak_pick,
     spectral_flux_curve,
 )
@@ -109,6 +112,15 @@ class TestGrids:
         with pytest.raises(GridRangeError):
             events_to_grid(t, 10, HOP)
 
+    def test_same_frame_events_all_sound_and_the_grid_keeps_the_later(self):
+        t = Transcription((Event(0.2, "kick", 1.0), Event(0.201, "kick", 0.5)))
+        onsets, velocities = onset_samples(t, SAMPLE_RATE)
+        assert onsets == [(0, 8704), (0, 8704)]
+        np.testing.assert_array_equal(velocities, [1.0, 0.5])
+        grid = events_to_grid(t, SAMPLE_RATE // HOP, HOP)
+        assert onset_index(grid) == [(0, 8704)]
+        assert grid.velocities[0, 17] == 0.5
+
     def test_round_trip_within_half_hop(self):
         # distinct frames, so quantization cannot merge events
         frames = RNG.choice(np.arange(1, 500), size=30, replace=False)
@@ -125,6 +137,57 @@ class TestGrids:
         for e, m in zip(t.events, ms):
             assert abs(e.time - m * HOP / SAMPLE_RATE) <= tol
             assert acts.velocities[0, m] == e.velocity
+
+
+@st.composite
+def placements(draw):
+    """A transcription, a track length and a hop of 8 or 512. The times are
+    off the grid, on exact half-frame ties or on frames, some repeat on one
+    frame of one class, and some lie past the end."""
+    hop = draw(st.sampled_from([8, 512]))
+    n_samples = draw(st.integers(1, 12 * hop))
+    n_frames = max(1, n_samples // hop)
+    events = []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(CLASS_NAMES[:3]))
+        m = draw(st.integers(0, n_frames + 1))
+        offset = draw(st.one_of(st.just(0.0), st.just(0.5),
+                                st.floats(-0.49, 0.49)))
+        time = max(0.0, (m + offset) * hop / SAMPLE_RATE)
+        events.append(Event(time, name, draw(st.floats(0, 2))))
+        if draw(st.booleans()):
+            events.append(Event(time, name, draw(st.floats(0, 2))))
+    return Transcription(tuple(events)), n_samples, hop
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_events_to_grid_is_the_grid_of_onset_samples(case):
+    t, n_samples, hop = case
+    n_frames = max(1, n_samples // hop)
+    try:
+        onsets, velocities = onset_samples(t, n_samples, hop)
+    except GridRangeError:
+        with pytest.raises(GridRangeError):
+            events_to_grid(t, n_frames, hop)
+        return
+    grid = events_to_grid(t, n_frames, hop)
+    assert [k for k, _ in onsets] == [CLASS_NAMES.index(e.class_name)
+                                      for e in t.events]
+    np.testing.assert_array_equal(velocities, [e.velocity for e in t.events])
+    rebuilt_onsets = np.zeros_like(grid.onsets)
+    rebuilt_velocities = np.zeros_like(grid.velocities)
+    for e, (k, pos), v in zip(t.events, onsets, velocities):
+        assert pos % hop == 0 and pos < n_frames * hop
+        assert abs(pos - e.time * SAMPLE_RATE) <= hop / 2 + 1e-6
+        rebuilt_onsets[k, pos // hop] = 1.0
+        rebuilt_velocities[k, pos // hop] = v
+    np.testing.assert_array_equal(grid.onsets, rebuilt_onsets)
+    np.testing.assert_array_equal(grid.velocities, rebuilt_velocities)
+    if len(set(onsets)) == len(onsets):
+        assert onset_index(grid) == onsets
+        np.testing.assert_array_equal(grid.velocities[np.nonzero(grid.onsets)],
+                                      velocities)
 
 
 class TestPeakPick:
