@@ -2,7 +2,7 @@
 
 A drum-machine forward model (one-shots triggered at each onset, scaled by
 its velocity) inverted two ways: transcription-informed convolutive NMF and
-per-track analysis-by-synthesis, which fits the one-shots by damped
+per-track analysis-by-synthesis, which fits the one-shots by
 conjugate-gradient least squares (CGLS; the library also keeps an Adam
 solver on a multi-resolution STFT loss), with alpha-Wiener masking and a
 full metric suite.

@@ -6,10 +6,10 @@ annotated ones.
 ``least_squares``, which ``separate abs`` runs, also fixes each onset's
 amplitude to its annotated velocity. The mixture is then linear in the nine
 one-shots (each with its track gain folded in), so it solves for them by
-damped CGLS, conjugate gradients on the normal equations, with
-``trigger_mixture`` and ``trigger_mixture_adjoint`` as the operator and its
-transpose. Each one-shot spans its full second, written as exp(-t /
-``LSQ_DECAY_SECONDS``) times u, and ``LSQ_DAMPING`` weighs ||u||.
+CGLS, conjugate gradients on the normal equations of the squared residual,
+with ``trigger_mixture`` and ``trigger_mixture_adjoint`` as the operator and
+its transpose. Each one-shot spans its full second, written as exp(-t /
+``LSQ_DECAY_SECONDS``) times u; that substitution is the solve's only prior.
 ``LSQ_ITERATIONS`` is the default iteration count. The solve runs on the
 calling thread.
 
@@ -79,13 +79,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# The one-shots are written w = e * u with e = exp(-t / LSQ_DECAY_SECONDS),
-# and LSQ_DAMPING weighs ||u||: a prior that lets a one-shot ring for its
-# full second but makes its tail cost more the later it sounds. Plain
-# damping of ||w|| barely acts on the first CG iterations, which start
-# from zero; the substitution acts from the first one.
+# The one-shots are written w = e * u with e = exp(-t / LSQ_DECAY_SECONDS).
+# CGLS from u = 0 stays in the row space of A * e, so its iterates tend to
+# the least-||u|| fit: a one-shot may ring for its full second, but its tail
+# costs more the later it sounds. The prior acts from the first iteration,
+# with no penalty term in the objective.
 LSQ_DECAY_SECONDS = 0.2
-LSQ_DAMPING = 1e-3
 LSQ_ITERATIONS = 30  # the knee of nSDR improvement against time
 # The solve stops once the squared normal-equation gradient falls to this
 # fraction of its start: the gradient is then rounding noise, and a step
@@ -537,26 +536,28 @@ class LeastSquaresResult:
     one_shots: np.ndarray  # K x R, track gains folded in
     stems: np.ndarray  # K x T synthesis estimates
     mixture: np.ndarray  # T
-    loss_trace: list[float]  # damped objective at iterates 0..iterations
+    loss_trace: list[float]  # ||x - mixture||^2 at iterates 0..iterations
 
 
 def least_squares(
     x: Waveform, t: Transcription, iterations: int = LSQ_ITERATIONS
 ) -> LeastSquaresResult:
-    """Fit the nine one-shots to ``x`` by damped CGLS (conjugate gradients
-    on the normal equations), with the onsets and velocities fixed to ``t``.
+    """Fit the nine one-shots to ``x`` by CGLS (conjugate gradients on the
+    normal equations), with the onsets and velocities fixed to ``t``.
 
     With the onsets and their amplitudes fixed, the mixture is linear in
     the one-shots: ``trigger_mixture`` is the operator and
     ``trigger_mixture_adjoint`` its transpose. Each one-shot spans
     ``ONE_SHOT_LENGTH`` samples and absorbs its class's track gain. The
-    solve minimizes ||x - A(e * u)||^2 + LSQ_DAMPING^2 ||u||^2 over u (see
-    ``LSQ_DECAY_SECONDS``); the trace holds that objective from u = 0 on,
-    and it does not rise. The solve holds its iterate once the gradient is
-    down to ``LSQ_GRADIENT_FLOOR`` of its start, so the one-shots of a
-    track whose gradient is zero at the start (silence, or every velocity
-    0) stay zero. A non-finite objective stops the solve with a
-    ``ValueError`` that names the step.
+    solve minimizes the squared residual ||x - A(e * u)||^2 over u from
+    u = 0, which makes the decay substitution its only prior (see
+    ``LSQ_DECAY_SECONDS``); the trace holds the squared residual from u = 0
+    on, and it does not rise. The
+    solve holds its iterate once the gradient is down to
+    ``LSQ_GRADIENT_FLOOR`` of its start, so the one-shots of a track whose
+    gradient is zero at the start (silence, or every velocity 0) stay zero.
+    A non-finite residual stops the solve with a ``ValueError`` that names
+    the step.
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
@@ -564,24 +565,21 @@ def least_squares(
     n = len(x)
     onsets, amps = onset_samples(t, n)
     env = np.exp(np.arange(ONE_SHOT_LENGTH) / (-LSQ_DECAY_SECONDS * SAMPLE_RATE))
-    damping = LSQ_DAMPING**2
-    # e times the operator's argument; the adjoint reads only its shape
-    shots = np.empty((NUM_CLASSES, ONE_SHOT_LENGTH))
+    shots = np.empty((NUM_CLASSES, ONE_SHOT_LENGTH))  # e * p, A's argument
 
     def squares(a: np.ndarray, out: np.ndarray) -> float:
         return float(np.multiply(a, a, out=out).sum())
 
-    def normal_gradient(r: np.ndarray, u: np.ndarray, out: np.ndarray):
-        """e * A^T r - damping * u, into ``out``."""
-        g = trigger_mixture_adjoint(r, shots, onsets, amps)
-        np.multiply(g, env, out=out)
-        out -= np.multiply(u, damping, out=g)
+    def normal_gradient(r: np.ndarray, out: np.ndarray):
+        """e * A^T r, into ``out``; the adjoint reads only the shape of
+        ``shots``."""
+        np.multiply(trigger_mixture_adjoint(r, shots, onsets, amps), env, out=out)
 
-    u = np.zeros_like(shots)
-    s, p, tmp = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    w = np.zeros_like(shots)  # e * u: the one-shots
+    s, p, tmp = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     r = x.samples.copy()
     r_tmp = np.empty(n)
-    normal_gradient(r, u, s)
+    normal_gradient(r, s)
     p[:] = s
     gamma = squares(s, tmp)
     floor = LSQ_GRADIENT_FLOOR * gamma
@@ -592,17 +590,16 @@ def least_squares(
             continue
         np.multiply(p, env, out=shots)
         q = trigger_mixture(shots, onsets, amps, n)
-        alpha = gamma / (squares(q, r_tmp) + damping * squares(p, tmp))
-        u += np.multiply(p, alpha, out=tmp)
+        alpha = gamma / squares(q, r_tmp)
+        w += np.multiply(shots, alpha, out=tmp)
         r -= np.multiply(q, alpha, out=q)
-        trace.append(squares(r, r_tmp) + damping * squares(u, tmp))
+        trace.append(squares(r, r_tmp))
         if not np.isfinite(trace[-1]):
             raise ValueError(f"abs solver: non-finite loss at step {step}")
-        normal_gradient(r, u, s)
+        normal_gradient(r, s)
         gamma, previous = squares(s, tmp), gamma
         p *= gamma / previous
         p += s
 
-    np.multiply(u, env, out=shots)
-    stems = trigger(shots, onsets, amps, n)
-    return LeastSquaresResult(shots, stems, stems.sum(axis=0), trace)
+    stems = trigger(w, onsets, amps, n)
+    return LeastSquaresResult(w, stems, stems.sum(axis=0), trace)

@@ -63,7 +63,7 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
     if duration is None:
         last = max((e.time for e in t.events), default=0.0)
         duration = last + 1.0
-    if not (np.isfinite(duration) and duration * SAMPLE_RATE >= 1):
+    if not (np.isfinite(duration * SAMPLE_RATE) and duration * SAMPLE_RATE >= 1):
         raise ValueError(
             f"duration must be finite and at least one sample, got {duration} s"
         )
@@ -123,6 +123,7 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     x = fileio.read_wav(mixture_path)
     t = fileio.read_transcription(transcription_path)
     bank = fileio.read_bank(bank_dir) if bank_dir else None
+    onset_samples(t, len(x))  # the range rule of `separate abs` and `render`
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
 
     _, per_class = nmfd.nmfd_run(

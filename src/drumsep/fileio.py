@@ -4,6 +4,7 @@ NMFD magnitudes, run config, report JSON and loss traces."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -173,10 +174,21 @@ def _atomic_write_text(path: Path, text: str):
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; other bytes raise FileFormatError naming
+    the path and the line they are on."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_transcription(path: str | Path) -> Transcription:
     """Parse `onset_sec,class,velocity` CSV; errors carry line numbers."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with io.StringIO(_read_text(path), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -297,7 +309,7 @@ def read_config(path: str | Path | None) -> dict[str, object]:
     ``path``, if given; '#' starts a comment. Each value takes its default's
     type."""
     values = dict(CONFIG_DEFAULTS)
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    lines = _read_text(Path(path)).splitlines() if path else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -121,8 +121,11 @@ def init_informed(
     Activations are 1 at annotated onset frames of each class and epsilon
     elsewhere. Templates are the first L magnitude frames of the class
     one-shot at the mixture's STFT config (cases 1A/1B), or uniform random
-    in (0, 1] (case 3). ``hop_size`` is the mixture's hop.
+    in (0, 1] (case 3). ``hop_size`` is the mixture's hop. A transcription
+    without onsets informs nothing and raises ValueError.
     """
+    if len(t) == 0:
+        raise ValueError("transcription must contain at least one onset")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.min() < 0:
         raise ValueError("mixture magnitude must be a non-negative F x M matrix")

@@ -66,8 +66,14 @@ class GridRangeError(ValueError):
 
 def nearest_frame(time_sec: float, hop: int) -> int:
     """Nearest frame to a time; an exact half-frame tie rounds down."""
-    pos = time_sec * SAMPLE_RATE / hop
-    return max(0, int(np.ceil(pos - 0.5)))
+    return int(_frame(time_sec, hop))
+
+
+def _frame(time_sec: float, hop: int) -> float:
+    """``nearest_frame`` as a float. A time far past any track (1e308 s)
+    has an infinite frame, which compares with a frame count but has no
+    int."""
+    return max(0.0, float(np.ceil(time_sec * SAMPLE_RATE / hop - 0.5)))
 
 
 def onset_samples(
@@ -80,13 +86,13 @@ def onset_samples(
     n_frames = max(1, n_samples // hop)
     onsets = []
     for e in t.events:
-        m = nearest_frame(e.time, hop)
-        if m >= n_frames:
+        if _frame(e.time, hop) >= n_frames:
+            time = f"{e.time:.6f}" if e.time < 1e9 else f"{e.time:g}"
             raise GridRangeError(
-                f"event at {e.time:.6f} s ({e.class_name}) falls past the last "
+                f"event at {time} s ({e.class_name}) falls past the last "
                 f"whole {hop}-sample hop of the {n_samples / SAMPLE_RATE:g} s track"
             )
-        onsets.append((CLASS_INDEX[e.class_name], m * hop))
+        onsets.append((CLASS_INDEX[e.class_name], nearest_frame(e.time, hop) * hop))
     return onsets, np.array([e.velocity for e in t.events])
 
 

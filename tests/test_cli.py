@@ -130,6 +130,19 @@ class TestRender:
             "512-sample hop of the 0.5 s track"]
         assert not out.exists()
 
+    def test_event_past_any_track_is_one_error_line(self, tmp_path, bank_dir):
+        # without --duration the track would be 1e308 s long
+        write_transcription(Transcription((Event(1e308, "kick", 1.0),)),
+                            tmp_path / "t.csv")
+        out = tmp_path / "out"
+        result = run("render", "--bank", bank_dir, "--transcription",
+                     tmp_path / "t.csv", "--out", out)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: duration must be finite and at least one sample, got 1e+308 s"]
+        assert not out.exists()
+
     def test_same_frame_events_both_sound(self, tmp_path, bank_dir):
         # 0.2 s and 0.201 s both lie nearest hop 17, sample 8704
         shots = read_bank(bank_dir).one_shots.copy()
@@ -750,3 +763,58 @@ def test_malformed_transcription_is_one_error_line(tmp_path, inputs, dataset_dir
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}:{line}: "), lines
     assert not out.exists()
+
+
+# transcriptions that `separate abs` and every `separate nmfd` case reject on
+# a 0.5 s mixture, and the error line all of them print; `render` rejects all
+# but the empty one, which renders silence
+BAD_ONSETS = {
+    "empty": (b"onset_sec,class,velocity\n",
+              "transcription must contain at least one onset"),
+    "past the last whole hop": (
+        b"onset_sec,class,velocity\n0.499229,kick,1.000000\n",
+        "event at 0.499229 s (kick) falls past the last whole 512-sample hop "
+        "of the 0.5 s track"),
+    "1e308 s": (b"onset_sec,class,velocity\n1e308,kick,1.000000\n",
+                "event at 1e+308 s (kick) falls past the last whole 512-sample "
+                "hop of the 0.5 s track"),
+    "not UTF-8": (b"\xff\xfe", "{path}:1: not UTF-8 text (invalid start byte)"),
+}
+
+
+@pytest.fixture(scope="module")
+def half_second(tmp_path_factory, inputs):
+    """A 0.5 s mixture with one kick, rendered from the test bank."""
+    root = tmp_path_factory.mktemp("half")
+    write_transcription(Transcription((Event(0.2, "kick", 1.0),)), root / "t.csv")
+    result = run("render", "--bank", inputs / "kit", "--transcription",
+                 root / "t.csv", "--out", root, "--duration", 0.5)
+    assert result.exit_code == 0, result.output
+    return root / "mixture.wav"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("damage", sorted(BAD_ONSETS))
+def test_bad_onsets_are_one_error_line_for_every_command(tmp_path, inputs,
+                                                         half_second, damage):
+    data, message = BAD_ONSETS[damage]
+    bad = tmp_path / "t.csv"
+    bad.write_bytes(data)
+    kit = inputs / "kit"
+    commands = {"separate-abs": ["separate", "abs", "--steps", 1]}
+    for case in ("1a", "1b", "3"):
+        commands[f"separate-nmfd-{case}"] = ["separate", "nmfd", "--case", case,
+                                             "--bank", kit]
+    for args in commands.values():
+        args += ["--mixture", half_second, "--transcription", bad]
+    if damage != "empty":
+        commands["render"] = ["render", "--bank", kit, "--transcription", bad,
+                              "--duration", 0.5]
+    for command, args in commands.items():
+        out = tmp_path / command
+        result = run(*args, "--out", out)
+        assert result.exit_code == 1, (command, result.output)
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: " + message.format(path=bad)], command
+        assert not out.exists()

@@ -334,6 +334,13 @@ class TestTranscriptionCsv:
         path.write_text("onset_sec,class,velocity\n0.5,kick,1.0\n\n")
         assert len(read_transcription(path)) == 1
 
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"onset_sec,class,velocity\n0.5,kick,1.0\n\xff,snare,1\n")
+        with pytest.raises(FileFormatError) as raised:
+            read_transcription(path)
+        assert str(raised.value) == f"{path}:3: not UTF-8 text (invalid start byte)"
+
 
 class TestBank:
     def test_round_trip(self, tmp_path):
@@ -436,6 +443,14 @@ class TestConfig:
         assert cfg["solver.steps"] == 10
         assert cfg["masking.alpha"] == 2.0
         assert cfg["seed"] == 0  # untouched default
+
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\r\nsolver.steps = \xe9\n")
+        with pytest.raises(FileFormatError) as raised:
+            read_config(path)
+        assert str(raised.value) == (
+            f"{path}:2: not UTF-8 text (invalid continuation byte)")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -139,3 +139,11 @@ def test_onsets_are_placed_only_in_transcription():
     assert {m for m, n in names.items() if "nearest_frame" in n} == {"transcription"}
     assert {m for m, n in names.items() if "events_to_grid" in n} == {
         "nmfd", "abs_solver"}
+
+
+def test_only_transcription_raises_grid_range_error():
+    """``onset_samples`` owns the range rule that both ``separate`` commands
+    and ``render`` apply. A second rule elsewhere, say in ``nmfd``, would
+    raise ``GridRangeError`` outside ``transcription``."""
+    names = {p.stem: read_names(p.read_text()) for p in MODULES}
+    assert {m for m, n in names.items() if "GridRangeError" in n} == {"transcription"}

@@ -247,6 +247,11 @@ class TestInit:
         with pytest.raises(ValueError):
             init_informed(v, self._transcription(), None, NmfdCase.preset("1A"))
 
+    def test_empty_transcription_rejected(self):
+        v = RNG.uniform(0, 1, (513, 40))
+        with pytest.raises(ValueError, match="^transcription must contain at least one onset$"):
+            init_informed(v, Transcription(()), None, NmfdCase.preset("3"))
+
     def test_onset_past_grid_rejected(self):
         v = RNG.uniform(0, 1, (513, 5))
         with pytest.raises(ValueError):
