@@ -15,13 +15,14 @@ calling thread.
 
 ``solve_track`` jointly optimizes one-shot waveforms, per-onset
 velocities, track gains and envelope decays by Adam on the
-multi-resolution STFT loss. The mixture comes from the drum-machine
-forward model (``drum_machine.trigger_mixture``). Gradients are computed by
-a hand-written reverse pass: magnitude adjoint, windowed overlap-add STFT
-adjoint, the forward model's adjoints (``trigger_mixture_adjoint``,
-``trigger_mixture_amplitude_adjoint``, ``apply_envelope_adjoint``), then
-the squashing chain rules. Onsets themselves receive no gradient; their
-support is fixed.
+multi-resolution STFT loss. The loss renders its mixture by
+``drum_machine.trigger_mixture``, the stems' sum up to rounding; the
+returned stems and their mixture come from ``trigger``. Gradients are
+computed by a hand-written reverse pass: magnitude adjoint, windowed
+overlap-add STFT adjoint, the forward model's adjoints
+(``trigger_mixture_adjoint``, ``trigger_mixture_amplitude_adjoint``,
+``apply_envelope_adjoint``), then the squashing chain rules. Onsets
+themselves receive no gradient; their support is fixed.
 
 An Adam solve builds one ``LossTargets`` per track: the target's magnitudes
 and floored log magnitudes at every scale, and one workspace that holds a
@@ -556,8 +557,8 @@ def least_squares(
     solve holds its iterate once the gradient is down to
     ``LSQ_GRADIENT_FLOOR`` of its start, so the one-shots of a track whose
     gradient is zero at the start (silence, or every velocity 0) stay zero.
-    A non-finite residual stops the solve with a ``ValueError`` that names
-    the step.
+    A non-finite residual, the start's included, stops the solve with a
+    ``ValueError`` that names the step.
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
@@ -575,6 +576,13 @@ def least_squares(
         ``shots``."""
         np.multiply(trigger_mixture_adjoint(r, shots, onsets, amps), env, out=out)
 
+    def residual_squares(step: int) -> float:
+        """||r||^2, the trace entry of iterate ``step``; it must be finite."""
+        loss = squares(r, r_tmp)
+        if not np.isfinite(loss):
+            raise ValueError(f"abs solver: non-finite loss at step {step}")
+        return loss
+
     w = np.zeros_like(shots)  # e * u: the one-shots
     s, p, tmp = np.empty_like(w), np.empty_like(w), np.empty_like(w)
     r = x.samples.copy()
@@ -583,7 +591,7 @@ def least_squares(
     p[:] = s
     gamma = squares(s, tmp)
     floor = LSQ_GRADIENT_FLOOR * gamma
-    trace = [squares(r, r_tmp)]
+    trace = [residual_squares(0)]
     for step in range(1, iterations + 1):
         if gamma <= floor:  # u is the minimizer: nothing is left to descend
             trace.append(trace[-1])
@@ -593,9 +601,7 @@ def least_squares(
         alpha = gamma / squares(q, r_tmp)
         w += np.multiply(shots, alpha, out=tmp)
         r -= np.multiply(q, alpha, out=q)
-        trace.append(squares(r, r_tmp))
-        if not np.isfinite(trace[-1]):
-            raise ValueError(f"abs solver: non-finite loss at step {step}")
+        trace.append(residual_squares(step))
         normal_gradient(r, s)
         gamma, previous = squares(s, tmp), gamma
         p *= gamma / previous

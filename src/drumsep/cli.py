@@ -63,9 +63,10 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
     if duration is None:
         last = max((e.time for e in t.events), default=0.0)
         duration = last + 1.0
-    if not (np.isfinite(duration * SAMPLE_RATE) and duration * SAMPLE_RATE >= 1):
+    if not 1 <= duration * SAMPLE_RATE <= fileio.MAX_WAV_SAMPLES:
         raise ValueError(
-            f"duration must be finite and at least one sample, got {duration} s"
+            f"duration must be from one sample to a WAV's {fileio.MAX_WAV_SAMPLES} "
+            f"samples, got {duration} s"
         )
     n_samples = int(round(duration * SAMPLE_RATE))
     onsets, velocities = onset_samples(t, n_samples)

@@ -10,6 +10,7 @@ import numpy as np
 
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import OneShotBank, render
+from .fileio import MAX_WAV_SAMPLES
 from .signal import SAMPLE_RATE, DEFAULT_HOP, Waveform
 from .transcription import Event, Transcription, onset_samples
 
@@ -49,10 +50,10 @@ class GenerationSpec:
         if self.n_tracks < 1:
             raise ValueError(f"tracks must be at least 1, got {self.n_tracks}")
         if not (np.isfinite(self.duration)
-                and round(self.duration * SAMPLE_RATE) >= DEFAULT_HOP):
+                and DEFAULT_HOP <= round(self.duration * SAMPLE_RATE) <= MAX_WAV_SAMPLES):
             raise ValueError(
-                f"duration must be finite and at least one hop ({DEFAULT_HOP} "
-                f"samples), got {self.duration} s"
+                f"duration must be from one hop ({DEFAULT_HOP} samples) to a "
+                f"WAV's {MAX_WAV_SAMPLES} samples, got {self.duration} s"
             )
 
 

@@ -9,7 +9,8 @@ computed onset by onset. ``render`` takes the onset list of
 ``transcription.onset_samples``; ``onset_index`` reads one off a frame grid.
 
 ``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
-``trigger`` summed over classes without building the stems.
+``trigger`` summed over classes, up to rounding, without building the
+stems.
 ``trigger_mixture_adjoint`` (in the one-shots),
 ``trigger_mixture_amplitude_adjoint`` (in the amplitudes) and
 ``apply_envelope_adjoint`` are exact transposes, which the Adam solver
@@ -163,31 +164,14 @@ def trigger_mixture(
     amplitudes: np.ndarray,
     n_samples: int,
 ) -> np.ndarray:
-    """The mixture of ``trigger``'s stems, T, without the K x T stems.
-
-    Each class is accumulated into one reusable row, onset by onset, and
-    the rows are added in class order with the first copied, not added to
-    0: the order in which ``trigger(...).sum(axis=0)`` adds, so the two are
-    equal bit for bit."""
-    if n_samples == 1:
-        # numpy sums a K x 1 array as one contiguous run, pairwise from
-        # K = 8 on, not row by row; the K stems are K numbers here.
-        return trigger(shaped, onsets, amplitudes, 1).sum(axis=0)
-    by_class: dict[int, list[tuple[int, float]]] = {}
-    for (k, pos), amp in zip(onsets, amplitudes):
-        by_class.setdefault(k, []).append((pos, amp))
+    """The mixture of ``trigger``'s stems, T, without the K x T stems:
+    every onset is added straight into one track-length row, so it equals
+    ``trigger(...).sum(axis=0)`` up to rounding."""
     mixture = np.zeros(n_samples)
-    row = np.empty(n_samples)
     scaled = np.empty(shaped.shape[1])
-    for i, k in enumerate(sorted(by_class)):
-        row.fill(0.0)
-        for pos, amp in by_class[k]:
-            seg = shaped[k, : max(0, n_samples - pos)]
-            row[pos : pos + len(seg)] += np.multiply(amp, seg, out=scaled[: len(seg)])
-        if i == 0:
-            mixture[:] = row
-        else:
-            mixture += row
+    for (k, pos), amp in zip(onsets, amplitudes):
+        seg = shaped[k, : max(0, n_samples - pos)]
+        mixture[pos : pos + len(seg)] += np.multiply(amp, seg, out=scaled[: len(seg)])
     return mixture
 
 

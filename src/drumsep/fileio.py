@@ -45,6 +45,9 @@ _WAVE_PCM = 1
 _WAVE_FLOAT = 3
 _WAVE_EXTENSIBLE = 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# The longest track ``write_wav`` can write: the RIFF size field, 32 bits,
+# counts 50 header bytes and 4 bytes a sample.
+MAX_WAV_SAMPLES = (0xFFFFFFFF - 50) // 4
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -129,14 +132,13 @@ def write_wav(path: str | Path, x: Waveform) -> int:
     (tag 3, cbSize 0), a ``fact`` chunk with the sample count, then ``data``.
     """
     samples = x.samples
+    if len(samples) > MAX_WAV_SAMPLES:
+        raise ValueError(f"{path}: {len(samples)} samples exceed a RIFF WAV's 4 GiB")
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     data = np.clip(samples, -1.0, 1.0).astype("<f4")
-    riff_size = 50 + data.nbytes  # file size minus the 8-byte RIFF header
-    if riff_size > 0xFFFFFFFF:
-        raise ValueError(f"{path}: {len(data)} samples exceed a RIFF WAV's 4 GiB")
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
-        b"RIFF", riff_size, b"WAVE",
+        b"RIFF", 50 + data.nbytes, b"WAVE",  # the size after these 8 bytes
         b"fmt ", 18, _WAVE_FLOAT, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32, 0,
         b"fact", 4, len(data),
         b"data", data.nbytes,

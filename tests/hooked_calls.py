@@ -9,16 +9,21 @@ import threading
 from pathlib import Path
 
 
+def bench_hooks() -> list[tuple[str, str]]:
+    """(module, function) of every entry of bench/tracing.py's HOOKS."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(m, f) for m, f, _ in tracing.HOOKS]
+
+
 def record_hooked_calls(monkeypatch, modules, unhooked=()):
     """Wrap, under every name a drumsep module binds it to, each function
     that bench/tracing.py's HOOKS names in ``modules``, and each
     ``(module, name)`` of ``unhooked``. Returns the list of (qualified
     name, ran on the main thread) that every call to them appends to."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    hooked = [(m, f) for m, f, _ in tracing.HOOKS if m in modules]
+    hooked = [(m, f) for m, f in bench_hooks() if m in modules]
 
     calls = []
 

@@ -37,6 +37,7 @@ from drumsep.drum_machine import (
     FrameActivations,
     onset_index,
     trigger,
+    trigger_mixture,
 )
 from drumsep.signal import SAMPLE_RATE, Waveform, frame_signal, hann_window
 from drumsep.transcription import Event, Transcription, events_to_grid, onset_samples
@@ -238,8 +239,12 @@ class TestGradient:
                 assert best < 1e-4
 
     def test_zero_at_self_rendered_optimum(self):
+        """The target is rendered by ``trigger_mixture``, the operator the
+        loss renders with, so the loss and every gradient are exactly 0."""
         params, x, grid = tiny_instance(3)
-        _, mix = render_from_params(params, grid, len(x))
+        amps = params.gains()[np.nonzero(grid.onsets)[0]] * params.velocities()
+        mix = trigger_mixture(
+            effective_one_shots(params), onset_index(grid), amps, len(x))
         loss, grads = loss_gradient(params, Waveform(mix), grid, SMALL_CFG)
         assert loss == 0.0
         for g in grads.arrays().values():
@@ -600,3 +605,9 @@ class TestLeastSquares:
             least_squares(x, Transcription(()))
         with pytest.raises(ValueError, match="^solver steps must be at least 1, got 0$"):
             least_squares(x, Transcription((Event(0.0, "kick", 1.0),)), 0)
+        # ||x||^2 overflows to inf at iterate 0, before any step is taken.
+        huge = Waveform(np.random.default_rng(0).normal(size=4096) * 1e154)
+        two_onsets = Transcription((Event(0.0, "kick", 1.0), Event(0.02, "snare", 1.0)))
+        with pytest.raises(ValueError, match="^abs solver: non-finite loss at step 0$"):
+            with np.errstate(over="ignore"):
+                least_squares(huge, two_onsets)

@@ -104,7 +104,7 @@ class TestRender:
                      transcription_path, "--out", tmp_path / "out")
         assert result.exit_code != 0
 
-    @pytest.mark.parametrize("duration", ["inf", "nan", 0, -1])
+    @pytest.mark.parametrize("duration", ["inf", "nan", 0, -1, 1e9])
     def test_bad_duration_is_one_error_line(self, tmp_path, bank_dir,
                                             transcription_path, duration):
         out = tmp_path / "out"
@@ -140,7 +140,8 @@ class TestRender:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
-            "error: duration must be finite and at least one sample, got 1e+308 s"]
+            "error: duration must be from one sample to a WAV's 1073741811 samples, "
+            "got 1e+308 s"]
         assert not out.exists()
 
     def test_same_frame_events_both_sound(self, tmp_path, bank_dir):
@@ -700,7 +701,7 @@ def test_negative_seed_is_one_error_line(tmp_path, inputs, command):
 # generate options it rejects; each error names the option
 BAD_GENERATE_OPTIONS = [("--tracks", 0), ("--tracks", -2), ("--duration", -1),
                         ("--duration", 0), ("--duration", "nan"),
-                        ("--duration", 1e-4)]
+                        ("--duration", 1e-4), ("--duration", 1e9)]
 
 
 @pytest.mark.parametrize("option, value", BAD_GENERATE_OPTIONS)

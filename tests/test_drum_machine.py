@@ -175,15 +175,17 @@ def random_onsets(rng, k, r, t, n_onsets):
 )
 @settings(max_examples=300, deadline=None)
 def test_trigger_mixture_is_stem_sum(k, r, t, n_onsets, seed):
-    """The mixture trigger equals the sum of trigger's stems bit for bit,
+    """The mixture trigger equals the sum of trigger's stems to rounding,
     whatever the class order of the onsets and whichever classes are
-    silent."""
+    silent: per sample, within 1e-12 of the sum of the terms' magnitudes."""
     rng = np.random.default_rng(seed)
     onsets = random_onsets(rng, k, r, t, n_onsets)
     shaped = rng.normal(size=(k, r))
     amps = rng.normal(size=n_onsets)
     mixture = trigger_mixture(shaped, onsets, amps, t)
-    assert np.array_equal(mixture, trigger(shaped, onsets, amps, t).sum(axis=0))
+    scale = trigger(np.abs(shaped), onsets, np.abs(amps), t).sum(axis=0)
+    difference = np.abs(mixture - trigger(shaped, onsets, amps, t).sum(axis=0))
+    assert np.all(difference <= 1e-12 * scale)
 
 
 @given(

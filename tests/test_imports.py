@@ -1,12 +1,15 @@
-"""Import hygiene: every module-level import in the package is used, and no
-module reaches into another drumsep module's `_`-prefixed names."""
+"""Import hygiene: every module-level import in the package is used, no
+module reaches into another drumsep module's `_`-prefixed names, and every
+function the bench hooks exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import drumsep
+from hooked_calls import bench_hooks
 
 MODULES = sorted(
     p for p in Path(drumsep.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -147,3 +150,13 @@ def test_only_transcription_raises_grid_range_error():
     raise ``GridRangeError`` outside ``transcription``."""
     names = {p.stem: read_names(p.read_text()) for p in MODULES}
     assert {m for m, n in names.items() if "GridRangeError" in n} == {"transcription"}
+
+
+def test_every_bench_hook_names_a_function():
+    """bench/tracing.py wraps each (module, function) of its HOOKS; a
+    renamed or deleted function would drop out of the bench's spans."""
+    hooks = bench_hooks()
+    assert hooks
+    missing = [f"{m}.{f}" for m, f in hooks
+               if not callable(getattr(importlib.import_module(f"drumsep.{m}"), f, None))]
+    assert missing == []
