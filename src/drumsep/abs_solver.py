@@ -11,7 +11,9 @@ with ``trigger_mixture`` and ``trigger_mixture_adjoint`` as the operator and
 its transpose. Each one-shot spans its full second, written as exp(-t /
 ``LSQ_DECAY_SECONDS``) times u; that substitution is the solve's only prior.
 ``LSQ_ITERATIONS`` is the default iteration count. The solve runs on the
-calling thread.
+calling thread and returns the one-shots with the onsets and amplitudes
+they play at, not the K x T stems: a caller renders the stems it needs,
+one class or one block at a time.
 
 ``solve_track`` jointly optimizes one-shot waveforms, per-onset
 velocities, track gains and envelope decays by Adam on the
@@ -534,10 +536,23 @@ def solve_track(
 
 @dataclass
 class LeastSquaresResult:
+    """The solved one-shots and the onsets they play at: the synthesis
+    estimates are ``trigger(one_shots, onsets, amplitudes, len(x))``,
+    rendered by whoever needs them."""
+
     one_shots: np.ndarray  # K x R, track gains folded in
-    stems: np.ndarray  # K x T synthesis estimates
-    mixture: np.ndarray  # T
+    onsets: list[tuple[int, int]]  # (class, sample), as onset_samples gives them
+    amplitudes: np.ndarray  # one velocity per onset
     loss_trace: list[float]  # ||x - mixture||^2 at iterates 0..iterations
+
+    def stem(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Class ``k``'s synthesis estimate, row ``k`` of ``trigger``'s
+        stems bit for bit, written into the track-length ``out``."""
+        picked = [j for j, (c, _) in enumerate(self.onsets) if c == k]
+        onsets = [(0, self.onsets[j][1]) for j in picked]
+        trigger(self.one_shots[k : k + 1], onsets, self.amplitudes[picked], len(out),
+                out=out[None])
+        return out
 
 
 def least_squares(
@@ -574,7 +589,8 @@ def least_squares(
     def normal_gradient(r: np.ndarray, out: np.ndarray):
         """e * A^T r, into ``out``; the adjoint reads only the shape of
         ``shots``."""
-        np.multiply(trigger_mixture_adjoint(r, shots, onsets, amps), env, out=out)
+        trigger_mixture_adjoint(r, shots, onsets, amps, out=out)
+        out *= env
 
     def residual_squares(step: int) -> float:
         """||r||^2, the trace entry of iterate ``step``; it must be finite."""
@@ -607,5 +623,4 @@ def least_squares(
         p *= gamma / previous
         p += s
 
-    stems = trigger(w, onsets, amps, n)
-    return LeastSquaresResult(w, stems, stems.sum(axis=0), trace)
+    return LeastSquaresResult(w, onsets, amps, trace)

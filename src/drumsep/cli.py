@@ -131,11 +131,10 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
         magnitude(stft(x, cfg)), t, bank, case, seed=config["seed"],
         hop_size=cfg.hop_size,
     )
-    stems = masking.mask_with_magnitudes(
-        x, per_class, cfg, config["masking.alpha"], config["masking.epsilon"]
-    )
     out = Path(out_dir)
-    fileio.write_stems(stems, out / "masked")
+    with fileio.stem_blocks(out / "masked", len(x)) as writers:
+        masking.mask_with_magnitudes(x, per_class, cfg, config["masking.alpha"],
+                                     config["masking.epsilon"], writers)
     fileio.write_magnitudes(per_class, out / "magnitudes.npz")
     fileio.write_config(config, out / "config.txt")
 
@@ -159,14 +158,19 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     result = abs_solver.least_squares(x, t, config["solver.steps"])
 
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
-    masked = masking.mask_with_stems(
-        x, result.stems, cfg, config["masking.alpha"], config["masking.epsilon"]
-    )
-
     out = Path(out_dir)
-    fileio.write_stems(result.stems, out / "synth")
-    fileio.write_stems(masked, out / "masked")
-    fileio.write_wav(out / "reconstruction.wav", Waveform(result.mixture))
+    # One class's synth stem at a time; their sum in class order is the
+    # stems' sum, bit for bit.
+    stem, mixture = np.empty(len(x)), np.zeros(len(x))
+    for k, name in enumerate(CLASS_NAMES):
+        result.stem(k, stem)
+        mixture += stem
+        fileio.write_wav(out / "synth" / f"{name}.wav", Waveform(stem))
+    with fileio.stem_blocks(out / "masked", len(x)) as writers:
+        masking.mask_with_shots(x, result.one_shots, result.onsets, result.amplitudes,
+                                cfg, config["masking.alpha"], config["masking.epsilon"],
+                                writers)
+    fileio.write_wav(out / "reconstruction.wav", Waveform(mixture))
     fileio.write_loss_trace(result.loss_trace, out / "loss_trace.csv")
     fileio.write_config(config, out / "config.txt")
 

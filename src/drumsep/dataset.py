@@ -105,14 +105,19 @@ def _sample_track(
 def _spaced_frames(
     rng: np.random.Generator, count: int, n_frames: int, min_gap: int
 ) -> np.ndarray:
-    """Draw up to ``count`` distinct frames at least ``min_gap`` apart."""
+    """Draw up to ``count`` distinct frames more than ``min_gap`` apart:
+    up to ``8 * count`` draws, each kept unless within ``min_gap`` of a
+    frame kept before it. The frames so blocked are kept in a set, so each
+    draw costs the same however many frames are kept."""
     frames: list[int] = []
+    blocked: set[int] = set()
     for _ in range(8 * count):
         if len(frames) == count:
             break
         candidate = int(rng.integers(0, n_frames))
-        if all(abs(candidate - f) > min_gap for f in frames):
+        if candidate not in blocked:
             frames.append(candidate)
+            blocked.update(range(candidate - min_gap, candidate + min_gap + 1))
     return np.sort(np.array(frames, dtype=int))
 
 

@@ -8,9 +8,11 @@ linear convolution of a sparse audio-rate impulse train with the one-shot,
 computed onset by onset. ``render`` takes the onset list of
 ``transcription.onset_samples``; ``onset_index`` reads one off a frame grid.
 
-``trigger`` and ``apply_envelope`` are the model. ``trigger_mixture`` is
-``trigger`` summed over classes, up to rounding, without building the
-stems.
+``trigger`` and ``apply_envelope`` are the model. ``trigger`` renders the
+whole track or any sample range of it, bit for bit the same samples, so
+the masking kernel renders a block's stems from the onsets without the
+K x T stems. ``trigger_mixture`` is ``trigger`` summed over classes, up to
+rounding, without building the stems.
 ``trigger_mixture_adjoint`` (in the one-shots),
 ``trigger_mixture_amplitude_adjoint`` (in the amplitudes) and
 ``apply_envelope_adjoint`` are exact transposes, which the Adam solver
@@ -148,14 +150,32 @@ def trigger(
     onsets: list[tuple[int, int]],
     amplitudes: np.ndarray,
     n_samples: int,
+    start: int = 0,
+    stop: int | None = None,
+    out: np.ndarray | None = None,
+    scaled: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stems K x T: ``amplitudes[j] * shaped[k]`` added at sample ``pos``
-    for the j-th onset (k, pos); the tail past the track end is dropped."""
-    stems = np.zeros((shaped.shape[0], n_samples))
+    for the j-th onset (k, pos); the tail past the track end is dropped.
+
+    Given a range 0 <= ``start`` <= ``stop`` <= ``n_samples``, only its
+    samples: K x (stop - start), bit for bit those columns of the whole
+    track, as every sample sees the same adds in the same order. ``out``
+    takes them in place of a new array, and ``scaled``, R samples, takes
+    each ``amp * seg`` in place of a temporary."""
+    length, stop = shaped.shape[1], n_samples if stop is None else stop
+    if out is None:
+        out = np.zeros((shaped.shape[0], stop - start))
+    else:
+        out.fill(0.0)
+    if scaled is None:
+        scaled = np.empty(length)
     for (k, pos), amp in zip(onsets, amplitudes):
-        seg = shaped[k, : max(0, n_samples - pos)]
-        stems[k, pos : pos + len(seg)] += amp * seg
-    return stems
+        lo, hi = max(pos, start), min(pos + length, stop)
+        if lo < hi:
+            out[k, lo - start : hi - start] += np.multiply(
+                amp, shaped[k, lo - pos : hi - pos], out=scaled[: hi - lo])
+    return out
 
 
 def trigger_mixture(
@@ -180,16 +200,20 @@ def trigger_mixture_adjoint(
     shaped: np.ndarray,
     onsets: list[tuple[int, int]],
     amplitudes: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transpose of ``trigger_mixture`` in ``shaped``: given dL/dmixture
-    (T), returns dL/dshaped (K x R)."""
+    (T), returns dL/dshaped (K x R), written into ``out`` if given."""
     r = shaped.shape[1]
-    g_shaped = np.zeros_like(shaped)
+    if out is None:
+        out = np.zeros_like(shaped)
+    else:
+        out.fill(0.0)
     product = np.empty(r)
     for j, (k, pos) in enumerate(onsets):
         seg = g_mixture[pos : pos + r]
-        g_shaped[k, : len(seg)] += np.multiply(amplitudes[j], seg, out=product[: len(seg)])
-    return g_shaped
+        out[k, : len(seg)] += np.multiply(amplitudes[j], seg, out=product[: len(seg)])
+    return out
 
 
 def trigger_mixture_amplitude_adjoint(

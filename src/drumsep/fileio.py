@@ -1,5 +1,9 @@
 """File formats: WAV, transcription CSV, class-stem and bank directories,
-NMFD magnitudes, run config, report JSON and loss traces."""
+NMFD magnitudes, run config, report JSON and loss traces.
+
+Every file is written atomically, through a temp file renamed into place.
+A WAV file is written whole by ``write_wav``, or as sample ranges in any
+order by ``wav_blocks`` and ``stem_blocks``, with the same bytes."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import json
 import os
 import struct
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -128,25 +132,66 @@ def write_wav(path: str | Path, x: Waveform) -> int:
     """Write mono float32 WAV at 44.1 kHz, atomically (temp then rename).
 
     Samples outside [-1, 1] are clipped; returns the number clipped. The
-    layout is scipy.io.wavfile's for float data: an 18-byte ``fmt `` chunk
-    (tag 3, cbSize 0), a ``fact`` chunk with the sample count, then ``data``.
+    layout is ``_wav_header``'s.
     """
     samples = x.samples
-    if len(samples) > MAX_WAV_SAMPLES:
-        raise ValueError(f"{path}: {len(samples)} samples exceed a RIFF WAV's 4 GiB")
+    header = _wav_header(path, len(samples))
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     data = np.clip(samples, -1.0, 1.0).astype("<f4")
-    header = struct.pack(
-        "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
-        b"RIFF", 50 + data.nbytes, b"WAVE",  # the size after these 8 bytes
-        b"fmt ", 18, _WAVE_FLOAT, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32, 0,
-        b"fact", 4, len(data),
-        b"data", data.nbytes,
-    )
     with _atomic_open(Path(path)) as handle:
         handle.write(header)
         handle.write(data)
     return clipped
+
+
+def _wav_header(path: str | Path, n_samples: int) -> bytes:
+    """The header of a mono float32 WAV of ``n_samples`` samples at 44.1
+    kHz: scipy.io.wavfile's layout for float data, an 18-byte ``fmt `` chunk
+    (tag 3, cbSize 0), a ``fact`` chunk with the sample count, then the
+    ``data`` chunk's header. A track past ``MAX_WAV_SAMPLES`` raises
+    ValueError naming ``path``."""
+    if n_samples > MAX_WAV_SAMPLES:
+        raise ValueError(f"{path}: {n_samples} samples exceed a RIFF WAV's 4 GiB")
+    return struct.pack(
+        "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
+        b"RIFF", 50 + 4 * n_samples, b"WAVE",  # the size after these 8 bytes
+        b"fmt ", 18, _WAVE_FLOAT, 1, SAMPLE_RATE, 4 * SAMPLE_RATE, 4, 32, 0,
+        b"fact", 4, n_samples,
+        b"data", 4 * n_samples,
+    )
+
+
+class WavBlocks:
+    """A float32 WAV file that ``wav_blocks`` opens, written one sample
+    range at a time, in any order."""
+
+    def __init__(self, path: Path, fd: int, offset: int):
+        self._path, self._fd, self._offset = path, fd, offset
+
+    def write(self, start: int, samples: np.ndarray, scratch: np.ndarray):
+        """Write ``samples`` as the track's samples from ``start`` on,
+        clipped to [-1, 1] and rounded to float32 as ``write_wav`` does,
+        through ``scratch``, a float32 array at least as long. Threads may
+        write disjoint ranges at once: each write is one ``os.pwrite``."""
+        data = np.clip(samples, -1.0, 1.0, out=scratch[: len(samples)])
+        data = data.astype("<f4", copy=False)  # no copy on a little-endian host
+        if os.pwrite(self._fd, data, self._offset + 4 * start) != data.nbytes:
+            raise OSError(f"{self._path}: short write")
+
+
+@contextmanager
+def wav_blocks(path: str | Path, n_samples: int):
+    """Yield a ``WavBlocks`` for a mono float32 WAV of ``n_samples``
+    samples, ``write_wav``'s bytes once every sample is written (samples
+    never written read as 0). The file is written atomically, as
+    ``write_wav`` writes: a temp file, renamed onto ``path`` when the block
+    ends and deleted if it raises."""
+    path = Path(path)
+    header = _wav_header(path, n_samples)
+    with _atomic_open(path) as handle:
+        handle.write(header)
+        handle.truncate(len(header) + 4 * n_samples)
+        yield WavBlocks(path, handle.fileno(), len(header))
 
 
 @contextmanager
@@ -260,6 +305,18 @@ def write_stems(stems: np.ndarray, directory: str | Path):
     directory = Path(directory)
     for name, samples in zip(CLASS_NAMES, stems):
         write_wav(directory / f"{name}.wav", Waveform(samples))
+
+
+@contextmanager
+def stem_blocks(directory: str | Path, n_samples: int):
+    """Yield one ``WavBlocks`` per class, in class order, for the
+    `<class>.wav` stems of ``n_samples`` samples in ``directory``: the bytes
+    ``write_stems`` writes once every sample is written. All files are
+    renamed into place when the block ends, and deleted if it raises."""
+    directory = Path(directory)
+    with ExitStack() as stack:
+        yield [stack.enter_context(wav_blocks(directory / f"{name}.wav", n_samples))
+               for name in CLASS_NAMES]
 
 
 def read_bank(directory: str | Path) -> OneShotBank:

@@ -1,15 +1,20 @@
 """Alpha-Wiener time-frequency masking with the mixture phase.
 
-Every masked stem comes from one kernel that never holds a K x F x M array.
-It walks the track in blocks of ``MASK_BLOCK`` hops. For each block it
-takes the mixture's spectrum, the K estimate magnitudes (the spectra of
-estimated stems, or a slice of given magnitudes or masks), the masks
-est**alpha / (sum_k est**alpha + eps), and each class's masked inverse
-transform, windowed and overlap-added into the K x T output. A block's
-frames are taken from a lane buffer that holds the samples they cover,
-with zeros past the track's ends, so no padded copy of the signals exists.
-The blocks are split between the lanes of ``parallel.run_lanes``, under
-the rules in ``parallel``'s docstring.
+Every masked stem comes from one kernel that never holds a K x F x M array
+and, writing to files, no K x T one. It walks the track in blocks of
+``MASK_BLOCK`` hops. For each block it takes the mixture's spectrum, the K
+estimate magnitudes (the spectra of estimated stems, or a slice of given
+magnitudes or masks), the masks est**alpha / (sum_k est**alpha + eps), and
+each class's masked inverse transform, windowed and overlap-added. A
+block's frames are taken from a lane buffer that holds the samples they
+cover, with zeros past the track's ends, so no padded copy of the signals
+exists. With one-shots and onsets in place of stems, the block renders
+those samples itself by ``drum_machine.trigger`` over its sample range,
+from the onsets that reach into it. Each class's finished samples go to a
+block writer: ``fileio.stem_blocks`` writes them into the stem files, and
+without writers they fill a K x T array. The blocks are split between the
+lanes of ``parallel.run_lanes``, under the rules in ``parallel``'s
+docstring.
 
 The stems are bit for bit the per-class ``istft`` of ``masks[k] *
 stft(x)``, for any block size and lane count. ``signal.overlap_add`` adds a
@@ -17,7 +22,9 @@ sample's frames in the order of frame mod S, S = window/hop. So a block
 that writes hops [a, b), a a multiple of S, overlap-adds frames a - S to
 b - 1 from zero and keeps hops [a, b): every sample sees the same adds in
 the same order. A lane carries each class's last S frames from one block
-to the next; its first block computes the S - 1 frames before it.
+to the next; its first block computes the S - 1 frames before it. A
+block's rendered stem samples are those of the whole-track ``trigger``,
+which adds each sample's onsets in the same order for any range.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .drum_machine import trigger
 from .parallel import run_lanes, thread_count
 from .signal import (
     SignalError,
@@ -102,13 +110,16 @@ def mask_with_magnitudes(
     cfg: StftConfig = StftConfig(),
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = MASK_EPSILON,
-) -> np.ndarray:
+    writers=None,
+) -> np.ndarray | None:
     """Mask the mixture with K x F x M magnitude estimates: K x len(x)
     masked stems, ``apply_masks(x, compute_masks(estimates, alpha,
-    epsilon), cfg)`` without the K x F x M masks."""
+    epsilon), cfg)`` without the K x F x M masks. Given K block
+    ``writers`` (see ``_mask``), the stems go to them and None is
+    returned."""
     check_mask_params(alpha, epsilon)
     return _mask(x, cfg, magnitudes=_check_estimates(estimates),
-                 alpha=alpha, epsilon=epsilon)
+                 alpha=alpha, epsilon=epsilon, writers=writers)
 
 
 def mask_with_stems(
@@ -129,10 +140,56 @@ def mask_with_stems(
     return _mask(x, cfg, stems=stems, alpha=alpha, epsilon=epsilon)
 
 
+def mask_with_shots(
+    x: Waveform,
+    shots: np.ndarray,
+    onsets: list[tuple[int, int]],
+    amplitudes: np.ndarray,
+    cfg: StftConfig = StftConfig(),
+    alpha: float = DEFAULT_ALPHA,
+    epsilon: float = MASK_EPSILON,
+    writers=None,
+) -> np.ndarray | None:
+    """``mask_with_stems`` of the stems ``drum_machine.trigger(shots,
+    onsets, amplitudes, len(x))``, bit for bit, without them: each block
+    renders the samples its frames cover from the onsets that reach into
+    it. Given K block ``writers`` (see ``_mask``), the masked stems go to
+    them and None is returned."""
+    shots = np.asarray(shots, dtype=np.float64)
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    if shots.ndim != 2 or amplitudes.shape != (len(onsets),):
+        raise ValueError(f"expected K x R one-shots and {len(onsets)} amplitudes, "
+                         f"got shapes {shots.shape} and {amplitudes.shape}")
+    if not (np.all(np.isfinite(shots)) and np.all(np.isfinite(amplitudes))):
+        raise SignalError("one-shots or amplitudes contain non-finite values")
+    check_mask_params(alpha, epsilon)
+    return _mask(x, cfg, shots=(shots, onsets, amplitudes), alpha=alpha,
+                 epsilon=epsilon, writers=writers)
+
+
+class _RowBlocks:
+    """A block writer into one row of an array, as ``fileio.wav_blocks``
+    writes into a file."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def write(self, start: int, samples: np.ndarray, scratch: np.ndarray):
+        self.row[start : start + len(samples)] = samples
+
+
 def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
-          stems=None, alpha=DEFAULT_ALPHA, epsilon=MASK_EPSILON) -> np.ndarray:
-    """The K x len(x) masked stems from exactly one of K x F x M ``masks``,
-    K x F x M ``magnitudes`` or K x len(x) ``stems``, on lanes."""
+          stems=None, shots=None, alpha=DEFAULT_ALPHA, epsilon=MASK_EPSILON,
+          writers=None) -> np.ndarray | None:
+    """The masked stems from exactly one of K x F x M ``masks``, K x F x M
+    ``magnitudes``, K x len(x) ``stems`` or ``shots``, a (one-shots,
+    onsets, amplitudes) triple, on lanes.
+
+    Each class's stem goes block by block to ``writers[k].write(start,
+    samples, scratch)``, which takes the float64 samples from ``start`` on
+    and may use ``scratch``, a float32 lane buffer at least as long; the
+    lanes write disjoint ranges at once. Without ``writers`` they go into
+    a K x len(x) array, which is returned."""
     n = len(x)
     if n == 0:
         raise SignalError("cannot take the STFT of an empty signal")
@@ -144,20 +201,31 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
             f"mask shape {given.shape[1:]} does not match spectrogram "
             f"{(cfg.n_bins, n_frames)}"
         )
-    source = stems if stems is not None else given
+    if shots is not None:
+        source, onsets, amplitudes = shots
+    else:
+        source = stems if stems is not None else given
     k = len(source)
+    out = None
+    if writers is None:
+        out = np.empty((k, n))
+        writers = [_RowBlocks(row) for row in out]
+    elif len(writers) != k:
+        raise ValueError(f"{len(writers)} writers for {k} stems")
 
-    out = np.empty((k, n))
-    job = _MaskJob(
-        cfg, x.samples, source, stems is not None, masks is None, alpha,
-        epsilon, overlap_add_norm(cfg, n_frames, n + 2 * pad)[pad : pad + n], out,
-    )
     hops = -(-(pad + n) // hop)  # the hops that hold output samples
     block = min(stride * -(-MASK_BLOCK // stride), hops)
     n_blocks = -(-hops // block)
+    job = _MaskJob(
+        cfg, x.samples, source, stems is not None or shots is not None,
+        masks is None, alpha, epsilon,
+        overlap_add_norm(cfg, n_frames, n + 2 * pad)[pad : pad + n], writers,
+        None if shots is None else _onsets_by_block(
+            cfg, block, hops, source.shape[1], onsets, amplitudes),
+    )
     lanes = thread_count(n_blocks)
     run_lanes(_mask_lane, [
-        (job, _MaskBuffers(k, block + stride, cfg, 1 + k * job.from_stems),
+        (job, _MaskBuffers(job, block + stride),
          n_blocks * i // lanes * block,
          min(n_blocks * (i + 1) // lanes * block, hops), block)
         for i in range(lanes)
@@ -165,13 +233,32 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
     return out
 
 
+def _onsets_by_block(cfg: StftConfig, block: int, hops: int, length: int,
+                     onsets, amplitudes) -> list[tuple[list, np.ndarray]]:
+    """For each block of ``block`` hops, the onsets, in list order, and
+    their amplitudes whose ``length``-sample one-shots reach into the
+    samples a lane may render for it: those its frames cover, and the S - 1
+    frames before them."""
+    hop, pad = cfg.hop_size, cfg.window_size // 2
+    stride = cfg.window_size // hop
+    starts = np.array([pos for _, pos in onsets], dtype=np.int64)
+    reach = []
+    for a in range(0, hops, block):
+        b = min(a + block, hops)
+        picked = np.flatnonzero((starts < (b - 1) * hop + pad)
+                                & (starts + length > (a - stride + 1) * hop - pad))
+        reach.append(([onsets[j] for j in picked], amplitudes[picked]))
+    return reach
+
+
 @dataclass(frozen=True)
 class _MaskJob:
     """What every masking lane reads: the mixture, the source of the
-    estimates (K x T stems, or K x F x M magnitudes or masks), whether the
-    source is stems and whether to turn it into masks, the mask parameters
-    and the normalization of the output samples. Each lane writes its own
-    hops of ``out``."""
+    estimates (K x T stems, K x R one-shots, or K x F x M magnitudes or
+    masks), whether the estimates are stem spectra (of given or rendered
+    stems) and whether to turn them into masks, the mask parameters, the
+    normalization of the output samples and each class's block writer.
+    With one-shots, ``reach`` holds each block's onsets and amplitudes."""
 
     cfg: StftConfig
     mixture: np.ndarray
@@ -181,19 +268,22 @@ class _MaskJob:
     alpha: float
     epsilon: float
     norm: np.ndarray
-    out: np.ndarray
+    writers: list
+    reach: list | None
 
 
 class _MaskBuffers:
     """One masking lane's buffers for ``rows`` frames: the samples those
-    frames cover in each of ``signals`` signals (the mixture, then any
-    stems) and their frames as a view; windowed frames (later one class's masked frames), the mixture's
+    frames cover in the mixture and any stems, and their frames as a view;
+    windowed frames (later one class's masked frames), the mixture's
     spectrum and one class's, the K estimates (later the masks) and their
-    sum, each class's last S frames carried to the next block, and an
-    overlap-add buffer."""
+    sum, each class's last S frames carried to the next block, an
+    overlap-add buffer, and scratch for one rendered onset and for the
+    writers."""
 
-    def __init__(self, k: int, rows: int, cfg: StftConfig, signals: int):
-        stride = cfg.window_size // cfg.hop_size
+    def __init__(self, job: _MaskJob, rows: int):
+        cfg, k = job.cfg, len(job.writers)
+        signals, stride = 1 + k * job.from_stems, cfg.window_size // cfg.hop_size
         self.span = np.empty((signals, (rows - 1) * cfg.hop_size + cfg.window_size))
         self.span_frames = sliding_window_view(
             self.span, cfg.window_size, axis=1)[:, :: cfg.hop_size]
@@ -204,15 +294,17 @@ class _MaskBuffers:
         self.den = np.empty((rows, cfg.n_bins))
         self.carry = np.zeros((k, stride, cfg.window_size))
         self.ola = np.empty((rows + stride) * cfg.hop_size)
+        self.scaled = np.empty(job.source.shape[1] if job.reach is not None else 0)
+        self.scratch = np.empty((rows - stride) * cfg.hop_size, dtype=np.float32)
 
 
 def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: int):
     """Masked stems for the hops [start, stop) of the padded track, block
-    by block, into ``job.out``. Runs on a lane (see ``parallel``)."""
+    by block, to ``job.writers``. Runs on a lane (see ``parallel``)."""
     cfg, window = job.cfg, hann_window(job.cfg.window_size)
     hop, stride = cfg.hop_size, cfg.window_size // cfg.hop_size
     pad = cfg.window_size // 2
-    (k, n), n_bins = job.out.shape, cfg.n_bins
+    k, n, n_bins = len(job.writers), len(job.mixture), cfg.n_bins
     n_frames = num_frames(n, cfg)
     for a in range(start, stop, block):
         b = min(a + block, stop)
@@ -228,7 +320,11 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
         span = buf.span[:, : end - begin]
         span[:, : first - begin] = 0.0
         span[0, first - begin : last - begin] = job.mixture[first:last]
-        if job.from_stems:
+        if job.reach is not None:
+            onsets, amplitudes = job.reach[a // block]
+            trigger(job.source, onsets, amplitudes, n, first, last,
+                    out=span[1:, first - begin : last - begin], scaled=buf.scaled)
+        elif job.from_stems:
             span[1:, first - begin : last - begin] = job.source[:, first:last]
         span[:, last - begin :] = 0.0
         frames = buf.frames[:nf]
@@ -268,7 +364,7 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
             overlap_add(frames, hop, len(buf.ola), out=buf.ola)
             buf.carry[i] = frames[used - stride :]
             if lo < hi:
-                np.divide(buf.ola[lo - shift : hi - shift],
-                          job.norm[lo - pad : hi - pad],
-                          out=job.out[i, lo - pad : hi - pad])
+                stem = buf.ola[lo - shift : hi - shift]
+                np.divide(stem, job.norm[lo - pad : hi - pad], out=stem)
+                job.writers[i].write(lo - pad, stem, buf.scratch)
 

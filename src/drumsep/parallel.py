@@ -9,11 +9,14 @@ and adds no memory beyond each lane's buffers:
 - The calling thread allocates every buffer a lane writes. Arrays a worker
   thread allocates land in a per-thread malloc arena that is not given back
   to the system, which raised peak RSS by up to 16 %.
-- A lane allocates no array and calls numpy (and ``signal.overlap_add``)
-  only, never a function a tracer may wrap: a tracer's span stack is not
+- A lane allocates no array and calls numpy, ``signal.overlap_add``,
+  ``drum_machine.trigger`` into its own buffers and a block writer's
+  ``write`` (``fileio.WavBlocks``, one ``os.pwrite`` of a range) only,
+  never a function a tracer may wrap: a tracer's span stack is not
   thread-safe.
 - A lane writes only its own buffers or its own slice of a shared output,
-  and the caller reduces the lanes' results in a fixed order.
+  array or file, and the caller reduces the lanes' results in a fixed
+  order.
 """
 
 from __future__ import annotations

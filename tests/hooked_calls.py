@@ -1,4 +1,5 @@
-"""Which thread runs each function that bench/tracing.py hooks.
+"""Which thread runs each function that bench/tracing.py hooks, and a
+loader for the bench's modules.
 
 The tracer's span stack is shared by all threads, so a function it wraps
 must not run on a worker thread."""
@@ -9,13 +10,18 @@ import threading
 from pathlib import Path
 
 
+def bench_module(name: str):
+    """bench/<name>.py, loaded as a module: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_hooks() -> list[tuple[str, str]]:
     """(module, function) of every entry of bench/tracing.py's HOOKS."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return [(m, f) for m, f, _ in tracing.HOOKS]
+    return [(m, f) for m, f, _ in bench_module("tracing").HOOKS]
 
 
 def record_hooked_calls(monkeypatch, modules, unhooked=()):

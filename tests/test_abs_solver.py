@@ -555,8 +555,10 @@ def grid_transcription(rng, n_samples, n_events):
 
 
 def squared_residual(x, result):
-    """||x - mixture||^2, from the returned mixture."""
-    return np.sum((x - result.mixture) ** 2)
+    """||x - mixture||^2, with the mixture rendered by ``trigger`` from the
+    returned one-shots, onsets and amplitudes."""
+    stems = trigger(result.one_shots, result.onsets, result.amplitudes, len(x))
+    return np.sum((x - stems.sum(axis=0)) ** 2)
 
 
 class TestLeastSquares:
@@ -595,9 +597,11 @@ class TestLeastSquares:
         assert solved.loss_trace[-1] < 2e-4 * solved.loss_trace[0]
         assert solved.loss_trace[-1] == pytest.approx(
             squared_residual(x, solved), rel=1e-9)
-        np.testing.assert_array_equal(
-            solved.stems, trigger(solved.one_shots, onsets, amps, n))
-        np.testing.assert_array_equal(solved.mixture, solved.stems.sum(axis=0))
+        assert solved.onsets == onsets
+        np.testing.assert_array_equal(solved.amplitudes, amps)
+        stems = trigger(solved.one_shots, onsets, amps, n)
+        for k in range(NUM_CLASSES):
+            assert np.array_equal(solved.stem(k, np.full(n, np.nan)), stems[k])
 
     def test_bad_input_rejected(self):
         x = Waveform(np.ones(4096))

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from click.testing import CliRunner
 
 import drumsep
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
-from drumsep import abs_solver, nmfd, parallel
+from drumsep import abs_solver, masking, nmfd, parallel
 from drumsep.cli import main
-from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
+from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank, trigger
 from drumsep.fileio import (
     CONFIG_DEFAULTS,
     read_bank,
@@ -23,11 +24,17 @@ from drumsep.fileio import (
     read_transcription,
     read_wav,
     write_bank,
+    write_config,
+    write_loss_trace,
+    write_magnitudes,
+    write_stems,
     write_transcription,
     write_wav,
 )
 from drumsep.signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
 from drumsep.transcription import Event, Transcription
+
+from hooked_calls import bench_module
 
 RUNNER = CliRunner()
 
@@ -444,6 +451,116 @@ class TestSeparate:
         assert result.exit_code == 0, result.output
         ran_with = {"seed": 5} | ({"solver.steps": 1} if method == "abs" else {})
         assert read_config(sep / "config.txt") == CONFIG_DEFAULTS | ran_with
+
+
+@pytest.fixture(scope="module")
+def bench_track(tmp_path_factory):
+    """``write(duration)``: the bench's kit 9101 and a nine-class track of
+    ``duration`` seconds from it, as bench/inputs.py renders them; returns
+    (kit, mixture, transcription) paths."""
+    inputs = bench_module("inputs")
+    root = tmp_path_factory.mktemp("bench")
+    kit = inputs.make_kit(9101)
+    inputs.write_kit(kit, root / "kit")
+
+    def write(duration: float) -> tuple[Path, Path, Path]:
+        events, _, mixture = inputs.make_track(kit, 9101, 0, duration)
+        base = root / f"track-{duration}"
+        inputs.write_wav(base.with_suffix(".wav"), mixture)
+        inputs.write_transcription(events, base.with_suffix(".csv"))
+        return root / "kit", base.with_suffix(".wav"), base.with_suffix(".csv")
+
+    return write
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def traced_peak(*args) -> int:
+    """Peak traced allocation, in bytes, of one in-process CLI call."""
+    tracemalloc.start()
+    try:
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedStems:
+    """The `separate` commands write their stems block by block: the bytes
+    of the composition that built K x T arrays, in memory that grows by a
+    few track-length rows, not by K of them."""
+
+    @pytest.fixture(autouse=True)
+    def two_lanes(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+    def test_abs_equals_the_array_composition(self, tmp_path, bench_track):
+        _, mixture, transcription = bench_track(3.0)
+        sep = tmp_path / "sep"
+        result = run("separate", "abs", "--mixture", mixture, "--transcription",
+                     transcription, "--out", sep, "--steps", 10)
+        assert result.exit_code == 0, result.output
+
+        x, t = read_wav(mixture), read_transcription(transcription)
+        solved = abs_solver.least_squares(x, t, 10)
+        stems = trigger(solved.one_shots, solved.onsets, solved.amplitudes, len(x))
+        ref = tmp_path / "ref"
+        write_stems(stems, ref / "synth")
+        write_stems(masking.mask_with_stems(x, stems), ref / "masked")
+        write_wav(ref / "reconstruction.wav", Waveform(stems.sum(axis=0)))
+        write_loss_trace(solved.loss_trace, ref / "loss_trace.csv")
+        write_config(CONFIG_DEFAULTS | {"solver.steps": 10}, ref / "config.txt")
+        assert len(tree_bytes(ref)) == 2 * NUM_CLASSES + 3
+        assert tree_bytes(sep) == tree_bytes(ref)
+
+    def test_nmfd_equals_the_array_composition(self, tmp_path, bench_track):
+        _, mixture, transcription = bench_track(3.0)
+        sep = tmp_path / "sep"
+        result = run("separate", "nmfd", "--case", "3", "--mixture", mixture,
+                     "--transcription", transcription, "--out", sep)
+        assert result.exit_code == 0, result.output
+
+        x, t = read_wav(mixture), read_transcription(transcription)
+        _, per_class = nmfd.nmfd_run(magnitude(stft(x)), t, None,
+                                     nmfd.NmfdCase.preset("3"), seed=0)
+        ref = tmp_path / "ref"
+        write_stems(masking.mask_with_magnitudes(x, per_class), ref / "masked")
+        write_magnitudes(per_class, ref / "magnitudes.npz")
+        write_config(CONFIG_DEFAULTS, ref / "config.txt")
+        assert tree_bytes(sep) == tree_bytes(ref)
+
+    # On a 30 s track a row of T float64 samples is 10.6 MB; the one-shots,
+    # K x R, are 3.2 MB and a masking lane's buffers about 7.6 MB.
+    SECONDS = 30.0
+    LANES = 2 * 8e6
+
+    def test_abs_memory_grows_by_rows(self, tmp_path, bench_track):
+        """CGLS holds the mixture, its residual, a scratch row and two
+        operator outputs at once, beside a few K x R arrays; masking holds
+        the mixture and its normalization. Measured 69.6 MB; 240.1 MB when
+        the synth and masked stems were K x T arrays."""
+        _, mixture, transcription = bench_track(self.SECONDS)
+        row = 8 * self.SECONDS * SAMPLE_RATE
+        shots = 8 * NUM_CLASSES * ONE_SHOT_LENGTH
+        peak = traced_peak("separate", "abs", "--mixture", mixture, "--transcription",
+                           transcription, "--out", tmp_path / "sep", "--steps", 2)
+        assert peak < 5 * row + 6 * shots + self.LANES
+
+    def test_nmfd_memory_grows_by_rows(self, tmp_path, bench_track):
+        """NMFD's K x F x M magnitudes, which magnitudes.npz holds, beside
+        the mixture, its normalization and a spare row. Measured 225.5 MB;
+        320.4 MB when the masked stems were a K x T array."""
+        _, mixture, transcription = bench_track(self.SECONDS)
+        row = 8 * self.SECONDS * SAMPLE_RATE
+        n_frames = 1 + int(self.SECONDS * SAMPLE_RATE) // StftConfig().hop_size
+        magnitudes = 8 * NUM_CLASSES * StftConfig().n_bins * n_frames
+        peak = traced_peak("separate", "nmfd", "--case", "3", "--mixture", mixture,
+                           "--transcription", transcription, "--out", tmp_path / "sep")
+        assert peak < magnitudes + 3 * row + self.LANES
 
 
 class TestDetectOnsets:

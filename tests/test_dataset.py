@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumsep import dataset
 from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
@@ -115,3 +117,29 @@ class TestGenerate:
         spec = GenerationSpec(n_tracks=12, duration=0.5)
         kits = {t.kit_id for t in generate_dataset(banks, 2, spec)}
         assert kits == {"kit_0", "kit_1"}
+
+
+def quadratic_spaced_frames(rng, count, n_frames, min_gap):
+    """``dataset._spaced_frames`` as it was: each draw compared with every
+    frame kept so far."""
+    frames = []
+    for _ in range(8 * count):
+        if len(frames) == count:
+            break
+        candidate = int(rng.integers(0, n_frames))
+        if all(abs(candidate - f) > min_gap for f in frames):
+            frames.append(candidate)
+    return np.sort(np.array(frames, dtype=int))
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300),
+       n_frames=st.integers(1, 2000), min_gap=st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_spaced_frames_draw_as_the_quadratic_loop(seed, count, n_frames, min_gap):
+    """The same frames from the same draws, leaving the generator in the
+    same state, as the loop that compared each draw with every kept frame."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    frames = dataset._spaced_frames(rng, count, n_frames, min_gap)
+    want = quadratic_spaced_frames(reference_rng, count, n_frames, min_gap)
+    assert np.array_equal(frames, want)
+    assert rng.integers(2**62) == reference_rng.integers(2**62)

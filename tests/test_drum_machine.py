@@ -188,6 +188,45 @@ def test_trigger_mixture_is_stem_sum(k, r, t, n_onsets, seed):
     assert np.all(difference <= 1e-12 * scale)
 
 
+def whole_track_trigger(shaped, onsets, amplitudes, n_samples):
+    """``trigger`` as it was before it took a sample range: every onset
+    added into a new K x T array, one temporary ``amp * seg`` each."""
+    stems = np.zeros((shaped.shape[0], n_samples))
+    for (k, pos), amp in zip(onsets, amplitudes):
+        seg = shaped[k, : max(0, n_samples - pos)]
+        stems[k, pos : pos + len(seg)] += amp * seg
+    return stems
+
+
+@given(
+    k=st.integers(1, 9),
+    r=st.integers(1, 60),
+    t=st.integers(1, 120),
+    n_onsets=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_trigger_range_is_those_columns_bit_for_bit(k, r, t, n_onsets, seed):
+    """Any range [start, stop) of ``trigger``, into a dirty buffer through
+    a dirty scratch buffer, is bit for bit those columns of the whole-track
+    call, which is bit for bit the loop it replaced: with cut tails, onsets
+    past the end and same-sample duplicates."""
+    rng = np.random.default_rng(seed)
+    onsets = random_onsets(rng, k, r, t, n_onsets)
+    onsets += onsets[: n_onsets // 2]  # the same onsets again, after the rest
+    shaped = rng.normal(size=(k, r))
+    amps = rng.normal(size=len(onsets))
+    whole = trigger(shaped, onsets, amps, t)
+    assert whole.tobytes() == whole_track_trigger(shaped, onsets, amps, t).tobytes()
+    start = int(rng.integers(0, t + 1))
+    stop = int(rng.integers(start, t + 1))
+    out = np.full((k, stop - start), np.nan)
+    got = trigger(shaped, onsets, amps, t, start, stop, out=out,
+                  scaled=np.full(r, np.nan))
+    assert got is out
+    assert got.tobytes() == whole[:, start:stop].tobytes()
+
+
 @given(
     k=st.integers(1, 3),
     r=st.integers(1, 40),
@@ -208,6 +247,10 @@ def test_adjoints_are_exact_transposes(k, r, t, n_onsets, seed):
 
     g_shaped = trigger_mixture_adjoint(g, shaped, onsets, amps)
     g_amps = trigger_mixture_amplitude_adjoint(g, shaped, onsets)
+    # written into a dirty buffer, the adjoint has the same bits
+    buffer = np.full_like(shaped, np.nan)
+    assert trigger_mixture_adjoint(g, shaped, onsets, amps, out=buffer) is buffer
+    assert buffer.tobytes() == g_shaped.tobytes()
     lhs = float(np.sum(trigger_mixture(shaped, onsets, amps, t) * g))
     scale = float(np.sum(
         trigger_mixture(np.abs(shaped), onsets, np.abs(amps), t) * np.abs(g)))

@@ -22,17 +22,21 @@ from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.fileio import (
     CONFIG_DEFAULTS,
+    MAX_WAV_SAMPLES,
     FileFormatError,
     _atomic_open,
     read_bank,
     read_config,
     read_transcription,
     read_wav,
+    stem_blocks,
+    wav_blocks,
     write_bank,
     write_config,
     write_loss_trace,
     write_magnitudes,
     write_report,
+    write_stems,
     write_transcription,
     write_wav,
 )
@@ -150,6 +154,57 @@ class TestWavCodec:
         wavfile.write(expected, SAMPLE_RATE,
                       np.clip(samples, -1.0, 1.0).astype(np.float32))
         assert path.read_bytes() == expected.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 400), elements=st.floats(-3, 3)),
+           st.lists(st.integers(1, 400), max_size=8), st.randoms())
+    def test_blocks_in_any_order_give_write_wav_bytes(
+            self, tmp_path_factory, samples, cuts, random):
+        """Sample ranges written in shuffled order, through one scratch
+        buffer, give the bytes of ``write_wav``."""
+        directory = tmp_path_factory.mktemp("w")
+        write_wav(directory / "whole.wav", Waveform(samples))
+        bounds = sorted({0, len(samples)} | {c for c in cuts if c < len(samples)})
+        ranges = list(zip(bounds, bounds[1:]))
+        random.shuffle(ranges)
+        scratch = np.full(len(samples), np.nan, dtype=np.float32)
+        with wav_blocks(directory / "blocks.wav", len(samples)) as blocks:
+            for a, b in ranges:
+                blocks.write(a, samples[a:b], scratch)
+        assert ((directory / "blocks.wav").read_bytes()
+                == (directory / "whole.wav").read_bytes())
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_raising_block_leaves_no_stem_and_no_temp_file(self, tmp_path, existing):
+        """A block that raises deletes every temp file; the directory keeps
+        what it held."""
+        if existing:
+            write_wav(tmp_path / "kick.wav", Waveform(np.ones(5)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        scratch = np.empty(10, dtype=np.float32)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            with stem_blocks(tmp_path, 10) as writers:
+                assert len(writers) == NUM_CLASSES
+                writers[0].write(0, np.ones(10), scratch)
+                raise RuntimeError("lane failed")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_stem_blocks_write_each_class(self, tmp_path):
+        stems = np.random.default_rng(2).normal(0, 0.5, (NUM_CLASSES, 37))
+        scratch = np.empty(37, dtype=np.float32)
+        with stem_blocks(tmp_path / "blocks", 37) as writers:
+            for writer, row in zip(writers, stems):
+                writer.write(0, row, scratch)
+        write_stems(stems, tmp_path / "whole")
+        for name in CLASS_NAMES:
+            assert ((tmp_path / "blocks" / f"{name}.wav").read_bytes()
+                    == (tmp_path / "whole" / f"{name}.wav").read_bytes())
+
+    def test_track_past_the_wav_bound_rejected_before_a_file(self, tmp_path):
+        with pytest.raises(ValueError, match="exceed a RIFF WAV's 4 GiB"):
+            with wav_blocks(tmp_path / "x.wav", MAX_WAV_SAMPLES + 1):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([np.int16, np.float32]), st.integers(1, 3),

@@ -152,6 +152,36 @@ def test_only_transcription_raises_grid_range_error():
     assert {m for m, n in names.items() if "GridRangeError" in n} == {"transcription"}
 
 
+def os_names(source: str) -> set[str]:
+    """The names ``source`` reads off ``os``: ``os.f`` and ``from os import
+    f`` give ``f``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_finds_os_names():
+    source = "import os\nfrom os import pwrite\nos.replace(a, b)\ns.replace('x', 'y')\n"
+    assert os_names(source) == {"pwrite", "replace"}
+
+
+def test_files_are_written_only_in_fileio():
+    """Only ``fileio`` packs binary headers, makes temp files, writes at an
+    offset or renames a file into place, so the masking lanes write their
+    stems only through its block writer."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    modules = {"struct", "tempfile"}
+    assert {m for m, source in sources.items()
+            if imported_modules(source) & modules} == {"fileio"}
+    calls = {"pwrite", "replace"}
+    assert {m for m, source in sources.items() if os_names(source) & calls} == {"fileio"}
+
+
 def test_every_bench_hook_names_a_function():
     """bench/tracing.py wraps each (module, function) of its HOOKS; a
     renamed or deleted function would drop out of the bench's spans."""

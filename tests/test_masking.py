@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drumsep import masking, parallel
+from drumsep import fileio, masking, parallel
+from drumsep.classes import CLASS_NAMES, NUM_CLASSES
+from drumsep.drum_machine import trigger
 from drumsep.masking import (
     MaskSet,
     apply_masks,
     compute_masks,
     mask_with_magnitudes,
+    mask_with_shots,
     mask_with_stems,
 )
 from drumsep.signal import (
@@ -174,6 +177,19 @@ class TestMaskingHelpers:
             mask_with_stems(x, stems, StftConfig(512, 128))
 
 
+    @pytest.mark.parametrize("shots, amps, match", [
+        (np.full((2, 100), np.nan), [1.0], "non-finite"),
+        (np.ones((2, 100)), [np.inf], "non-finite"),
+        (np.ones(100), [1.0], "one-shots"),
+        (np.ones((2, 100)), [1.0, 1.0], "amplitudes"),
+    ])
+    def test_mask_with_shots_rejects_bad_shots(self, shots, amps, match):
+        x = Waveform(RNG.normal(0, 0.3, 3000))
+        with pytest.raises(ValueError, match=match):
+            mask_with_shots(x, shots, [(0, 10)], np.array(amps),
+                            StftConfig(512, 128))
+
+
 def reference_masking(x, estimates, cfg, alpha, epsilon):
     """The masked stems as the per-class inverse STFT of masks[i] * stft(x)
     built them before masking ran in blocks: full K x F x M masks, then one
@@ -195,6 +211,18 @@ def reference_masking(x, estimates, cfg, alpha, epsilon):
         out[good] /= norm[good]
         stems[i] = out[pad : pad + len(x)]
     return stems, masks
+
+
+class RowWriter:
+    """A block writer into one row of an array that checks what the
+    kernel hands it: a float32 scratch buffer as long as the block."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def write(self, start, samples, scratch):
+        assert scratch.dtype == np.float32 and len(scratch) >= len(samples)
+        self.row[start : start + len(samples)] = samples
 
 
 @st.composite
@@ -222,7 +250,10 @@ class TestBlockedKernel:
               masking.MASK_BLOCK, 1))
     def test_same_bits_as_per_class_inverse(self, case):
         """Every entry point gives the bits of the per-class inverse STFT of
-        the full masks, for any block size and 1, 2 or 3 lanes."""
+        the full masks, for any block size and 1, 2 or 3 lanes, into an
+        array or through block writers. The one-shots source gives those of
+        the stems ``trigger`` renders from them, with cut tails, onsets past
+        the end and same-sample duplicates."""
         cfg, n, silent, alpha, block, seed = case
         rng = np.random.default_rng(seed)
         eps = 1e-8
@@ -231,6 +262,19 @@ class TestBlockedKernel:
         stems[silent] = 0.0
         estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
         want, masks = reference_masking(x, estimates, cfg, alpha, eps)
+
+        length = int(rng.integers(1, 2 * cfg.window_size))
+        shots = rng.normal(0, 0.3, (len(silent), length))
+        loud = [i for i, quiet in enumerate(silent) if not quiet]
+        onsets = [(loud[int(rng.integers(len(loud)))],
+                   int(rng.integers(0, n + length)))
+                  for _ in range(int(rng.integers(0, 12)) if loud else 0)]
+        onsets += onsets[:2]
+        amps = rng.uniform(0, 2, len(onsets))
+        rendered = trigger(shots, onsets, amps, n)
+        want_shots, _ = reference_masking(
+            x, np.stack([magnitude(stft(Waveform(s), cfg)) for s in rendered]),
+            cfg, alpha, eps)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -239,22 +283,57 @@ class TestBlockedKernel:
                 for lanes in (1, 2, 3):
                     mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
                     mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                    written = np.full(want.shape, np.nan)
+                    assert mask_with_magnitudes(
+                        x, estimates, cfg, alpha, eps,
+                        [RowWriter(row) for row in written]) is None
                     got = [
                         mask_with_stems(x, stems, cfg, alpha, eps),
                         mask_with_magnitudes(x, estimates, cfg, alpha, eps),
                         apply_masks(x, MaskSet(masks, alpha, eps), cfg),
+                        written,
                     ]
                     for stems_out in got:
                         assert stems_out.shape == want.shape
                         assert stems_out.tobytes() == want.tobytes()
+                    shots_out = mask_with_shots(x, shots, onsets, amps, cfg,
+                                                alpha, eps)
+                    assert shots_out.tobytes() == want_shots.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
+    def test_lanes_writing_one_set_of_files_at_once(self, tmp_path, monkeypatch):
+        """Four lanes on 4-hop blocks, switching threads every microsecond,
+        write the stem files of ``write_stems`` over the stems' array."""
+        monkeypatch.setattr(masking, "MASK_BLOCK", 4)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "MAX_THREADS", 4)
+        rng = np.random.default_rng(8)
+        n = 2 * SAMPLE_RATE
+        x = Waveform(rng.normal(0, 0.3, n))
+        shots = rng.normal(0, 0.3, (NUM_CLASSES, 3000))
+        onsets = [(int(k), int(pos)) for k, pos in
+                  zip(rng.integers(0, NUM_CLASSES, 40), rng.integers(0, n, 40))]
+        amps = rng.uniform(0, 2, len(onsets))
+        fileio.write_stems(mask_with_stems(x, trigger(shots, onsets, amps, n)),
+                           tmp_path / "arrays")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fileio.stem_blocks(tmp_path / "blocks", n) as writers:
+                mask_with_shots(x, shots, onsets, amps, writers=writers)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in CLASS_NAMES:
+            assert ((tmp_path / "blocks" / f"{name}.wav").read_bytes()
+                    == (tmp_path / "arrays" / f"{name}.wav").read_bytes())
+
     def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
-        """No function that bench/tracing.py hooks in masking or signal runs
-        on a masking lane."""
-        calls = record_hooked_calls(monkeypatch, ("masking", "signal"),
-                                    [("masking", "_mask_lane")])
+        """No function that bench/tracing.py hooks in masking, signal or
+        drum_machine runs on a masking lane."""
+        calls = record_hooked_calls(
+            monkeypatch, ("masking", "signal", "drum_machine"),
+            [("masking", "_mask_lane")])
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         cfg = StftConfig(1024, 256)
         x = Waveform(RNG.normal(0, 0.3, SAMPLE_RATE))
@@ -263,6 +342,8 @@ class TestBlockedKernel:
         masking.mask_with_stems(x, stems, cfg)
         masking.mask_with_magnitudes(x, estimates, cfg)
         masking.apply_masks(x, masking.compute_masks(estimates), cfg)
+        masking.mask_with_shots(x, stems[:, :2000], [(0, 100), (2, 30000)],
+                                np.ones(2), cfg)
         assert ("masking.apply_masks", True) in calls
         # the blocks did run on a lane, and nothing traced did
         assert ("masking._mask_lane", False) in calls
