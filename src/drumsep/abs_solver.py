@@ -600,12 +600,12 @@ def least_squares(
         return loss
 
     w = np.zeros_like(shots)  # e * u: the one-shots
-    s, p, tmp = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+    s, p = np.empty_like(w), np.empty_like(w)
     r = x.samples.copy()
-    r_tmp = np.empty(n)
+    r_tmp, q = np.empty(n), np.empty(n)
     normal_gradient(r, s)
     p[:] = s
-    gamma = squares(s, tmp)
+    gamma = squares(s, shots)  # ``shots`` is free until the first step
     floor = LSQ_GRADIENT_FLOOR * gamma
     trace = [residual_squares(0)]
     for step in range(1, iterations + 1):
@@ -613,13 +613,15 @@ def least_squares(
             trace.append(trace[-1])
             continue
         np.multiply(p, env, out=shots)
-        q = trigger_mixture(shots, onsets, amps, n)
+        q = trigger_mixture(shots, onsets, amps, n, out=q)
         alpha = gamma / squares(q, r_tmp)
-        w += np.multiply(shots, alpha, out=tmp)
+        # ``shots`` is spent once scaled into w, and serves as the temp of
+        # the gradient's squares
+        w += np.multiply(shots, alpha, out=shots)
         r -= np.multiply(q, alpha, out=q)
         trace.append(residual_squares(step))
         normal_gradient(r, s)
-        gamma, previous = squares(s, tmp), gamma
+        gamma, previous = squares(s, shots), gamma
         p *= gamma / previous
         p += s
 

@@ -183,16 +183,21 @@ def trigger_mixture(
     onsets: list[tuple[int, int]],
     amplitudes: np.ndarray,
     n_samples: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The mixture of ``trigger``'s stems, T, without the K x T stems:
     every onset is added straight into one track-length row, so it equals
-    ``trigger(...).sum(axis=0)`` up to rounding."""
-    mixture = np.zeros(n_samples)
+    ``trigger(...).sum(axis=0)`` up to rounding. ``out``, T samples, takes
+    it in place of a new array."""
+    if out is None:
+        out = np.zeros(n_samples)
+    else:
+        out.fill(0.0)
     scaled = np.empty(shaped.shape[1])
     for (k, pos), amp in zip(onsets, amplitudes):
         seg = shaped[k, : max(0, n_samples - pos)]
-        mixture[pos : pos + len(seg)] += np.multiply(amp, seg, out=scaled[: len(seg)])
-    return mixture
+        out[pos : pos + len(seg)] += np.multiply(amp, seg, out=scaled[: len(seg)])
+    return out
 
 
 def trigger_mixture_adjoint(

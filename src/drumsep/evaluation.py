@@ -8,7 +8,9 @@ per-track, per-class scores flattened, independent of class.
 LSD's frames are independent until their mean, so ``lsd`` splits them
 into one slice per lane of ``parallel.run_lanes``, under the rules in
 ``parallel``'s docstring. The mean is taken once over all slices, so every
-bit is the same for any number of lanes.
+bit is the same for any number of lanes. A frame with no non-zero sample
+(``signal.sounding_frames``, marked on the calling thread) is not
+transformed: its power is exactly 0 + eps, which the lane writes instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .signal import (
     Waveform,
     frame_signal,
     hann_window,
+    sounding_frames,
+    sounding_span,
 )
 from .transcription import Transcription, match_onsets
 
@@ -60,12 +64,16 @@ def lsd(s: Waveform, s_hat: Waveform) -> float:
     cfg = StftConfig(DEFAULT_WINDOW, DEFAULT_HOP)
     ref, est = (frame_signal(x.samples, cfg) for x in (s, s_hat))
     n_frames = len(ref)
+    chunks = n_frames + cfg.window_size // cfg.hop_size - 1
+    sounding = [sounding_frames(framed, cfg, np.empty(chunks, dtype=bool))
+                for framed in (ref, est)]
     lanes = thread_count(-(-n_frames // LSD_BLOCK))
     bounds = [n_frames * i // lanes for i in range(lanes + 1)]
     block = min(LSD_BLOCK, bounds[-1] - bounds[-2])
     per_frame = np.empty(n_frames)
     work = [
-        (ref, est, per_frame, bounds[i], bounds[i + 1], _LsdBuffers(block, cfg))
+        (ref, est, sounding, per_frame, bounds[i], bounds[i + 1],
+         _LsdBuffers(block, cfg))
         for i in range(lanes)
     ]
     run_lanes(_lsd_lane, work)
@@ -84,21 +92,27 @@ class _LsdBuffers:
         self.p_est = np.empty((block, cfg.n_bins))
 
 
-def _lsd_lane(ref, est, per_frame, start, stop, buf: _LsdBuffers):
+def _lsd_lane(ref, est, sounding, per_frame, start, stop, buf: _LsdBuffers):
     """RMS over frequency of the log power ratio of frames [start, stop)
-    into ``per_frame``, in blocks that live in ``buf``. Runs on a lane (see
-    ``parallel``)."""
+    into ``per_frame``, in blocks that live in ``buf``. Only the frames
+    from a block's first to its last sounding one (``sounding``, the flags
+    of reference and estimate) are transformed; a silent frame's power is
+    0 + eps. Runs on a lane (see ``parallel``)."""
     block = len(buf.frames)
     for a in range(start, stop, block):
         b = min(a + block, stop)
         frames, spec = buf.frames[: b - a], buf.spec[: b - a]
         p_ref, p_est = buf.p_ref[: b - a], buf.p_est[: b - a]
-        for framed, power in ((ref, p_ref), (est, p_est)):
-            np.multiply(framed[a:b], buf.window, out=frames)
-            np.fft.rfft(frames, axis=1, out=spec)
-            np.abs(spec, out=power)
-            np.square(power, out=power)
-            power += METRIC_EPSILON
+        for framed, flags, power in ((ref, sounding[0], p_ref),
+                                     (est, sounding[1], p_est)):
+            f0, f1 = sounding_span(flags[a:b])
+            power[:f0] = METRIC_EPSILON
+            power[f1:] = METRIC_EPSILON
+            np.multiply(framed[a + f0 : a + f1], buf.window, out=frames[f0:f1])
+            np.fft.rfft(frames[f0:f1], axis=1, out=spec[f0:f1])
+            np.abs(spec[f0:f1], out=power[f0:f1])
+            np.square(power[f0:f1], out=power[f0:f1])
+            power[f0:f1] += METRIC_EPSILON
         np.divide(p_est, p_ref, out=p_est)
         np.log(p_est, out=p_est)
         np.square(p_est, out=p_est)

@@ -182,10 +182,11 @@ class WavBlocks:
 @contextmanager
 def wav_blocks(path: str | Path, n_samples: int):
     """Yield a ``WavBlocks`` for a mono float32 WAV of ``n_samples``
-    samples, ``write_wav``'s bytes once every sample is written (samples
-    never written read as 0). The file is written atomically, as
-    ``write_wav`` writes: a temp file, renamed onto ``path`` when the block
-    ends and deleted if it raises."""
+    samples, ``write_wav``'s bytes once every sample is written. The file
+    is sized up front, so samples never written read as 0.0, the bytes a
+    written +0.0 gives; the masking kernel leaves silent ranges unwritten.
+    The file is written atomically, as ``write_wav`` writes: a temp file,
+    renamed onto ``path`` when the block ends and deleted if it raises."""
     path = Path(path)
     header = _wav_header(path, n_samples)
     with _atomic_open(path) as handle:
@@ -366,10 +367,12 @@ CONFIG_DEFAULTS: dict[str, object] = {
 def read_config(path: str | Path | None) -> dict[str, object]:
     """CONFIG_DEFAULTS overridden by the `section.key = value` lines of
     ``path``, if given; '#' starts a comment. Each value takes its default's
-    type."""
+    type. A value its owner rejects names the key's line, or the later line
+    of the keys an owner checks together."""
     values = dict(CONFIG_DEFAULTS)
-    lines = _read_text(Path(path)).splitlines() if path else []
-    for lineno, raw in enumerate(lines, 1):
+    lines: dict[str, int] = {}  # the line of each key the file sets
+    text = _read_text(Path(path)).splitlines() if path else []
+    for lineno, raw in enumerate(text, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -383,19 +386,34 @@ def read_config(path: str | Path | None) -> dict[str, object]:
             values[key] = type(CONFIG_DEFAULTS[key])(value)
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: bad value for {key}") from None
-    try:  # after the last line, as stft.window and stft.hop bound each other
-        check_config(values)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        lines[key] = lineno
+    # after the last line, as stft.window and stft.hop bound each other; a
+    # check fails only on a value the file set, as the defaults pass
+    for keys, check in _owner_checks(values):
+        try:
+            check()
+        except ValueError as exc:
+            lineno = max(lines[k] for k in keys if k in lines)
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     return values
+
+
+def _owner_checks(config: dict[str, object]) -> list[tuple[tuple[str, ...], object]]:
+    """Each owning type's check of ``config``, with the keys it reads."""
+    return [
+        (("stft.window", "stft.hop"),
+         lambda: StftConfig(config["stft.window"], config["stft.hop"])),
+        (("solver.steps",), lambda: check_iterations(config["solver.steps"])),
+        (("seed",), lambda: OptimizerConfig(seed=config["seed"])),
+        (("masking.alpha", "masking.epsilon"),
+         lambda: check_mask_params(config["masking.alpha"], config["masking.epsilon"])),
+    ]
 
 
 def check_config(config: dict[str, object]):
     """Raise ValueError unless the owner of every value accepts it."""
-    StftConfig(config["stft.window"], config["stft.hop"])
-    check_iterations(config["solver.steps"])
-    OptimizerConfig(seed=config["seed"])
-    check_mask_params(config["masking.alpha"], config["masking.epsilon"])
+    for _, check in _owner_checks(config):
+        check()
 
 
 def write_config(config: dict[str, object], path: str | Path):

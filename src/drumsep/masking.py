@@ -16,6 +16,17 @@ without writers they fill a K x T array. The blocks are split between the
 lanes of ``parallel.run_lanes``, under the rules in ``parallel``'s
 docstring.
 
+A stem is exactly zero wherever no one-shot reaches, so with stems or
+one-shots as the source a block transforms, for each class, only the rows
+from its first to its last frame that ``signal.sounding_frames`` marks.
+That changes no bit: the spectrum of a silent frame has magnitude +0.0,
+which gives a +0.0 mask (alpha > 0, and the denominator is at least eps),
+and an overlap-add that starts at +0.0 is unchanged by a +-0 frame. A class
+that is silent over a block, with its carried frames zero, is not
+overlap-added or written at all: its samples are +0.0, which an unwritten
+range of every block writer reads. Given magnitudes or masks, there are no
+samples to check, and every frame is transformed.
+
 The stems are bit for bit the per-class ``istft`` of ``masks[k] *
 stft(x)``, for any block size and lane count. ``signal.overlap_add`` adds a
 sample's frames in the order of frame mod S, S = window/hop. So a block
@@ -44,6 +55,8 @@ from .signal import (
     num_frames,
     overlap_add,
     overlap_add_norm,
+    sounding_frames,
+    sounding_span,
 )
 
 MASK_EPSILON = 1e-8
@@ -168,8 +181,9 @@ def mask_with_shots(
 
 
 class _RowBlocks:
-    """A block writer into one row of an array, as ``fileio.wav_blocks``
-    writes into a file."""
+    """A block writer into one row of an array of zeros, as
+    ``fileio.wav_blocks`` writes into a file whose unwritten samples read
+    0.0."""
 
     def __init__(self, row: np.ndarray):
         self.row = row
@@ -188,8 +202,10 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
     Each class's stem goes block by block to ``writers[k].write(start,
     samples, scratch)``, which takes the float64 samples from ``start`` on
     and may use ``scratch``, a float32 lane buffer at least as long; the
-    lanes write disjoint ranges at once. Without ``writers`` they go into
-    a K x len(x) array, which is returned."""
+    lanes write disjoint ranges at once. With stems or one-shots, a range
+    whose samples are all +0.0 is not written, so a writer's unwritten
+    samples must read 0.0. Without ``writers`` the stems go into a K x
+    len(x) array of zeros, which is returned."""
     n = len(x)
     if n == 0:
         raise SignalError("cannot take the STFT of an empty signal")
@@ -208,7 +224,7 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
     k = len(source)
     out = None
     if writers is None:
-        out = np.empty((k, n))
+        out = np.zeros((k, n))
         writers = [_RowBlocks(row) for row in out]
     elif len(writers) != k:
         raise ValueError(f"{len(writers)} writers for {k} stems")
@@ -293,6 +309,7 @@ class _MaskBuffers:
         self.est = np.empty(k * rows * cfg.n_bins)
         self.den = np.empty((rows, cfg.n_bins))
         self.carry = np.zeros((k, stride, cfg.window_size))
+        self.sounding = np.empty(k * (rows + stride - 1) * job.from_stems, dtype=bool)
         self.ola = np.empty((rows + stride) * cfg.hop_size)
         self.scaled = np.empty(job.source.shape[1] if job.reach is not None else 0)
         self.scratch = np.empty((rows - stride) * cfg.hop_size, dtype=np.float32)
@@ -333,11 +350,19 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
 
         est = buf.est[: k * nf * n_bins].reshape(k, nf, n_bins)
         if job.from_stems:
-            for i in range(k):
-                np.multiply(buf.span_frames[1 + i, :nf], window, out=frames)
-                np.fft.rfft(frames, axis=1, out=buf.work[:nf])
-                np.abs(buf.work[:nf], out=est[i])
+            # Only the rows from a class's first to its last sounding frame
+            # are transformed; the others' magnitudes are +0.0.
+            flags = buf.sounding[: k * (nf + stride - 1)].reshape(k, nf + stride - 1)
+            spans = [sounding_span(row) for row in
+                     sounding_frames(buf.span_frames[1:, :nf], cfg, flags)]
+            for i, (f0, f1) in enumerate(spans):
+                est[i, :f0] = 0.0
+                est[i, f1:] = 0.0
+                np.multiply(buf.span_frames[1 + i, f0:f1], window, out=frames[f0:f1])
+                np.fft.rfft(frames[f0:f1], axis=1, out=buf.work[f0:f1])
+                np.abs(buf.work[f0:f1], out=est[i, f0:f1])
         else:
+            spans = [(0, nf)] * k
             np.copyto(est, job.source[:, :, c:e].transpose(0, 2, 1))
         if job.make_masks:
             est **= job.alpha
@@ -350,15 +375,19 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
         lo, hi = max(a * hop, pad), min(b * hop, pad + n)
         used = b - a + stride
         shift = (a - stride) * hop
-        for i in range(k):
+        for i, (f0, f1) in enumerate(spans):
+            if job.from_stems and f0 == f1 and not buf.carry[i].any():
+                continue  # its samples are +0.0, which the writer holds
             frames = buf.frames[:used]
             frames[:stride] = buf.carry[i]
-            masked = buf.work[:nf]
-            np.multiply(buf.spec[:nf].real, est[i], out=masked.real)
-            np.multiply(buf.spec[:nf].imag, est[i], out=masked.imag)
+            masked = buf.work[f0:f1]
+            np.multiply(buf.spec[f0:f1].real, est[i, f0:f1], out=masked.real)
+            np.multiply(buf.spec[f0:f1].imag, est[i, f0:f1], out=masked.imag)
             new = frames[r0 : r0 + nf]
-            np.fft.irfft(masked, n=cfg.window_size, axis=1, out=new)
-            new *= window
+            new[:f0] = 0.0
+            new[f1:] = 0.0
+            np.fft.irfft(masked, n=cfg.window_size, axis=1, out=new[f0:f1])
+            new[f0:f1] *= window
             frames[r0 + nf :] = 0.0
             buf.ola.fill(0.0)
             overlap_add(frames, hop, len(buf.ola), out=buf.ola)
@@ -367,4 +396,3 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
                 stem = buf.ola[lo - shift : hi - shift]
                 np.divide(stem, job.norm[lo - pad : hi - pad], out=stem)
                 job.writers[i].write(lo - pad, stem, buf.scratch)
-

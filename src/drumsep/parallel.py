@@ -10,10 +10,10 @@ and adds no memory beyond each lane's buffers:
   thread allocates land in a per-thread malloc arena that is not given back
   to the system, which raised peak RSS by up to 16 %.
 - A lane allocates no array and calls numpy, ``signal.overlap_add``,
-  ``drum_machine.trigger`` into its own buffers and a block writer's
-  ``write`` (``fileio.WavBlocks``, one ``os.pwrite`` of a range) only,
-  never a function a tracer may wrap: a tracer's span stack is not
-  thread-safe.
+  ``signal.sounding_frames`` and ``drum_machine.trigger`` into its own
+  buffers, ``signal.sounding_span`` and a block writer's ``write``
+  (``fileio.WavBlocks``, one ``os.pwrite`` of a range) only, never a
+  function a tracer may wrap: a tracer's span stack is not thread-safe.
 - A lane writes only its own buffers or its own slice of a shared output,
   array or file, and the caller reduces the lanes' results in a fixed
   order.

@@ -1,4 +1,6 @@
-"""Spectral primitives: STFT, inverse STFT, magnitude, mel filterbank, log-mel.
+"""Spectral primitives: STFT, inverse STFT, magnitude, mel filterbank, log-mel,
+and which frames hold a non-zero sample, so that the masking kernel and LSD
+can skip the transforms of the silent ones.
 
 All other modules build on these. Everything here is a pure function over
 immutable values; nothing holds hidden state, so values are safe to share
@@ -120,6 +122,43 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     pad = cfg.window_size // 2
     padded = np.pad(x, (pad, pad))
     return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
+
+
+def sounding_frames(frames: np.ndarray, cfg: StftConfig, out: np.ndarray) -> np.ndarray:
+    """Which frames hold a non-zero sample: the frames of hop-aligned
+    sample rows, (..., M, window) with frame m at sample m*hop of its row,
+    as ``frame_signal`` gives them. Each hop-sized chunk of the rows is
+    checked once, and a frame sounds if any of its window/hop chunks does.
+
+    ``out`` is a C-contiguous boolean buffer of shape (..., M + window/hop
+    - 1) that takes the chunks' flags and then the frames'; returns its
+    first M columns. A frame that is silent gives an STFT column of +0.0
+    magnitudes, so a caller may skip its transform."""
+    if not out.flags.c_contiguous:
+        raise ValueError("sounding_frames needs a C-contiguous buffer")
+    hop, stride = cfg.hop_size, cfg.window_size // cfg.hop_size
+    n_frames = frames.shape[-2]
+    if n_frames:
+        np.logical_or.reduce(frames[..., :hop], axis=-1, out=out[..., :n_frames])
+        tail = frames[..., -1, hop:]
+        np.logical_or.reduce(tail.reshape(*tail.shape[:-1], stride - 1, hop),
+                             axis=-1, out=out[..., n_frames:])
+        # Doubling: after the pass with shift w, entry m is the OR of chunks
+        # m .. m + 2w - 1. Entries past a row's M-th read into the next row,
+        # and only they do.
+        flat, width = out.reshape(-1), 1
+        while width < stride:
+            np.logical_or(flat[:-width], flat[width:], out=flat[:-width])
+            width *= 2
+    return out[..., :n_frames]
+
+
+def sounding_span(flags: np.ndarray) -> tuple[int, int]:
+    """[first, stop): from the first True of a 1-D flag row to just past
+    its last, or (0, 0) if it has none."""
+    if not flags.any():
+        return 0, 0
+    return int(flags.argmax()), len(flags) - int(flags[::-1].argmax())
 
 
 def overlap_add(

@@ -1,5 +1,5 @@
-"""Which thread runs each function that bench/tracing.py hooks, and a
-loader for the bench's modules.
+"""Which thread runs each function that bench/tracing.py hooks, a loader
+for the bench's modules, and a count of the rows numpy's FFT transforms.
 
 The tracer's span stack is shared by all threads, so a function it wraps
 must not run on a worker thread."""
@@ -8,6 +8,8 @@ import importlib.util
 import sys
 import threading
 from pathlib import Path
+
+import numpy as np
 
 
 def bench_module(name: str):
@@ -49,3 +51,22 @@ def record_hooked_calls(monkeypatch, modules, unhooked=()):
                 if value is func:
                     monkeypatch.setattr(module, attr, wrapper)
     return calls
+
+
+def count_fft_rows(monkeypatch) -> dict[str, int]:
+    """Wrap ``numpy.fft.rfft`` and ``irfft`` so that every call, from any
+    thread, adds the rows it transforms (all but the last axis) to the
+    returned counts."""
+    counts = {"rfft": 0, "irfft": 0}
+    lock = threading.Lock()
+
+    def counting(name, func):
+        def wrapper(a, *args, **kwargs):
+            with lock:
+                counts[name] += int(np.prod(np.shape(a)[:-1]))
+            return func(a, *args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return counts

@@ -86,15 +86,27 @@ class TestLsd:
                                 2 * LSD_BLOCK, 2 * LSD_BLOCK + 1, 3 * LSD_BLOCK + 7]),
         offset=st.integers(0, DEFAULT_HOP - 1),
         seed=st.integers(0, 2**32 - 1),
+        silent=st.sampled_from(["", "reference", "estimate", "both"]),
     )
-    def test_equals_the_closed_form_bit_for_bit(self, frames, offset, seed):
+    def test_equals_the_closed_form_bit_for_bit(self, frames, offset, seed, silent):
         """Lengths from 1 sample over one block, exact multiples of it and
-        odd remainders: the blocked, threaded LSD is the closed form."""
+        odd remainders: the blocked, threaded LSD is the closed form. With
+        silent stretches in the reference, the estimate or both (where the
+        two are silent in the same frames), some of them as long as a
+        block, the frames it does not transform give the same bits."""
         n = max(1, (frames - 1) * DEFAULT_HOP + offset)
         rng = np.random.default_rng(seed)
-        s = Waveform(rng.normal(size=n) * rng.uniform(0, 1, n))
-        s_hat = Waveform(0.7 * s.samples + 0.3 * rng.normal(size=n))
+        ref = rng.normal(size=n) * rng.uniform(0, 1, n)
+        est = 0.7 * ref + 0.3 * rng.normal(size=n)
+        quiet = [(a, a + int(rng.integers(1, 2 * LSD_BLOCK * DEFAULT_HOP)))
+                 for a in rng.integers(0, n, int(rng.integers(1, 4)))]
+        for signal in {"reference": [ref], "estimate": [est],
+                       "both": [ref, est]}.get(silent, []):
+            for a, b in quiet:
+                signal[a:b] = 0.0
+        s, s_hat = Waveform(ref), Waveform(est)
         assert lsd(s, s_hat) == closed_form_lsd(s, s_hat)
+        assert lsd(s, Waveform(np.zeros(n))) == closed_form_lsd(s, Waveform(np.zeros(n)))
 
     def test_same_bits_for_any_lane_count(self, monkeypatch):
         """One to three lanes, with thread switches forced every

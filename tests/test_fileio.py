@@ -174,6 +174,29 @@ class TestWavCodec:
         assert ((directory / "blocks.wav").read_bytes()
                 == (directory / "whole.wav").read_bytes())
 
+    @settings(max_examples=30, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 400), elements=st.floats(-3, 3)),
+           st.lists(st.integers(1, 400), max_size=8), st.randoms())
+    def test_ranges_never_written_read_as_zero(
+            self, tmp_path_factory, samples, cuts, random):
+        """The masking kernel leaves a silent class's ranges unwritten: they
+        give the bytes of written +0.0 samples."""
+        directory = tmp_path_factory.mktemp("w")
+        bounds = sorted({0, len(samples)} | {c for c in cuts if c < len(samples)})
+        ranges = list(zip(bounds, bounds[1:]))
+        skipped = [r for r in ranges if random.random() < 0.5]
+        zeroed = samples.copy()
+        for a, b in skipped:
+            zeroed[a:b] = 0.0
+        write_wav(directory / "whole.wav", Waveform(zeroed))
+        scratch = np.empty(len(samples), dtype=np.float32)
+        with wav_blocks(directory / "blocks.wav", len(samples)) as blocks:
+            for a, b in ranges:
+                if (a, b) not in skipped:
+                    blocks.write(a, samples[a:b], scratch)
+        assert ((directory / "blocks.wav").read_bytes()
+                == (directory / "whole.wav").read_bytes())
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_raising_block_leaves_no_stem_and_no_temp_file(self, tmp_path, existing):
         """A block that raises deletes every temp file; the directory keeps
@@ -545,8 +568,34 @@ class TestConfig:
     def test_values_the_owner_rejects_name_the_file(self, tmp_path, line):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
-        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:1: "):
             read_config(path)
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("seed = 3\n\nstft.window = 1000", 3,
+         "window_size must be a power of two, got 1000"),
+        ("stft.hop = 1000\nseed = 3", 1,
+         "hop_size must divide window_size, got 1000 / 2048"),
+        # the pair's later line, whichever key it sets
+        ("stft.window = 1024\n# the hop\nstft.hop = 1024", 3,
+         "stft hop 1024 > window/2 does not satisfy overlap-add"),
+        ("stft.hop = 1024\nseed = 3\nstft.window = 1024", 3,
+         "stft hop 1024 > window/2 does not satisfy overlap-add"),
+        ("seed = 3\nsolver.steps = 0", 2, "solver steps must be at least 1, got 0"),
+        ("seed = -1\nsolver.steps = 2", 1, "seed must be non-negative, got -1"),
+        # a repeated key's last line, which set the value
+        ("seed = 1\nmasking.alpha = 0\nseed = 2\nmasking.alpha = -1", 4,
+         "masking alpha and epsilon must be positive and finite, got -1.0 and 1e-08"),
+        ("masking.epsilon = 0\nmasking.alpha = 2", 2,
+         "masking alpha and epsilon must be positive and finite, got 2.0 and 0.0"),
+    ])
+    def test_each_owner_check_names_the_line_of_its_key(self, tmp_path, text,
+                                                        lineno, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(FileFormatError) as raised:
+            read_config(path)
+        assert str(raised.value) == f"{path}:{lineno}: {message}"
 
     def test_values_are_checked_after_the_last_line(self, tmp_path):
         # window 256 fails with the default hop 512; the next line sets the hop

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from drumsep import fileio, masking, parallel
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import trigger
+from drumsep.evaluation import lsd
 from drumsep.masking import (
     MaskSet,
     apply_masks,
@@ -24,6 +25,7 @@ from drumsep.signal import (
     SAMPLE_RATE,
     StftConfig,
     Waveform,
+    frame_signal,
     hann_window,
     magnitude,
     num_frames,
@@ -31,7 +33,7 @@ from drumsep.signal import (
     stft,
 )
 
-from hooked_calls import record_hooked_calls
+from hooked_calls import count_fft_rows, record_hooked_calls
 
 RNG = np.random.default_rng(55)
 
@@ -253,7 +255,8 @@ class TestBlockedKernel:
         the full masks, for any block size and 1, 2 or 3 lanes, into an
         array or through block writers. The one-shots source gives those of
         the stems ``trigger`` renders from them, with cut tails, onsets past
-        the end and same-sample duplicates."""
+        the end and same-sample duplicates. Sources with silent frames are
+        checked for three alphas too (``_check_sparse_sources``)."""
         cfg, n, silent, alpha, block, seed = case
         rng = np.random.default_rng(seed)
         eps = 1e-8
@@ -299,8 +302,61 @@ class TestBlockedKernel:
                     shots_out = mask_with_shots(x, shots, onsets, amps, cfg,
                                                 alpha, eps)
                     assert shots_out.tobytes() == want_shots.tobytes()
+                self._check_sparse_sources(x, cfg, block, rng)
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _check_sparse_sources(x, cfg, block, rng):
+        """Stems and one-shots that are exactly zero over whole frames, which
+        the kernel does not transform: leading and trailing silence, an
+        interior gap longer than a block, a class silent throughout, exact
+        zeros inside a sounding stretch and a single onset at the track's
+        end. For alpha 0.5, 1 and 2, 1 to 3 lanes, into an array and into
+        block writers over zeros, they give the per-class inverse's bits."""
+        n, hop = len(x), cfg.hop_size
+        stride = cfg.window_size // hop
+        third = n // 3
+        stems = rng.normal(0, 0.3, (5, n))
+        stems[0, :third] = stems[0, n - third :] = 0.0
+        gap = (stride * -(-block // stride) + 2 * stride) * hop
+        stems[1, n // 4 : n // 4 + gap] = 0.0
+        stems[2] = 0.0
+        stems[3, ::7] = 0.0
+        stems[3, n // 2 : n // 2 + hop] = -0.0
+        stems[4, : n - 1] = 0.0
+
+        length = int(rng.integers(1, 2 * cfg.window_size))
+        shots = rng.normal(0, 0.3, (5, length))
+        shots[3, ::5] = 0.0
+        shots[3, length // 2 : length // 2 + hop] = 0.0
+        onsets = [(0, int(p)) for p in
+                  rng.integers(third, max(third, n - third - length) + 1, 3)]
+        onsets += [(1, 0), (1, n // 4 + gap)]
+        onsets += [(3, int(p)) for p in rng.integers(0, n, 4)]
+        onsets += [(4, n - 1)]
+        amps = rng.uniform(0.5, 2, len(onsets))
+        rendered = trigger(shots, onsets, amps, n)
+
+        eps = 1e-8
+        for alpha in (0.5, 1.0, 2.0):
+            wants = [reference_masking(
+                x, np.stack([magnitude(stft(Waveform(s), cfg)) for s in source]),
+                cfg, alpha, eps)[0] for source in (stems, rendered)]
+            for lanes in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
+                    mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                    written = np.zeros((2, 5, n))
+                    masking._mask(x, cfg, stems=stems, alpha=alpha, epsilon=eps,
+                                  writers=[RowWriter(row) for row in written[0]])
+                    mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps,
+                                    [RowWriter(row) for row in written[1]])
+                    got = [mask_with_stems(x, stems, cfg, alpha, eps),
+                           mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps)]
+                for want, array, rows in zip(wants, got, written):
+                    assert array.tobytes() == want.tobytes()
+                    assert rows.tobytes() == want.tobytes()
 
     def test_lanes_writing_one_set_of_files_at_once(self, tmp_path, monkeypatch):
         """Four lanes on 4-hop blocks, switching threads every microsecond,
@@ -349,6 +405,59 @@ class TestBlockedKernel:
         assert ("masking._mask_lane", False) in calls
         off_main = {name for name, main in calls if not main}
         assert off_main == {"masking._mask_lane"}
+
+    @pytest.fixture
+    def sparse_track(self, monkeypatch):
+        """A 3 s mixture and the one-shots of nine classes, eight of them
+        silent, on one lane. The ninth class sounds in one run of frames,
+        under a quarter of the track, whose length is returned last."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        rng = np.random.default_rng(4)
+        n = 3 * SAMPLE_RATE
+        shots = np.zeros((NUM_CLASSES, 4000))
+        shots[0] = rng.normal(0, 0.3, 4000)
+        onsets, amps = [(0, SAMPLE_RATE), (0, SAMPLE_RATE + 3000)], np.ones(2)
+        stems = trigger(shots, onsets, amps, n)
+        sounding = np.flatnonzero(np.any(frame_signal(stems[0], StftConfig()) != 0,
+                                         axis=1))
+        assert len(sounding) == sounding[-1] + 1 - sounding[0]
+        assert len(sounding) < num_frames(n, StftConfig()) // 4
+        return Waveform(rng.normal(0, 0.3, n)), shots, onsets, amps, stems, len(sounding)
+
+    def test_silent_frames_are_not_transformed(self, monkeypatch, sparse_track):
+        """The waveform sources transform the mixture's frames and the one
+        sounding class's sounding frames, forward and back, and LSD the
+        frames from the first to the last sounding one of reference and
+        estimate: 8 of 9 classes cost no transform."""
+        x, shots, onsets, amps, stems, sounding = sparse_track
+        frames = num_frames(len(x), StftConfig())
+        counts = count_fft_rows(monkeypatch)
+        for masking_call in (lambda: mask_with_shots(x, shots, onsets, amps),
+                             lambda: mask_with_stems(x, stems)):
+            masked = masking_call()
+            assert counts == {"rfft": frames + sounding, "irfft": sounding}
+            counts.update(rfft=0, irfft=0)
+            estimate = np.flatnonzero(np.any(
+                frame_signal(masked[0], StftConfig()) != 0, axis=1))
+            for ref, est in zip(stems, masked):
+                lsd(Waveform(ref), Waveform(est))
+            assert counts == {"rfft": sounding + estimate[-1] + 1 - estimate[0],
+                              "irfft": 0}
+            counts.update(rfft=0, irfft=0)
+
+    def test_mask_sources_transform_every_frame(self, monkeypatch, sparse_track):
+        """Given magnitudes or masks there are no samples to check: the
+        mixture's frames go forward and every class's frames back, as
+        before the waveform sources skipped silent frames."""
+        x, _, _, _, stems, _ = sparse_track
+        frames = num_frames(len(x), StftConfig())
+        estimates = np.stack([magnitude(stft(Waveform(s))) for s in stems])
+        masks = compute_masks(estimates)
+        counts = count_fft_rows(monkeypatch)
+        mask_with_magnitudes(x, estimates)
+        assert counts == {"rfft": frames, "irfft": NUM_CLASSES * frames}
+        apply_masks(x, masks)
+        assert counts == {"rfft": 2 * frames, "irfft": 2 * NUM_CLASSES * frames}
 
     @pytest.fixture
     def track(self, monkeypatch):

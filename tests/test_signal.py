@@ -21,8 +21,11 @@ from drumsep.signal import (
     log_mel,
     magnitude,
     mel_filterbank,
+    frame_signal,
     num_frames,
     overlap_add,
+    sounding_frames,
+    sounding_span,
     stft,
 )
 
@@ -159,6 +162,37 @@ def test_overlap_add_matches_frame_loop(log_window, log_ratio, n_frames, extra,
     np.testing.assert_array_equal(got, expected)
     if into_buffer:
         np.testing.assert_array_equal(start[:total], expected)
+
+
+@given(
+    cfg=st.sampled_from([StftConfig(8, 4), StftConfig(16, 2), StftConfig(512, 128),
+                         StftConfig(2048, 512), StftConfig(1024, 64)]),
+    n=st.integers(1, 6000),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_sounding_frames_are_the_frames_with_a_non_zero_sample(cfg, n, rows, seed):
+    """Against each frame's samples, for one signal's ``frame_signal``
+    frames and for several rows at once: silent stretches, lone samples
+    and -0.0, which is silent, as its transform is."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, n))
+    for row in x:
+        for a in rng.integers(0, n, int(rng.integers(0, 4))):
+            b = min(n, a + int(rng.integers(1, 3 * cfg.window_size)))
+            row[a:b] = rng.normal(size=b - a) * (rng.random(b - a) < rng.random())
+    x[rng.random(x.shape) < 0.3] = -0.0
+    frames = np.stack([frame_signal(row, cfg) for row in x])
+    chunks = frames.shape[1] + cfg.window_size // cfg.hop_size - 1
+    want = np.any(frames != 0, axis=-1)
+    buffer = np.ones((rows, chunks), dtype=bool)
+    np.testing.assert_array_equal(sounding_frames(frames, cfg, buffer), want)
+    one = sounding_frames(frame_signal(x[0], cfg), cfg, np.empty(chunks, dtype=bool))
+    np.testing.assert_array_equal(one, want[0])
+    first, stop = sounding_span(one)
+    assert one[first:stop].sum() == one.sum()
+    assert (first, stop) == (0, 0) or one[first] and one[stop - 1]
 
 
 class TestConfigValidation:
