@@ -577,6 +577,8 @@ def least_squares(
     """
     if len(t) == 0:
         raise ValueError("transcription must contain at least one onset")
+    if len(x) == 0:
+        raise ValueError("abs solver: the mixture holds no samples")
     check_iterations(iterations)
     n = len(x)
     onsets, amps = onset_samples(t, n)

@@ -26,6 +26,7 @@ from .signal import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     SAMPLE_RATE,
+    SignalError,
     StftConfig,
     Waveform,
 )
@@ -62,8 +63,9 @@ def read_wav(path: str | Path) -> Waveform:
     The format tag may be 1 (PCM), 3 (IEEE float) or 0xFFFE
     (WAVE_FORMAT_EXTENSIBLE) with one of those two as its sub-format. Chunks
     other than ``fmt `` and ``data`` are skipped, with the pad byte that
-    follows an odd-sized chunk. Any other file, and a ``data`` chunk that
-    runs past the end of the file, raises FileFormatError naming ``path``.
+    follows an odd-sized chunk. Any other file, a ``data`` chunk that runs
+    past the end of the file, and a NaN or infinite sample raise
+    FileFormatError naming ``path``.
     """
     path = Path(path)
     with open(path, "rb") as handle:
@@ -103,7 +105,11 @@ def read_wav(path: str | Path) -> Waveform:
         samples /= 32768.0
     if channels > 1:
         samples = samples.reshape(frames, channels).mean(axis=1)
-    return Waveform(samples)
+    try:
+        return Waveform(samples)
+    except SignalError:
+        bad = np.flatnonzero(~np.isfinite(samples))[0]
+        raise FileFormatError(f"{path}: non-finite sample at index {bad}") from None
 
 
 def _wav_sample_format(path: Path, fmt: bytes) -> tuple[np.dtype, int, int]:

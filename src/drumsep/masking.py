@@ -3,20 +3,21 @@
 Every masked stem comes from one kernel that never holds a K x F x M array
 and, writing to files, no K x T one. It walks the track in blocks of
 ``MASK_BLOCK`` hops. For each block it takes the mixture's spectrum, the K
-estimate magnitudes (the spectra of estimated stems, or a slice of given
-magnitudes or masks), the masks est**alpha / (sum_k est**alpha + eps), and
-each class's masked inverse transform, windowed and overlap-added. A
-block's frames are taken from a lane buffer that holds the samples they
-cover, with zeros past the track's ends, so no padded copy of the signals
-exists. With one-shots and onsets in place of stems, the block renders
-those samples itself by ``drum_machine.trigger`` over its sample range,
-from the onsets that reach into it. Each class's finished samples go to a
-block writer: ``fileio.stem_blocks`` writes them into the stem files, and
-without writers they fill a K x T array. The blocks are split between the
-lanes of ``parallel.run_lanes``, under the rules in ``parallel``'s
-docstring.
+estimate magnitudes (the spectra of the stems that one-shots and onsets
+render, or a slice of given magnitudes or masks), the masks est**alpha /
+(sum_k est**alpha + eps), and each class's masked inverse transform,
+windowed and overlap-added. A block's frames are taken from a lane buffer
+that holds the samples they cover, with zeros past the track's ends, so no
+padded copy of the signals exists. The block renders its stem samples
+itself by ``drum_machine.trigger`` over its sample range, from the onsets
+that reach into it. A given K x T stem is the one-shot of a single onset at
+sample 0 with amplitude 1.0, which renders it exactly, so stems need no
+source of their own. Each class's finished samples go to a block writer:
+``fileio.stem_blocks`` writes them into the stem files, and without
+writers they fill a K x T array. The blocks are split between the lanes of
+``parallel.run_lanes``, under the rules in ``parallel``'s docstring.
 
-A stem is exactly zero wherever no one-shot reaches, so with stems or
+A rendered stem is exactly zero wherever no one-shot reaches, so with
 one-shots as the source a block transforms, for each class, only the rows
 from its first to its last frame that ``signal.sounding_frames`` marks.
 That changes no bit: the spectrum of a silent frame has magnitude +0.0,
@@ -135,24 +136,6 @@ def mask_with_magnitudes(
                  alpha=alpha, epsilon=epsilon, writers=writers)
 
 
-def mask_with_stems(
-    x: Waveform,
-    stems: np.ndarray,
-    cfg: StftConfig = StftConfig(),
-    alpha: float = DEFAULT_ALPHA,
-    epsilon: float = MASK_EPSILON,
-) -> np.ndarray:
-    """Mask the mixture with the magnitude spectrograms of K x T stem
-    estimates: K x len(x) masked stems."""
-    stems = np.asarray(stems, dtype=np.float64)
-    if stems.ndim != 2 or stems.shape[1] != len(x):
-        raise ValueError(f"expected K x {len(x)} stems, got shape {stems.shape}")
-    if not np.all(np.isfinite(stems)):
-        raise SignalError("waveform contains non-finite samples")
-    check_mask_params(alpha, epsilon)
-    return _mask(x, cfg, stems=stems, alpha=alpha, epsilon=epsilon)
-
-
 def mask_with_shots(
     x: Waveform,
     shots: np.ndarray,
@@ -163,11 +146,15 @@ def mask_with_shots(
     epsilon: float = MASK_EPSILON,
     writers=None,
 ) -> np.ndarray | None:
-    """``mask_with_stems`` of the stems ``drum_machine.trigger(shots,
-    onsets, amplitudes, len(x))``, bit for bit, without them: each block
-    renders the samples its frames cover from the onsets that reach into
-    it. Given K block ``writers`` (see ``_mask``), the masked stems go to
-    them and None is returned."""
+    """Mask the mixture with the magnitude spectrograms of the stems that
+    K x R one-shots render at their onsets: K x len(x) masked stems, bit
+    for bit ``apply_masks(x, compute_masks(|stft(trigger(shots, onsets,
+    amplitudes, len(x)))|, alpha, epsilon), cfg)``, without the stems or
+    the masks. Each block renders the samples its frames cover from the
+    onsets that reach into it. Given K x T stems, pass them as one-shots
+    of length T with onsets ``[(k, 0) for k in range(K)]`` and amplitudes
+    ``ones(K)``. Given K block ``writers`` (see ``_mask``), the masked
+    stems go to them and None is returned."""
     shots = np.asarray(shots, dtype=np.float64)
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     if shots.ndim != 2 or amplitudes.shape != (len(onsets),):
@@ -193,19 +180,19 @@ class _RowBlocks:
 
 
 def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
-          stems=None, shots=None, alpha=DEFAULT_ALPHA, epsilon=MASK_EPSILON,
+          shots=None, alpha=DEFAULT_ALPHA, epsilon=MASK_EPSILON,
           writers=None) -> np.ndarray | None:
     """The masked stems from exactly one of K x F x M ``masks``, K x F x M
-    ``magnitudes``, K x len(x) ``stems`` or ``shots``, a (one-shots,
-    onsets, amplitudes) triple, on lanes.
+    ``magnitudes`` or ``shots``, a (one-shots, onsets, amplitudes) triple,
+    on lanes.
 
     Each class's stem goes block by block to ``writers[k].write(start,
     samples, scratch)``, which takes the float64 samples from ``start`` on
     and may use ``scratch``, a float32 lane buffer at least as long; the
-    lanes write disjoint ranges at once. With stems or one-shots, a range
-    whose samples are all +0.0 is not written, so a writer's unwritten
-    samples must read 0.0. Without ``writers`` the stems go into a K x
-    len(x) array of zeros, which is returned."""
+    lanes write disjoint ranges at once. With one-shots, a range whose
+    samples are all +0.0 is not written, so a writer's unwritten samples
+    must read 0.0. Without ``writers`` the stems go into a K x len(x)
+    array of zeros, which is returned."""
     n = len(x)
     if n == 0:
         raise SignalError("cannot take the STFT of an empty signal")
@@ -217,10 +204,7 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
             f"mask shape {given.shape[1:]} does not match spectrogram "
             f"{(cfg.n_bins, n_frames)}"
         )
-    if shots is not None:
-        source, onsets, amplitudes = shots
-    else:
-        source = stems if stems is not None else given
+    source = given if shots is None else shots[0]
     k = len(source)
     out = None
     if writers is None:
@@ -233,11 +217,10 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
     block = min(stride * -(-MASK_BLOCK // stride), hops)
     n_blocks = -(-hops // block)
     job = _MaskJob(
-        cfg, x.samples, source, stems is not None or shots is not None,
-        masks is None, alpha, epsilon,
+        cfg, x.samples, source, masks is None, alpha, epsilon,
         overlap_add_norm(cfg, n_frames, n + 2 * pad)[pad : pad + n], writers,
         None if shots is None else _onsets_by_block(
-            cfg, block, hops, source.shape[1], onsets, amplitudes),
+            cfg, block, hops, source.shape[1], *shots[1:]),
     )
     lanes = thread_count(n_blocks)
     run_lanes(_mask_lane, [
@@ -270,16 +253,15 @@ def _onsets_by_block(cfg: StftConfig, block: int, hops: int, length: int,
 @dataclass(frozen=True)
 class _MaskJob:
     """What every masking lane reads: the mixture, the source of the
-    estimates (K x T stems, K x R one-shots, or K x F x M magnitudes or
-    masks), whether the estimates are stem spectra (of given or rendered
-    stems) and whether to turn them into masks, the mask parameters, the
-    normalization of the output samples and each class's block writer.
-    With one-shots, ``reach`` holds each block's onsets and amplitudes."""
+    estimates (K x R one-shots, or K x F x M magnitudes or masks), whether
+    to turn them into masks, the mask parameters, the normalization of the
+    output samples and each class's block writer. With one-shots, whose
+    rendered stems' spectra are the estimates, ``reach`` holds each
+    block's onsets and amplitudes; otherwise it is None."""
 
     cfg: StftConfig
     mixture: np.ndarray
     source: np.ndarray
-    from_stems: bool
     make_masks: bool
     alpha: float
     epsilon: float
@@ -290,16 +272,18 @@ class _MaskJob:
 
 class _MaskBuffers:
     """One masking lane's buffers for ``rows`` frames: the samples those
-    frames cover in the mixture and any stems, and their frames as a view;
-    windowed frames (later one class's masked frames), the mixture's
-    spectrum and one class's, the K estimates (later the masks) and their
-    sum, each class's last S frames carried to the next block, an
-    overlap-add buffer, and scratch for one rendered onset and for the
-    writers."""
+    frames cover in the mixture and the rendered stems, and their frames as
+    a view; windowed frames (later one class's masked frames), the
+    mixture's spectrum and one class's, the K estimates (later the masks)
+    and their sum, each class's last S frames carried to the next block,
+    an overlap-add buffer, and scratch for one rendered onset and for the
+    writers. Without one-shots the rendered stems, their sounding flags
+    and the onset scratch take no room."""
 
     def __init__(self, job: _MaskJob, rows: int):
         cfg, k = job.cfg, len(job.writers)
-        signals, stride = 1 + k * job.from_stems, cfg.window_size // cfg.hop_size
+        rendered = job.reach is not None
+        signals, stride = 1 + k * rendered, cfg.window_size // cfg.hop_size
         self.span = np.empty((signals, (rows - 1) * cfg.hop_size + cfg.window_size))
         self.span_frames = sliding_window_view(
             self.span, cfg.window_size, axis=1)[:, :: cfg.hop_size]
@@ -309,9 +293,9 @@ class _MaskBuffers:
         self.est = np.empty(k * rows * cfg.n_bins)
         self.den = np.empty((rows, cfg.n_bins))
         self.carry = np.zeros((k, stride, cfg.window_size))
-        self.sounding = np.empty(k * (rows + stride - 1) * job.from_stems, dtype=bool)
+        self.sounding = np.empty(k * (rows + stride - 1) * rendered, dtype=bool)
         self.ola = np.empty((rows + stride) * cfg.hop_size)
-        self.scaled = np.empty(job.source.shape[1] if job.reach is not None else 0)
+        self.scaled = np.empty(job.source.shape[1] * rendered)
         self.scratch = np.empty((rows - stride) * cfg.hop_size, dtype=np.float32)
 
 
@@ -341,15 +325,13 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
             onsets, amplitudes = job.reach[a // block]
             trigger(job.source, onsets, amplitudes, n, first, last,
                     out=span[1:, first - begin : last - begin], scaled=buf.scaled)
-        elif job.from_stems:
-            span[1:, first - begin : last - begin] = job.source[:, first:last]
         span[:, last - begin :] = 0.0
         frames = buf.frames[:nf]
         np.multiply(buf.span_frames[0, :nf], window, out=frames)
         np.fft.rfft(frames, axis=1, out=buf.spec[:nf])
 
         est = buf.est[: k * nf * n_bins].reshape(k, nf, n_bins)
-        if job.from_stems:
+        if job.reach is not None:
             # Only the rows from a class's first to its last sounding frame
             # are transformed; the others' magnitudes are +0.0.
             flags = buf.sounding[: k * (nf + stride - 1)].reshape(k, nf + stride - 1)
@@ -376,7 +358,7 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
         used = b - a + stride
         shift = (a - stride) * hop
         for i, (f0, f1) in enumerate(spans):
-            if job.from_stems and f0 == f1 and not buf.carry[i].any():
+            if job.reach is not None and f0 == f1 and not buf.carry[i].any():
                 continue  # its samples are +0.0, which the writer holds
             frames = buf.frames[:used]
             frames[:stride] = buf.carry[i]

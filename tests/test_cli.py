@@ -510,7 +510,9 @@ class TestStreamedStems:
         stems = trigger(solved.one_shots, solved.onsets, solved.amplitudes, len(x))
         ref = tmp_path / "ref"
         write_stems(stems, ref / "synth")
-        write_stems(masking.mask_with_stems(x, stems), ref / "masked")
+        estimates = np.stack([magnitude(stft(Waveform(stem))) for stem in stems])
+        write_stems(masking.apply_masks(x, masking.compute_masks(estimates)),
+                    ref / "masked")
         write_wav(ref / "reconstruction.wav", Waveform(stems.sum(axis=0)))
         write_loss_trace(solved.loss_trace, ref / "loss_trace.csv")
         write_config(CONFIG_DEFAULTS | {"solver.steps": 10}, ref / "config.txt")
@@ -765,7 +767,7 @@ WAV_READERS = [
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "nan"])
 @pytest.mark.parametrize("command, slot", WAV_READERS)
 def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage):
     kit = shutil.copytree(inputs / "kit", tmp_path / "kit")
@@ -774,9 +776,12 @@ def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage
     shutil.copy(inputs / "track" / "mixture.wav", mixture)
     bad = {"kit": kit / "kick.wav", "mixture": mixture,
            "ests": ests / "kick.wav"}[slot]
-    # garbage is no RIFF file; truncated drops the last two float32 samples
-    bad.write_bytes(b"not a wav file at all" if damage == "garbage"
-                    else bad.read_bytes()[:-8])
+    # garbage is no RIFF file; truncated drops the last two float32 samples;
+    # nan makes the last one NaN
+    bad.write_bytes({
+        "garbage": b"not a wav file at all", "truncated": bad.read_bytes()[:-8],
+        "nan": bad.read_bytes()[:-4] + np.float32(np.nan).tobytes(),
+    }[damage])
     out = tmp_path / "out"
     result = run(*command_args(command, out, kit, inputs / "t.csv", mixture,
                                inputs / "track", ests))
@@ -785,6 +790,23 @@ def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert str(bad) in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["separate-abs", "separate-nmfd-3"])
+def test_empty_mixture_is_one_error_line_before_any_output(tmp_path, command):
+    """A 0-sample mixture, with an onset at 0 s that the range rule takes,
+    fails before either command writes a file."""
+    mixture = tmp_path / "empty.wav"
+    write_wav(mixture, Waveform(np.zeros(0)))
+    write_transcription(Transcription((Event(0.0, "kick", 1.0),)), tmp_path / "t.csv")
+    out = tmp_path / "out"
+    result = run(*command_args(command, out, None, tmp_path / "t.csv", mixture,
+                               None, None))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert not out.exists()
 
 

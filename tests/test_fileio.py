@@ -136,6 +136,17 @@ class TestWav:
         back = read_wav(path)
         np.testing.assert_array_equal(back.samples, [0.0, 1.0, -1.0, 0.5])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_the_file_and_index(self, tmp_path, value):
+        data = np.zeros((50, 2), dtype=np.float32)
+        data[37, 1] = value
+        path = tmp_path / "h.wav"
+        with open(path, "wb") as handle:
+            wavfile.write(handle, SAMPLE_RATE, data)
+        with pytest.raises(FileFormatError) as info:
+            read_wav(path)
+        assert str(info.value) == f"{path}: non-finite sample at index 37"
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")

@@ -1,6 +1,7 @@
 """Import hygiene: every module-level import in the package is used, no
-module reaches into another drumsep module's `_`-prefixed names, and every
-function the bench hooks exists."""
+module reaches into another drumsep module's `_`-prefixed names, every
+function the bench hooks exists, and every public function or class has a
+user outside the unit tests."""
 
 import ast
 import importlib
@@ -115,11 +116,13 @@ def test_threads_start_only_in_parallel():
     assert {m for m, names in imports.items() if names & threads} == {"parallel"}
 
 
-def read_names(source: str) -> set[str]:
-    """Every name ``source`` reads or imports by ``from``, attribute names
-    included: ``m.f(x)`` reads ``m``, ``f`` and ``x``."""
+def read_names(source: str | ast.AST) -> set[str]:
+    """Every name ``source`` (text or a parsed node) reads or imports by
+    ``from``, attribute names included: ``m.f(x)`` reads ``m``, ``f`` and
+    ``x``."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -190,3 +193,59 @@ def test_every_bench_hook_names_a_function():
     missing = [f"{m}.{f}" for m, f in hooks
                if not callable(getattr(importlib.import_module(f"drumsep.{m}"), f, None))]
     assert missing == []
+
+
+def bench_names(source: str) -> set[str]:
+    """The names ``source`` reads and its string constants: bench/tracing.py's
+    HOOKS name the functions they wrap as strings."""
+    strings = {node.value for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return read_names(source) | strings
+
+
+def unused_definitions(library: dict[str, str], users: set[str]) -> list[str]:
+    """``module.name`` of each public top-level function or class of the
+    ``library`` sources (module name -> source) that nothing names: not
+    another library module, not its own module outside its definition, and
+    not ``users``, the names read outside the library. A click command is
+    exempt, as its decorator registers it."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    found = []
+    for module, tree in trees.items():
+        named = users.union(*(read_names(other) for name, other in trees.items()
+                              if name != module))
+        own = [read_names(node) for node in tree.body]
+        for i, node in enumerate(tree.body):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and not _click_command(node)
+                    and node.name not in named.union(*own[:i], *own[i + 1 :])):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def _click_command(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_finds_an_unused_definition():
+    library = {
+        "a": ("def kept(): pass\ndef dead(): dead()\nclass Own: pass\n"
+              "x = Own()\ndef hooked(): pass\ndef _private(): pass\n"
+              "@main.command('c')\ndef cmd(): pass\nclass Orphan: pass\n"),
+        "b": "from .a import kept\ndef tested(): pass\n",
+    }
+    users = bench_names("HOOKS = [('a', 'hooked', None)]\n")
+    assert unused_definitions(library, users) == ["a.dead", "a.Orphan", "b.tested"]
+
+
+def test_every_public_definition_has_a_user():
+    """A public function or class of the package that only unit tests call
+    is dead code. Its users are the other modules, its own module, bench/
+    (with the HOOKS strings) and the acceptance gates."""
+    root = Path(__file__).resolve().parents[1]
+    library = {p.stem: p.read_text() for p in Path(drumsep.__file__).parent.glob("*.py")}
+    users = read_names((root / "tests" / "test_acceptance.py").read_text())
+    for path in (root / "bench").glob("*.py"):
+        users |= bench_names(path.read_text())
+    assert unused_definitions(library, users) == []

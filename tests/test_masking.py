@@ -19,7 +19,6 @@ from drumsep.masking import (
     compute_masks,
     mask_with_magnitudes,
     mask_with_shots,
-    mask_with_stems,
 )
 from drumsep.signal import (
     SAMPLE_RATE,
@@ -36,6 +35,12 @@ from drumsep.signal import (
 from hooked_calls import count_fft_rows, record_hooked_calls
 
 RNG = np.random.default_rng(55)
+
+
+def at_zero(stems):
+    """The onsets and amplitudes that make K x T ``stems`` their own
+    one-shots: one onset at sample 0 per class, with amplitude 1.0."""
+    return [(k, 0) for k in range(len(stems))], np.ones(len(stems))
 
 
 class TestComputeMasks:
@@ -143,9 +148,10 @@ class TestApplyMasks:
 
 
 class TestMaskingHelpers:
-    def test_mask_with_stems_is_estimate_mask_and_invert(self):
-        """Stems -> magnitude estimates (zeros for a silent stem) -> masks
-        -> masked stems, bit for bit the composition it replaces."""
+    def test_mask_with_shots_of_stems_is_estimate_mask_and_invert(self):
+        """Stems, as one-shots at sample 0, -> magnitude estimates (zeros
+        for a silent stem) -> masks -> masked stems, bit for bit the
+        composition it replaces."""
         cfg = StftConfig(512, 128)
         x = Waveform(RNG.normal(0, 0.3, 3000))
         stems = RNG.normal(0, 0.3, (3, 3000))
@@ -157,7 +163,8 @@ class TestMaskingHelpers:
             magnitude(stft(Waveform(stems[2]), cfg)),
         ])
         expected = apply_masks(x, compute_masks(estimates, alpha, eps), cfg)
-        assert np.array_equal(mask_with_stems(x, stems, cfg, alpha, eps), expected)
+        assert np.array_equal(
+            mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps), expected)
 
     @pytest.mark.parametrize("shape, fill, match", [
         ((2, 257, 24), -1.0, "non-negative"),
@@ -169,15 +176,6 @@ class TestMaskingHelpers:
         x = Waveform(RNG.normal(0, 0.3, 3000))  # 24 frames at hop 128
         with pytest.raises(ValueError, match=match):
             mask_with_magnitudes(x, np.full(shape, fill), StftConfig(512, 128))
-
-    @pytest.mark.parametrize("stems, match", [
-        (np.zeros((2, 2999)), "stems"), (np.full((2, 3000), np.nan), "non-finite"),
-    ])
-    def test_mask_with_stems_rejects_bad_stems(self, stems, match):
-        x = Waveform(RNG.normal(0, 0.3, 3000))
-        with pytest.raises(ValueError, match=match):
-            mask_with_stems(x, stems, StftConfig(512, 128))
-
 
     @pytest.mark.parametrize("shots, amps, match", [
         (np.full((2, 100), np.nan), [1.0], "non-finite"),
@@ -253,10 +251,11 @@ class TestBlockedKernel:
     def test_same_bits_as_per_class_inverse(self, case):
         """Every entry point gives the bits of the per-class inverse STFT of
         the full masks, for any block size and 1, 2 or 3 lanes, into an
-        array or through block writers. The one-shots source gives those of
-        the stems ``trigger`` renders from them, with cut tails, onsets past
-        the end and same-sample duplicates. Sources with silent frames are
-        checked for three alphas too (``_check_sparse_sources``)."""
+        array or through block writers; stems go in as one-shots at sample
+        0. The one-shots source gives those of the stems ``trigger`` renders
+        from them, with cut tails, onsets past the end and same-sample
+        duplicates. Sources with silent frames are checked for three alphas
+        too (``_check_sparse_sources``)."""
         cfg, n, silent, alpha, block, seed = case
         rng = np.random.default_rng(seed)
         eps = 1e-8
@@ -291,7 +290,7 @@ class TestBlockedKernel:
                         x, estimates, cfg, alpha, eps,
                         [RowWriter(row) for row in written]) is None
                     got = [
-                        mask_with_stems(x, stems, cfg, alpha, eps),
+                        mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps),
                         mask_with_magnitudes(x, estimates, cfg, alpha, eps),
                         apply_masks(x, MaskSet(masks, alpha, eps), cfg),
                         written,
@@ -308,12 +307,13 @@ class TestBlockedKernel:
 
     @staticmethod
     def _check_sparse_sources(x, cfg, block, rng):
-        """Stems and one-shots that are exactly zero over whole frames, which
-        the kernel does not transform: leading and trailing silence, an
-        interior gap longer than a block, a class silent throughout, exact
-        zeros inside a sounding stretch and a single onset at the track's
-        end. For alpha 0.5, 1 and 2, 1 to 3 lanes, into an array and into
-        block writers over zeros, they give the per-class inverse's bits."""
+        """Stems (as one-shots at sample 0) and one-shots that are exactly
+        zero over whole frames, which the kernel does not transform:
+        leading and trailing silence, an interior gap longer than a block, a
+        class silent throughout, exact zeros inside a sounding stretch and a
+        single onset at the track's end. For alpha 0.5, 1 and 2, 1 to 3
+        lanes, into an array and into block writers over zeros, they give
+        the per-class inverse's bits."""
         n, hop = len(x), cfg.hop_size
         stride = cfg.window_size // hop
         third = n // 3
@@ -348,11 +348,11 @@ class TestBlockedKernel:
                     mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
                     mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
                     written = np.zeros((2, 5, n))
-                    masking._mask(x, cfg, stems=stems, alpha=alpha, epsilon=eps,
-                                  writers=[RowWriter(row) for row in written[0]])
+                    mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps,
+                                    [RowWriter(row) for row in written[0]])
                     mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps,
                                     [RowWriter(row) for row in written[1]])
-                    got = [mask_with_stems(x, stems, cfg, alpha, eps),
+                    got = [mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps),
                            mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps)]
                 for want, array, rows in zip(wants, got, written):
                     assert array.tobytes() == want.tobytes()
@@ -371,8 +371,7 @@ class TestBlockedKernel:
         onsets = [(int(k), int(pos)) for k, pos in
                   zip(rng.integers(0, NUM_CLASSES, 40), rng.integers(0, n, 40))]
         amps = rng.uniform(0, 2, len(onsets))
-        fileio.write_stems(mask_with_stems(x, trigger(shots, onsets, amps, n)),
-                           tmp_path / "arrays")
+        fileio.write_stems(mask_with_shots(x, shots, onsets, amps), tmp_path / "arrays")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -395,7 +394,6 @@ class TestBlockedKernel:
         x = Waveform(RNG.normal(0, 0.3, SAMPLE_RATE))
         stems = RNG.normal(0, 0.3, (3, SAMPLE_RATE))
         estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
-        masking.mask_with_stems(x, stems, cfg)
         masking.mask_with_magnitudes(x, estimates, cfg)
         masking.apply_masks(x, masking.compute_masks(estimates), cfg)
         masking.mask_with_shots(x, stems[:, :2000], [(0, 100), (2, 30000)],
@@ -425,25 +423,22 @@ class TestBlockedKernel:
         return Waveform(rng.normal(0, 0.3, n)), shots, onsets, amps, stems, len(sounding)
 
     def test_silent_frames_are_not_transformed(self, monkeypatch, sparse_track):
-        """The waveform sources transform the mixture's frames and the one
+        """The one-shots source transforms the mixture's frames and the one
         sounding class's sounding frames, forward and back, and LSD the
         frames from the first to the last sounding one of reference and
         estimate: 8 of 9 classes cost no transform."""
         x, shots, onsets, amps, stems, sounding = sparse_track
         frames = num_frames(len(x), StftConfig())
         counts = count_fft_rows(monkeypatch)
-        for masking_call in (lambda: mask_with_shots(x, shots, onsets, amps),
-                             lambda: mask_with_stems(x, stems)):
-            masked = masking_call()
-            assert counts == {"rfft": frames + sounding, "irfft": sounding}
-            counts.update(rfft=0, irfft=0)
-            estimate = np.flatnonzero(np.any(
-                frame_signal(masked[0], StftConfig()) != 0, axis=1))
-            for ref, est in zip(stems, masked):
-                lsd(Waveform(ref), Waveform(est))
-            assert counts == {"rfft": sounding + estimate[-1] + 1 - estimate[0],
-                              "irfft": 0}
-            counts.update(rfft=0, irfft=0)
+        masked = mask_with_shots(x, shots, onsets, amps)
+        assert counts == {"rfft": frames + sounding, "irfft": sounding}
+        counts.update(rfft=0, irfft=0)
+        estimate = np.flatnonzero(np.any(
+            frame_signal(masked[0], StftConfig()) != 0, axis=1))
+        for ref, est in zip(stems, masked):
+            lsd(Waveform(ref), Waveform(est))
+        assert counts == {"rfft": sounding + estimate[-1] + 1 - estimate[0],
+                          "irfft": 0}
 
     def test_mask_sources_transform_every_frame(self, monkeypatch, sparse_track):
         """Given magnitudes or masks there are no samples to check: the
@@ -479,10 +474,12 @@ class TestBlockedKernel:
             tracemalloc.stop()
 
     def test_masking_with_stems_stays_in_budget(self, track):
-        """The output and two lanes' buffers: measured 25.0 MB; 64.9 MB when
-        the K x F x M estimates and masks were built."""
+        """Stems as track-length one-shots: the output and two lanes'
+        buffers, each with a rendered stem block and an onset row. Measured
+        27.4 MB; 64.9 MB when the K x F x M estimates and masks were
+        built."""
         x, stems, _ = track
-        assert self._peak(mask_with_stems, x, stems) < 36e6
+        assert self._peak(mask_with_shots, x, stems, *at_zero(stems)) < 36e6
 
     def test_masking_with_magnitudes_stays_in_budget(self, track):
         """Measured 22.2 MB; 45.8 MB when the K x F x M masks were built."""
