@@ -44,6 +44,14 @@ def _run_config(path: str | None, seed: int | None, steps: int | None = None) ->
     return config
 
 
+def _read_mixture(path: str) -> Waveform:
+    """The --mixture WAV; one that holds no samples raises ValueError."""
+    x = fileio.read_wav(path)
+    if len(x) == 0:
+        raise ValueError(f"{path}: the mixture holds no samples")
+    return x
+
+
 @click.group()
 def main():
     """Drum source separation toolkit."""
@@ -121,7 +129,7 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     case = nmfd.NmfdCase.preset(case_id)
     if case.informed_templates and bank_dir is None:
         raise click.UsageError(f"NMFD case {case.case_id} requires --bank")
-    x = fileio.read_wav(mixture_path)
+    x = _read_mixture(mixture_path)
     t = fileio.read_transcription(transcription_path)
     bank = fileio.read_bank(bank_dir) if bank_dir else None
     onset_samples(t, len(x))  # the range rule of `separate abs` and `render`
@@ -134,7 +142,7 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     out = Path(out_dir)
     with fileio.stem_blocks(out / "masked", len(x)) as writers:
         masking.mask_with_magnitudes(x, per_class, cfg, config["masking.alpha"],
-                                     config["masking.epsilon"], writers)
+                                     config["masking.epsilon"], writers=writers)
     fileio.write_magnitudes(per_class, out / "magnitudes.npz")
     fileio.write_config(config, out / "config.txt")
 
@@ -153,7 +161,7 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     of the mixture. --steps is the solver's iteration count; --seed is
     echoed to config.txt, and the solve does not use it."""
     config = _run_config(config_path, seed, steps)
-    x = fileio.read_wav(mixture_path)
+    x = _read_mixture(mixture_path)
     t = fileio.read_transcription(transcription_path)
     result = abs_solver.least_squares(x, t, config["solver.steps"])
 
@@ -169,7 +177,7 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
     with fileio.stem_blocks(out / "masked", len(x)) as writers:
         masking.mask_with_shots(x, result.one_shots, result.onsets, result.amplitudes,
                                 cfg, config["masking.alpha"], config["masking.epsilon"],
-                                writers)
+                                writers=writers)
     fileio.write_wav(out / "reconstruction.wav", Waveform(mixture))
     fileio.write_loss_trace(result.loss_trace, out / "loss_trace.csv")
     fileio.write_config(config, out / "config.txt")
@@ -181,7 +189,7 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
 @_guarded
 def detect_onsets_cmd(mixture_path, out_path):
     """Class-agnostic onsets from spectral flux and peak picking."""
-    x = fileio.read_wav(mixture_path)
+    x = _read_mixture(mixture_path)
     curve = spectral_flux_curve(x)
     frames = peak_pick(curve)
     fileio.write_onsets(

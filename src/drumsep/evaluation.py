@@ -190,7 +190,8 @@ def evaluate_track(
     """Per-class metric rows for one track.
 
     ``refs``/``ests`` map 9-class names to stems of equal length; a stem
-    pair of unequal lengths raises ValueError naming the track and class.
+    pair of unequal lengths, or of no samples, raises ValueError naming the
+    track and class.
     nSDR is emitted only for ``estimate_kind="masked"``; PES is computed for
     every class, the rest only for active ones. Onset precision/recall, at
     the default ``match_onsets`` tolerance, is filled when an estimated
@@ -204,7 +205,7 @@ def evaluate_track(
     if estimate_kind not in ("masked", "synthesis"):
         raise ValueError(f"unknown estimate kind {estimate_kind!r}")
     for name, ref in refs.items():
-        if len(ref) != len(ests[name]):
+        if len(ref) != len(ests[name]) or len(ref) == 0:
             raise ValueError(
                 f"track {track_id}, class {name}: reference has {len(ref)} "
                 f"samples, estimate {len(ests[name])}"

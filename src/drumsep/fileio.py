@@ -2,8 +2,9 @@
 NMFD magnitudes, run config, report JSON and loss traces.
 
 Every file is written atomically, through a temp file renamed into place.
-A WAV file is written whole by ``write_wav``, or as sample ranges in any
-order by ``wav_blocks`` and ``stem_blocks``, with the same bytes."""
+Every WAV file is written by ``wav_blocks``, as sample ranges in any order:
+``write_wav`` writes a whole track through it in ranges, and
+``stem_blocks`` opens one per class."""
 
 from __future__ import annotations
 
@@ -50,9 +51,12 @@ _WAVE_PCM = 1
 _WAVE_FLOAT = 3
 _WAVE_EXTENSIBLE = 0xFFFE
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# The longest track ``write_wav`` can write: the RIFF size field, 32 bits,
+# The longest track a WAV file can hold: the RIFF size field, 32 bits,
 # counts 50 header bytes and 4 bytes a sample.
 MAX_WAV_SAMPLES = (0xFFFFFFFF - 50) // 4
+# The samples ``write_wav`` writes at once, through 256 KiB of float32
+# scratch; one ``pwrite`` on Linux moves at most 0x7ffff000 bytes.
+WAV_RANGE = 2**16
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -134,20 +138,15 @@ def _wav_sample_format(path: Path, fmt: bytes) -> tuple[np.dtype, int, int]:
     )
 
 
-def write_wav(path: str | Path, x: Waveform) -> int:
-    """Write mono float32 WAV at 44.1 kHz, atomically (temp then rename).
-
-    Samples outside [-1, 1] are clipped; returns the number clipped. The
-    layout is ``_wav_header``'s.
-    """
+def write_wav(path: str | Path, x: Waveform):
+    """Write mono float32 WAV at 44.1 kHz, atomically (temp then rename),
+    through ``wav_blocks`` in ranges of ``WAV_RANGE`` samples. Samples
+    outside [-1, 1] are clipped."""
     samples = x.samples
-    header = _wav_header(path, len(samples))
-    clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
-    data = np.clip(samples, -1.0, 1.0).astype("<f4")
-    with _atomic_open(Path(path)) as handle:
-        handle.write(header)
-        handle.write(data)
-    return clipped
+    scratch = np.empty(min(len(samples), WAV_RANGE), dtype=np.float32)
+    with wav_blocks(path, len(samples)) as blocks:
+        for start in range(0, len(samples), WAV_RANGE):
+            blocks.write(start, samples[start : start + WAV_RANGE], scratch)
 
 
 def _wav_header(path: str | Path, n_samples: int) -> bytes:
@@ -176,9 +175,9 @@ class WavBlocks:
 
     def write(self, start: int, samples: np.ndarray, scratch: np.ndarray):
         """Write ``samples`` as the track's samples from ``start`` on,
-        clipped to [-1, 1] and rounded to float32 as ``write_wav`` does,
-        through ``scratch``, a float32 array at least as long. Threads may
-        write disjoint ranges at once: each write is one ``os.pwrite``."""
+        clipped to [-1, 1] and rounded to float32, through ``scratch``, a
+        float32 array at least as long. Threads may write disjoint ranges
+        at once: each write is one ``os.pwrite``."""
         data = np.clip(samples, -1.0, 1.0, out=scratch[: len(samples)])
         data = data.astype("<f4", copy=False)  # no copy on a little-endian host
         if os.pwrite(self._fd, data, self._offset + 4 * start) != data.nbytes:
@@ -188,11 +187,11 @@ class WavBlocks:
 @contextmanager
 def wav_blocks(path: str | Path, n_samples: int):
     """Yield a ``WavBlocks`` for a mono float32 WAV of ``n_samples``
-    samples, ``write_wav``'s bytes once every sample is written. The file
-    is sized up front, so samples never written read as 0.0, the bytes a
+    samples at 44.1 kHz, laid out as ``_wav_header`` says. The file is
+    sized up front, so samples never written read as 0.0, the bytes a
     written +0.0 gives; the masking kernel leaves silent ranges unwritten.
-    The file is written atomically, as ``write_wav`` writes: a temp file,
-    renamed onto ``path`` when the block ends and deleted if it raises."""
+    The file is written atomically: a temp file, renamed onto ``path``
+    when the block ends and deleted if it raises."""
     path = Path(path)
     header = _wav_header(path, n_samples)
     with _atomic_open(path) as handle:

@@ -1,10 +1,11 @@
 """Alpha-Wiener time-frequency masking with the mixture phase.
 
-Every masked stem comes from one kernel that never holds a K x F x M array
-and, writing to files, no K x T one. It walks the track in blocks of
+``apply_masks`` defines the masked stems: the per-class ``istft`` of
+``masks[k] * stft(x)``. The commands get the same bits from one kernel that
+never holds a K x F x M or a K x T array. It walks the track in blocks of
 ``MASK_BLOCK`` hops. For each block it takes the mixture's spectrum, the K
 estimate magnitudes (the spectra of the stems that one-shots and onsets
-render, or a slice of given magnitudes or masks), the masks est**alpha /
+render, or a slice of given magnitudes), the masks est**alpha /
 (sum_k est**alpha + eps), and each class's masked inverse transform,
 windowed and overlap-added. A block's frames are taken from a lane buffer
 that holds the samples they cover, with zeros past the track's ends, so no
@@ -12,10 +13,10 @@ padded copy of the signals exists. The block renders its stem samples
 itself by ``drum_machine.trigger`` over its sample range, from the onsets
 that reach into it. A given K x T stem is the one-shot of a single onset at
 sample 0 with amplitude 1.0, which renders it exactly, so stems need no
-source of their own. Each class's finished samples go to a block writer:
-``fileio.stem_blocks`` writes them into the stem files, and without
-writers they fill a K x T array. The blocks are split between the lanes of
-``parallel.run_lanes``, under the rules in ``parallel``'s docstring.
+source of their own. Each class's finished samples go to a block writer,
+such as those ``fileio.stem_blocks`` gives for the stem files. The blocks
+are split between the lanes of ``parallel.run_lanes``, under the rules in
+``parallel``'s docstring.
 
 A rendered stem is exactly zero wherever no one-shot reaches, so with
 one-shots as the source a block transforms, for each class, only the rows
@@ -25,12 +26,12 @@ which gives a +0.0 mask (alpha > 0, and the denominator is at least eps),
 and an overlap-add that starts at +0.0 is unchanged by a +-0 frame. A class
 that is silent over a block, with its carried frames zero, is not
 overlap-added or written at all: its samples are +0.0, which an unwritten
-range of every block writer reads. Given magnitudes or masks, there are no
-samples to check, and every frame is transformed.
+range of every block writer reads. Given magnitudes, there are no samples
+to check, and every frame is transformed.
 
-The stems are bit for bit the per-class ``istft`` of ``masks[k] *
-stft(x)``, for any block size and lane count. ``signal.overlap_add`` adds a
-sample's frames in the order of frame mod S, S = window/hop. So a block
+The kernel's stems are bit for bit those of ``apply_masks``, for any block
+size and lane count. ``signal.overlap_add`` adds a sample's frames in the
+order of frame mod S, S = window/hop. So a block
 that writes hops [a, b), a a multiple of S, overlap-adds frames a - S to
 b - 1 from zero and keeps hops [a, b): every sample sees the same adds in
 the same order. A lane carries each class's last S frames from one block
@@ -49,15 +50,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .drum_machine import trigger
 from .parallel import run_lanes, thread_count
 from .signal import (
+    ComplexSpectrogram,
     SignalError,
     StftConfig,
     Waveform,
     hann_window,
+    istft,
     num_frames,
     overlap_add,
     overlap_add_norm,
     sounding_frames,
     sounding_span,
+    stft,
 )
 
 MASK_EPSILON = 1e-8
@@ -111,11 +115,23 @@ def compute_masks(
 def apply_masks(
     x: Waveform, mask_set: MaskSet, cfg: StftConfig = StftConfig()
 ) -> np.ndarray:
-    """Mask the mixture STFT and invert with the mixture phase.
+    """Mask the mixture STFT and invert with the mixture phase: the K x
+    len(x) stems ``istft(masks[k] * stft(x))``, whose bits the masking
+    kernel gives block by block."""
+    spec = stft(x, cfg)
+    _check_mask_shape(mask_set.masks, cfg, len(x))
+    stems = np.empty((len(mask_set.masks), len(x)))
+    for stem, mask in zip(stems, mask_set.masks):
+        stem[:] = istft(ComplexSpectrogram(mask * spec.bins, cfg, len(x))).samples
+    return stems
 
-    Returns K waveform stems as a K x len(x) array.
-    """
-    return _mask(x, cfg, masks=np.asarray(mask_set.masks, dtype=np.float64))
+
+def _check_mask_shape(given: np.ndarray, cfg: StftConfig, n: int):
+    """Raise ValueError unless K x F x M ``given`` masks or magnitudes fit
+    the spectrogram of ``n`` samples."""
+    want = (cfg.n_bins, num_frames(n, cfg))
+    if given.shape[1:] != want:
+        raise ValueError(f"mask shape {given.shape[1:]} does not match spectrogram {want}")
 
 
 def mask_with_magnitudes(
@@ -124,16 +140,15 @@ def mask_with_magnitudes(
     cfg: StftConfig = StftConfig(),
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = MASK_EPSILON,
-    writers=None,
-) -> np.ndarray | None:
-    """Mask the mixture with K x F x M magnitude estimates: K x len(x)
+    *,
+    writers,
+):
+    """Mask the mixture with K x F x M magnitude estimates and write the K
     masked stems, ``apply_masks(x, compute_masks(estimates, alpha,
-    epsilon), cfg)`` without the K x F x M masks. Given K block
-    ``writers`` (see ``_mask``), the stems go to them and None is
-    returned."""
+    epsilon), cfg)`` bit for bit, to the K block ``writers`` (see
+    ``_mask``), without the masks."""
     check_mask_params(alpha, epsilon)
-    return _mask(x, cfg, magnitudes=_check_estimates(estimates),
-                 alpha=alpha, epsilon=epsilon, writers=writers)
+    _mask(x, cfg, alpha, epsilon, writers, magnitudes=_check_estimates(estimates))
 
 
 def mask_with_shots(
@@ -144,17 +159,17 @@ def mask_with_shots(
     cfg: StftConfig = StftConfig(),
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = MASK_EPSILON,
-    writers=None,
-) -> np.ndarray | None:
+    *,
+    writers,
+):
     """Mask the mixture with the magnitude spectrograms of the stems that
-    K x R one-shots render at their onsets: K x len(x) masked stems, bit
-    for bit ``apply_masks(x, compute_masks(|stft(trigger(shots, onsets,
-    amplitudes, len(x)))|, alpha, epsilon), cfg)``, without the stems or
-    the masks. Each block renders the samples its frames cover from the
-    onsets that reach into it. Given K x T stems, pass them as one-shots
-    of length T with onsets ``[(k, 0) for k in range(K)]`` and amplitudes
-    ``ones(K)``. Given K block ``writers`` (see ``_mask``), the masked
-    stems go to them and None is returned."""
+    K x R one-shots render at their onsets and write the K masked stems,
+    bit for bit ``apply_masks(x, compute_masks(|stft(trigger(shots,
+    onsets, amplitudes, len(x)))|, alpha, epsilon), cfg)``, to the K block
+    ``writers`` (see ``_mask``), without the stems or the masks. Each
+    block renders the samples its frames cover from the onsets that reach
+    into it. Given K x T stems, pass them as one-shots of length T with
+    onsets ``[(k, 0) for k in range(K)]`` and amplitudes ``ones(K)``."""
     shots = np.asarray(shots, dtype=np.float64)
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
     if shots.ndim != 2 or amplitudes.shape != (len(onsets),):
@@ -163,61 +178,36 @@ def mask_with_shots(
     if not (np.all(np.isfinite(shots)) and np.all(np.isfinite(amplitudes))):
         raise SignalError("one-shots or amplitudes contain non-finite values")
     check_mask_params(alpha, epsilon)
-    return _mask(x, cfg, shots=(shots, onsets, amplitudes), alpha=alpha,
-                 epsilon=epsilon, writers=writers)
+    _mask(x, cfg, alpha, epsilon, writers, shots=(shots, onsets, amplitudes))
 
 
-class _RowBlocks:
-    """A block writer into one row of an array of zeros, as
-    ``fileio.wav_blocks`` writes into a file whose unwritten samples read
-    0.0."""
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
-    def write(self, start: int, samples: np.ndarray, scratch: np.ndarray):
-        self.row[start : start + len(samples)] = samples
-
-
-def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
-          shots=None, alpha=DEFAULT_ALPHA, epsilon=MASK_EPSILON,
-          writers=None) -> np.ndarray | None:
-    """The masked stems from exactly one of K x F x M ``masks``, K x F x M
-    ``magnitudes`` or ``shots``, a (one-shots, onsets, amplitudes) triple,
-    on lanes.
+def _mask(x: Waveform, cfg: StftConfig, alpha: float, epsilon: float, writers,
+          magnitudes=None, shots=None):
+    """The masked stems from exactly one of K x F x M ``magnitudes`` or
+    ``shots``, a (one-shots, onsets, amplitudes) triple, on lanes.
 
     Each class's stem goes block by block to ``writers[k].write(start,
     samples, scratch)``, which takes the float64 samples from ``start`` on
     and may use ``scratch``, a float32 lane buffer at least as long; the
     lanes write disjoint ranges at once. With one-shots, a range whose
     samples are all +0.0 is not written, so a writer's unwritten samples
-    must read 0.0. Without ``writers`` the stems go into a K x len(x)
-    array of zeros, which is returned."""
+    must read 0.0."""
     n = len(x)
     if n == 0:
         raise SignalError("cannot take the STFT of an empty signal")
     window, hop = cfg.window_size, cfg.hop_size
     pad, stride, n_frames = window // 2, window // hop, num_frames(n, cfg)
-    given = masks if masks is not None else magnitudes
-    if given is not None and given.shape[1:] != (cfg.n_bins, n_frames):
-        raise ValueError(
-            f"mask shape {given.shape[1:]} does not match spectrogram "
-            f"{(cfg.n_bins, n_frames)}"
-        )
-    source = given if shots is None else shots[0]
-    k = len(source)
-    out = None
-    if writers is None:
-        out = np.zeros((k, n))
-        writers = [_RowBlocks(row) for row in out]
-    elif len(writers) != k:
-        raise ValueError(f"{len(writers)} writers for {k} stems")
+    if shots is None:
+        _check_mask_shape(magnitudes, cfg, n)
+    source = magnitudes if shots is None else shots[0]
+    if len(writers) != len(source):
+        raise ValueError(f"{len(writers)} writers for {len(source)} stems")
 
     hops = -(-(pad + n) // hop)  # the hops that hold output samples
     block = min(stride * -(-MASK_BLOCK // stride), hops)
     n_blocks = -(-hops // block)
     job = _MaskJob(
-        cfg, x.samples, source, masks is None, alpha, epsilon,
+        cfg, x.samples, source, alpha, epsilon,
         overlap_add_norm(cfg, n_frames, n + 2 * pad)[pad : pad + n], writers,
         None if shots is None else _onsets_by_block(
             cfg, block, hops, source.shape[1], *shots[1:]),
@@ -229,7 +219,6 @@ def _mask(x: Waveform, cfg: StftConfig, masks=None, magnitudes=None,
          min(n_blocks * (i + 1) // lanes * block, hops), block)
         for i in range(lanes)
     ])
-    return out
 
 
 def _onsets_by_block(cfg: StftConfig, block: int, hops: int, length: int,
@@ -253,16 +242,15 @@ def _onsets_by_block(cfg: StftConfig, block: int, hops: int, length: int,
 @dataclass(frozen=True)
 class _MaskJob:
     """What every masking lane reads: the mixture, the source of the
-    estimates (K x R one-shots, or K x F x M magnitudes or masks), whether
-    to turn them into masks, the mask parameters, the normalization of the
-    output samples and each class's block writer. With one-shots, whose
-    rendered stems' spectra are the estimates, ``reach`` holds each
-    block's onsets and amplitudes; otherwise it is None."""
+    estimates (K x R one-shots, or K x F x M magnitudes), the mask
+    parameters, the normalization of the output samples and each class's
+    block writer. With one-shots, whose rendered stems' spectra are the
+    estimates, ``reach`` holds each block's onsets and amplitudes;
+    otherwise it is None."""
 
     cfg: StftConfig
     mixture: np.ndarray
     source: np.ndarray
-    make_masks: bool
     alpha: float
     epsilon: float
     norm: np.ndarray
@@ -346,12 +334,11 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
         else:
             spans = [(0, nf)] * k
             np.copyto(est, job.source[:, :, c:e].transpose(0, 2, 1))
-        if job.make_masks:
-            est **= job.alpha
-            den = buf.den[:nf]
-            np.sum(est, axis=0, out=den)
-            den += job.epsilon
-            est /= den
+        est **= job.alpha
+        den = buf.den[:nf]
+        np.sum(est, axis=0, out=den)
+        den += job.epsilon
+        est /= den
 
         # Output hops [a, b) are padded samples [a * hop, b * hop).
         lo, hi = max(a * hop, pad), min(b * hop, pad + n)

@@ -530,7 +530,8 @@ class TestStreamedStems:
         _, per_class = nmfd.nmfd_run(magnitude(stft(x)), t, None,
                                      nmfd.NmfdCase.preset("3"), seed=0)
         ref = tmp_path / "ref"
-        write_stems(masking.mask_with_magnitudes(x, per_class), ref / "masked")
+        write_stems(masking.apply_masks(x, masking.compute_masks(per_class)),
+                    ref / "masked")
         write_magnitudes(per_class, ref / "magnitudes.npz")
         write_config(CONFIG_DEFAULTS, ref / "config.txt")
         assert tree_bytes(sep) == tree_bytes(ref)
@@ -641,6 +642,23 @@ class TestEvaluate:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "track_0000" in lines[0] and "snare" in lines[0]
+
+    def test_empty_stems_name_track_and_class(self, tmp_path):
+        """Single-track evaluation of 0-sample stems, as reference and
+        estimate, fails naming the track and the first class it checks."""
+        stems = tmp_path / "track_0007" / "stems"
+        write_stems(np.zeros((NUM_CLASSES, 0)), stems)
+        write_transcription(Transcription((Event(0.0, "kick", 1.0),)),
+                            tmp_path / "t.csv")
+        report_path = tmp_path / "r.json"
+        result = run("evaluate", "--refs", stems, "--ests", stems,
+                     "--transcription", tmp_path / "t.csv", "--out", report_path)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "track_0007" in lines[0] and CLASS_NAMES[0] in lines[0]
+        assert not report_path.exists()
 
     def test_single_track_requires_transcription(self, tmp_path, bank_dir,
                                                  transcription_path):
@@ -793,10 +811,11 @@ def test_malformed_wav_is_one_error_line(tmp_path, inputs, command, slot, damage
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["separate-abs", "separate-nmfd-3"])
+@pytest.mark.parametrize("command", ["separate-abs", "separate-nmfd-3",
+                                     "detect-onsets"])
 def test_empty_mixture_is_one_error_line_before_any_output(tmp_path, command):
     """A 0-sample mixture, with an onset at 0 s that the range rule takes,
-    fails before either command writes a file."""
+    fails before any command writes a file, naming the mixture."""
     mixture = tmp_path / "empty.wav"
     write_wav(mixture, Waveform(np.zeros(0)))
     write_transcription(Transcription((Event(0.0, "kick", 1.0),)), tmp_path / "t.csv")
@@ -807,6 +826,7 @@ def test_empty_mixture_is_one_error_line_before_any_output(tmp_path, command):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(mixture) in lines[0]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ reports."""
 import ast
 import io
 import json
+import os
 import re
 import struct
 import zipfile
@@ -87,7 +88,8 @@ class TestWav:
     def test_float32_round_trip_is_bit_exact(self, tmp_path):
         x = Waveform(RNG.uniform(-1, 1, 5000).astype(np.float32).astype(np.float64))
         path = tmp_path / "a.wav"
-        assert write_wav(path, x) == 0
+        assert np.abs(x.samples).max() <= 1.0
+        write_wav(path, x)
         back = read_wav(path)
         np.testing.assert_array_equal(back.samples, x.samples)
 
@@ -129,10 +131,10 @@ class TestWav:
         with pytest.raises(FileFormatError):
             read_wav(path)
 
-    def test_clipping_reported_and_applied(self, tmp_path):
+    def test_clipping_applied(self, tmp_path):
         x = Waveform(np.array([0.0, 1.5, -2.0, 0.5]))
         path = tmp_path / "g.wav"
-        assert write_wav(path, x) == 2
+        write_wav(path, x)
         back = read_wav(path)
         np.testing.assert_array_equal(back.samples, [0.0, 1.0, -1.0, 0.5])
 
@@ -165,6 +167,30 @@ class TestWavCodec:
         wavfile.write(expected, SAMPLE_RATE,
                       np.clip(samples, -1.0, 1.0).astype(np.float32))
         assert path.read_bytes() == expected.getvalue()
+
+    def test_write_wav_writes_in_bounded_ranges(self, tmp_path, monkeypatch):
+        """``write_wav`` writes ``WAV_RANGE`` samples or fewer a call, as one
+        ``pwrite`` on Linux moves at most 0x7ffff000 bytes, and across
+        range boundaries gives scipy.io.wavfile's bytes."""
+        size = 7
+        monkeypatch.setattr("drumsep.fileio.WAV_RANGE", size)
+        pwrite, written = os.pwrite, []
+
+        def recording(fd, data, offset):
+            written.append(memoryview(data).nbytes)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", recording)
+        for n in (size - 1, size, size + 1, 3 * size + 5):
+            samples = RNG.uniform(-1.5, 1.5, n)
+            written.clear()
+            write_wav(tmp_path / "x.wav", Waveform(samples))
+            expected = io.BytesIO()
+            wavfile.write(expected, SAMPLE_RATE,
+                          np.clip(samples, -1.0, 1.0).astype(np.float32))
+            assert (tmp_path / "x.wav").read_bytes() == expected.getvalue()
+            assert len(written) == -(-n // size) and sum(written) == 4 * n
+            assert max(written) <= 4 * size
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 400), elements=st.floats(-3, 3)),

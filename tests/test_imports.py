@@ -185,6 +185,26 @@ def test_files_are_written_only_in_fileio():
     assert {m for m, source in sources.items() if os_names(source) & calls} == {"fileio"}
 
 
+def users_of(source: str, name: str) -> list[str]:
+    """The top-level statements of ``source`` that read ``name``, in order:
+    a function or class by its name, any other statement by its line."""
+    return [getattr(node, "name", f"line {node.lineno}")
+            for node in ast.parse(source).body if name in read_names(node)]
+
+
+def test_finds_users_of_a_name():
+    source = ("def h(): pass\ndef a(): return h(1)\nclass B:\n    f = staticmethod(h)\n"
+              "x = [h]\ndef d(): pass\n")
+    assert users_of(source, "h") == ["a", "B", "line 5"]
+
+
+def test_one_wav_writer():
+    """``wav_blocks`` is the one code that lays out a WAV file: every other
+    writer, ``write_wav`` among them, writes through it."""
+    source = (Path(drumsep.__file__).parent / "fileio.py").read_text()
+    assert users_of(source, "_wav_header") == ["wav_blocks"]
+
+
 def test_every_bench_hook_names_a_function():
     """bench/tracing.py wraps each (module, function) of its HOOKS; a
     renamed or deleted function would drop out of the bench's spans."""

@@ -43,6 +43,28 @@ def at_zero(stems):
     return [(k, 0) for k in range(len(stems))], np.ones(len(stems))
 
 
+class RowWriter:
+    """A block writer into one row of an array that checks what the
+    kernel hands it: a float32 scratch buffer as long as the block."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def write(self, start, samples, scratch):
+        assert scratch.dtype == np.float32 and len(scratch) >= len(samples)
+        self.row[start : start + len(samples)] = samples
+
+
+def to_array(mask, x, source, *args, **kwargs):
+    """The K x len(x) stems that ``mask``, ``mask_with_magnitudes`` or
+    ``mask_with_shots``, writes for the K estimates or one-shots of
+    ``source``, each into a ``RowWriter`` over a row of zeros, as a stem
+    file's unwritten samples read 0.0."""
+    out = np.zeros((len(source), len(x)))
+    mask(x, source, *args, writers=[RowWriter(row) for row in out], **kwargs)
+    return out
+
+
 class TestComputeMasks:
     def test_scalar_cells_match_direct_formula(self):
         est = RNG.uniform(0, 2, (3, 4, 5))
@@ -164,7 +186,8 @@ class TestMaskingHelpers:
         ])
         expected = apply_masks(x, compute_masks(estimates, alpha, eps), cfg)
         assert np.array_equal(
-            mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps), expected)
+            to_array(mask_with_shots, x, stems, *at_zero(stems), cfg, alpha, eps),
+            expected)
 
     @pytest.mark.parametrize("shape, fill, match", [
         ((2, 257, 24), -1.0, "non-negative"),
@@ -175,7 +198,7 @@ class TestMaskingHelpers:
             self, shape, fill, match):
         x = Waveform(RNG.normal(0, 0.3, 3000))  # 24 frames at hop 128
         with pytest.raises(ValueError, match=match):
-            mask_with_magnitudes(x, np.full(shape, fill), StftConfig(512, 128))
+            to_array(mask_with_magnitudes, x, np.full(shape, fill), StftConfig(512, 128))
 
     @pytest.mark.parametrize("shots, amps, match", [
         (np.full((2, 100), np.nan), [1.0], "non-finite"),
@@ -186,8 +209,8 @@ class TestMaskingHelpers:
     def test_mask_with_shots_rejects_bad_shots(self, shots, amps, match):
         x = Waveform(RNG.normal(0, 0.3, 3000))
         with pytest.raises(ValueError, match=match):
-            mask_with_shots(x, shots, [(0, 10)], np.array(amps),
-                            StftConfig(512, 128))
+            to_array(mask_with_shots, x, shots, [(0, 10)], np.array(amps),
+                     StftConfig(512, 128))
 
 
 def reference_masking(x, estimates, cfg, alpha, epsilon):
@@ -211,18 +234,6 @@ def reference_masking(x, estimates, cfg, alpha, epsilon):
         out[good] /= norm[good]
         stems[i] = out[pad : pad + len(x)]
     return stems, masks
-
-
-class RowWriter:
-    """A block writer into one row of an array that checks what the
-    kernel hands it: a float32 scratch buffer as long as the block."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def write(self, start, samples, scratch):
-        assert scratch.dtype == np.float32 and len(scratch) >= len(samples)
-        self.row[start : start + len(samples)] = samples
 
 
 @st.composite
@@ -250,12 +261,12 @@ class TestBlockedKernel:
               masking.MASK_BLOCK, 1))
     def test_same_bits_as_per_class_inverse(self, case):
         """Every entry point gives the bits of the per-class inverse STFT of
-        the full masks, for any block size and 1, 2 or 3 lanes, into an
-        array or through block writers; stems go in as one-shots at sample
-        0. The one-shots source gives those of the stems ``trigger`` renders
-        from them, with cut tails, onsets past the end and same-sample
-        duplicates. Sources with silent frames are checked for three alphas
-        too (``_check_sparse_sources``)."""
+        the full masks, for any block size and 1, 2 or 3 lanes; the kernel
+        writes every sample of a magnitudes source, and stems go in as
+        one-shots at sample 0. The one-shots source gives those of the
+        stems ``trigger`` renders from them, with cut tails, onsets past the
+        end and same-sample duplicates. Sources with silent frames are
+        checked for three alphas too (``_check_sparse_sources``)."""
         cfg, n, silent, alpha, block, seed = case
         rng = np.random.default_rng(seed)
         eps = 1e-8
@@ -288,18 +299,18 @@ class TestBlockedKernel:
                     written = np.full(want.shape, np.nan)
                     assert mask_with_magnitudes(
                         x, estimates, cfg, alpha, eps,
-                        [RowWriter(row) for row in written]) is None
+                        writers=[RowWriter(row) for row in written]) is None
                     got = [
-                        mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps),
-                        mask_with_magnitudes(x, estimates, cfg, alpha, eps),
+                        to_array(mask_with_shots, x, stems, *at_zero(stems), cfg,
+                                 alpha, eps),
                         apply_masks(x, MaskSet(masks, alpha, eps), cfg),
                         written,
                     ]
                     for stems_out in got:
                         assert stems_out.shape == want.shape
                         assert stems_out.tobytes() == want.tobytes()
-                    shots_out = mask_with_shots(x, shots, onsets, amps, cfg,
-                                                alpha, eps)
+                    shots_out = to_array(mask_with_shots, x, shots, onsets, amps,
+                                         cfg, alpha, eps)
                     assert shots_out.tobytes() == want_shots.tobytes()
                 self._check_sparse_sources(x, cfg, block, rng)
         finally:
@@ -311,9 +322,9 @@ class TestBlockedKernel:
         zero over whole frames, which the kernel does not transform:
         leading and trailing silence, an interior gap longer than a block, a
         class silent throughout, exact zeros inside a sounding stretch and a
-        single onset at the track's end. For alpha 0.5, 1 and 2, 1 to 3
-        lanes, into an array and into block writers over zeros, they give
-        the per-class inverse's bits."""
+        single onset at the track's end. For alpha 0.5, 1 and 2 and 1 to 3
+        lanes, written into block writers over zeros, they give the
+        per-class inverse's bits."""
         n, hop = len(x), cfg.hop_size
         stride = cfg.window_size // hop
         third = n // 3
@@ -347,15 +358,11 @@ class TestBlockedKernel:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
                     mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
-                    written = np.zeros((2, 5, n))
-                    mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps,
-                                    [RowWriter(row) for row in written[0]])
-                    mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps,
-                                    [RowWriter(row) for row in written[1]])
-                    got = [mask_with_shots(x, stems, *at_zero(stems), cfg, alpha, eps),
-                           mask_with_shots(x, shots, onsets, amps, cfg, alpha, eps)]
-                for want, array, rows in zip(wants, got, written):
-                    assert array.tobytes() == want.tobytes()
+                    got = [to_array(mask_with_shots, x, stems, *at_zero(stems),
+                                    cfg, alpha, eps),
+                           to_array(mask_with_shots, x, shots, onsets, amps, cfg,
+                                    alpha, eps)]
+                for want, rows in zip(wants, got):
                     assert rows.tobytes() == want.tobytes()
 
     def test_lanes_writing_one_set_of_files_at_once(self, tmp_path, monkeypatch):
@@ -371,7 +378,8 @@ class TestBlockedKernel:
         onsets = [(int(k), int(pos)) for k, pos in
                   zip(rng.integers(0, NUM_CLASSES, 40), rng.integers(0, n, 40))]
         amps = rng.uniform(0, 2, len(onsets))
-        fileio.write_stems(mask_with_shots(x, shots, onsets, amps), tmp_path / "arrays")
+        fileio.write_stems(to_array(mask_with_shots, x, shots, onsets, amps),
+                           tmp_path / "arrays")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -394,10 +402,10 @@ class TestBlockedKernel:
         x = Waveform(RNG.normal(0, 0.3, SAMPLE_RATE))
         stems = RNG.normal(0, 0.3, (3, SAMPLE_RATE))
         estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
-        masking.mask_with_magnitudes(x, estimates, cfg)
+        to_array(masking.mask_with_magnitudes, x, estimates, cfg)
         masking.apply_masks(x, masking.compute_masks(estimates), cfg)
-        masking.mask_with_shots(x, stems[:, :2000], [(0, 100), (2, 30000)],
-                                np.ones(2), cfg)
+        to_array(masking.mask_with_shots, x, stems[:, :2000], [(0, 100), (2, 30000)],
+                 np.ones(2), cfg)
         assert ("masking.apply_masks", True) in calls
         # the blocks did run on a lane, and nothing traced did
         assert ("masking._mask_lane", False) in calls
@@ -430,7 +438,7 @@ class TestBlockedKernel:
         x, shots, onsets, amps, stems, sounding = sparse_track
         frames = num_frames(len(x), StftConfig())
         counts = count_fft_rows(monkeypatch)
-        masked = mask_with_shots(x, shots, onsets, amps)
+        masked = to_array(mask_with_shots, x, shots, onsets, amps)
         assert counts == {"rfft": frames + sounding, "irfft": sounding}
         counts.update(rfft=0, irfft=0)
         estimate = np.flatnonzero(np.any(
@@ -441,15 +449,16 @@ class TestBlockedKernel:
                           "irfft": 0}
 
     def test_mask_sources_transform_every_frame(self, monkeypatch, sparse_track):
-        """Given magnitudes or masks there are no samples to check: the
-        mixture's frames go forward and every class's frames back, as
-        before the waveform sources skipped silent frames."""
+        """Given magnitudes there are no samples to check: the mixture's
+        frames go forward and every class's frames back, as before the
+        waveform sources skipped silent frames. ``apply_masks``, the
+        per-class inverse STFT, transforms as many."""
         x, _, _, _, stems, _ = sparse_track
         frames = num_frames(len(x), StftConfig())
         estimates = np.stack([magnitude(stft(Waveform(s))) for s in stems])
         masks = compute_masks(estimates)
         counts = count_fft_rows(monkeypatch)
-        mask_with_magnitudes(x, estimates)
+        to_array(mask_with_magnitudes, x, estimates)
         assert counts == {"rfft": frames, "irfft": NUM_CLASSES * frames}
         apply_masks(x, masks)
         assert counts == {"rfft": 2 * frames, "irfft": 2 * NUM_CLASSES * frames}
@@ -479,9 +488,9 @@ class TestBlockedKernel:
         27.4 MB; 64.9 MB when the K x F x M estimates and masks were
         built."""
         x, stems, _ = track
-        assert self._peak(mask_with_shots, x, stems, *at_zero(stems)) < 36e6
+        assert self._peak(to_array, mask_with_shots, x, stems, *at_zero(stems)) < 36e6
 
     def test_masking_with_magnitudes_stays_in_budget(self, track):
         """Measured 22.2 MB; 45.8 MB when the K x F x M masks were built."""
         x, _, estimates = track
-        assert self._peak(mask_with_magnitudes, x, estimates) < 26e6
+        assert self._peak(to_array, mask_with_magnitudes, x, estimates) < 26e6
