@@ -44,6 +44,16 @@ def _run_config(path: str | None, seed: int | None, steps: int | None = None) ->
     return config
 
 
+def _check_memory(command: str, tracks: int, n_samples: int):
+    """Raise ValueError, before anything is drawn or rendered, if the
+    command's ``tracks`` tracks of K stems and a mixture, ``n_samples``
+    float64 samples each, would take more bytes than physical memory."""
+    need, have = tracks * (NUM_CLASSES + 1) * n_samples * 8, fileio.physical_memory()
+    if need > have:
+        raise ValueError(f"{command} would hold {need / 2**30:.2f} GiB of samples, "
+                         f"more than the {have / 2**30:.2f} GiB of physical memory")
+
+
 def _read_mixture(path: str) -> Waveform:
     """The --mixture WAV; one that holds no samples raises ValueError."""
     x = fileio.read_wav(path)
@@ -77,6 +87,7 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
             f"samples, got {duration} s"
         )
     n_samples = int(round(duration * SAMPLE_RATE))
+    _check_memory("render", 1, n_samples)
     onsets, velocities = onset_samples(t, n_samples)
     stems, mixture = render_stems(bank, onsets, velocities, np.zeros(NUM_CLASSES),
                                   n_samples)
@@ -97,6 +108,7 @@ def generate_cmd(bank_dirs, n_tracks, seed, duration, out_dir):
     """Generate a synthetic dataset with stems and annotations."""
     banks = [fileio.read_bank(d) for d in bank_dirs]
     spec = dataset.GenerationSpec(n_tracks=n_tracks, duration=duration)
+    _check_memory("generate", n_tracks, int(round(duration * SAMPLE_RATE)))
     tracks = dataset.generate_dataset(banks, seed, spec)
     out = Path(out_dir)
     for track in tracks:

@@ -59,6 +59,12 @@ MAX_WAV_SAMPLES = (0xFFFFFFFF - 50) // 4
 WAV_RANGE = 2**16
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: no command may ask to hold more of its
+    tracks' samples than this."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def read_wav(path: str | Path) -> Waveform:
     """Read a 44.1 kHz PCM16 or float32 RIFF/WAVE file; multichannel is
     averaged to mono, int16 is scaled by 1/32768. No resampling: other rates

@@ -8,15 +8,15 @@ estimate magnitudes (the spectra of the stems that one-shots and onsets
 render, or a slice of given magnitudes), the masks est**alpha /
 (sum_k est**alpha + eps), and each class's masked inverse transform,
 windowed and overlap-added. A block's frames are taken from a lane buffer
-that holds the samples they cover, with zeros past the track's ends, so no
-padded copy of the signals exists. The block renders its stem samples
-itself by ``drum_machine.trigger`` over its sample range, from the onsets
-that reach into it. A given K x T stem is the one-shot of a single onset at
-sample 0 with amplitude 1.0, which renders it exactly, so stems need no
-source of their own. Each class's finished samples go to a block writer,
-such as those ``fileio.stem_blocks`` gives for the stem files. The blocks
-are split between the lanes of ``parallel.run_lanes``, under the rules in
-``parallel``'s docstring.
+that holds the samples they cover, with zeros past the track's ends
+(``signal.fill_span``), so no padded copy of the signals exists. The block
+renders its stem samples itself by ``drum_machine.trigger`` over its sample
+range, from the onsets that reach into it. A given K x T stem is the
+one-shot of a single onset at sample 0 with amplitude 1.0, which renders it
+exactly, so stems need no source of their own. Each class's finished
+samples go to a block writer, such as those ``fileio.stem_blocks`` gives
+for the stem files. The blocks are split between the lanes of
+``parallel.run_lanes``, under the rules in ``parallel``'s docstring.
 
 A rendered stem is exactly zero wherever no one-shot reaches, so with
 one-shots as the source a block transforms, for each class, only the rows
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .drum_machine import trigger
 from .parallel import run_lanes, thread_count
@@ -54,6 +53,8 @@ from .signal import (
     SignalError,
     StftConfig,
     Waveform,
+    fill_span,
+    frame_span,
     hann_window,
     istft,
     num_frames,
@@ -273,8 +274,7 @@ class _MaskBuffers:
         rendered = job.reach is not None
         signals, stride = 1 + k * rendered, cfg.window_size // cfg.hop_size
         self.span = np.empty((signals, (rows - 1) * cfg.hop_size + cfg.window_size))
-        self.span_frames = sliding_window_view(
-            self.span, cfg.window_size, axis=1)[:, :: cfg.hop_size]
+        self.span_frames = frame_span(self.span, cfg)
         self.frames = np.empty((rows, cfg.window_size))
         self.spec = np.empty((rows, cfg.n_bins), dtype=np.complex128)
         self.work = np.empty((rows, cfg.n_bins), dtype=np.complex128)
@@ -302,18 +302,15 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
         c = max(a - stride + 1, 0) if a == start else a
         e = max(min(b, n_frames), c)
         nf, r0 = e - c, c - (a - stride)
-        # They cover samples [begin, end) of the track, which the span
-        # holds with zeros past its ends, as ``stft`` pads.
-        begin, end = c * hop - pad, (e - 1) * hop + pad
-        first, last = min(max(begin, 0), end), max(min(end, n), begin)
-        span = buf.span[:, : end - begin]
-        span[:, : first - begin] = 0.0
-        span[0, first - begin : last - begin] = job.mixture[first:last]
+        # They cover the samples from begin on, which the span holds with
+        # zeros past the track's ends, as ``stft`` pads.
+        begin = c * hop - pad
+        span = buf.span[:, : (nf - 1) * hop + cfg.window_size]
+        first, last = fill_span(span, begin, [job.mixture])
         if job.reach is not None:
             onsets, amplitudes = job.reach[a // block]
             trigger(job.source, onsets, amplitudes, n, first, last,
                     out=span[1:, first - begin : last - begin], scaled=buf.scaled)
-        span[:, last - begin :] = 0.0
         frames = buf.frames[:nf]
         np.multiply(buf.span_frames[0, :nf], window, out=frames)
         np.fft.rfft(frames, axis=1, out=buf.spec[:nf])

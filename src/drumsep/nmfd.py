@@ -147,14 +147,16 @@ def _templates_from_bank(
     bank: OneShotBank, n_bins: int, case: NmfdCase, hop_size: int
 ) -> np.ndarray:
     """The first L magnitude frames of each one-shot, at the mixture's
-    window (from ``n_bins``) and hop."""
+    window (from ``n_bins``) and hop. Frame L - 1 ends before sample (L -
+    1)*hop + window/2, so only the samples before it are transformed."""
     cfg = StftConfig(window_size=2 * (n_bins - 1), hop_size=hop_size)
     w = np.full((NUM_CLASSES, n_bins, case.template_length), EPSILON)
+    covered = (case.template_length - 1) * hop_size + cfg.window_size // 2
     for k in range(NUM_CLASSES):
         shot = bank.one_shots[k]
         if np.abs(shot).max() == 0:
             continue
-        mag = magnitude(stft(Waveform(shot), cfg))
+        mag = magnitude(stft(Waveform(shot[:covered]), cfg))
         frames = min(case.template_length, mag.shape[1])
         w[k, :, :frames] = np.maximum(mag[:, :frames], EPSILON)
     return w

@@ -1,7 +1,8 @@
 """Lanes: a computation split into ``thread_count(parts)`` independent
 slices that ``run_lanes`` runs at once, one thread each. The hop blocks of
-``masking`` and the frames of ``evaluation.lsd`` run this way; no other
-module starts a thread.
+``masking`` run this way, and so do the scores of ``evaluation``: a track's
+LSD frames, split by frame, and its nSDR and PES, split by stem, in one
+call. No other module starts a thread.
 
 Every lane user keeps three rules, so that the lane count changes no bit
 and adds no memory beyond each lane's buffers:
@@ -9,9 +10,10 @@ and adds no memory beyond each lane's buffers:
 - The calling thread allocates every buffer a lane writes. Arrays a worker
   thread allocates land in a per-thread malloc arena that is not given back
   to the system, which raised peak RSS by up to 16 %.
-- A lane allocates no array and calls numpy, ``signal.overlap_add``,
-  ``signal.sounding_frames`` and ``drum_machine.trigger`` into its own
-  buffers, ``signal.sounding_span`` and a block writer's ``write``
+- A lane allocates no array and calls numpy, ``signal.fill_span``,
+  ``signal.overlap_add``, ``signal.sounding_frames`` and
+  ``drum_machine.trigger`` into its own buffers, ``signal.sounding_span``
+  and a block writer's ``write``
   (``fileio.WavBlocks``, one ``os.pwrite`` of a range) only, never a
   function a tracer may wrap: a tracer's span stack is not thread-safe.
 - A lane writes only its own buffers or its own slice of a shared output,

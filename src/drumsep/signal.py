@@ -1,5 +1,6 @@
 """Spectral primitives: STFT, inverse STFT, magnitude, mel filterbank, log-mel,
-and which frames hold a non-zero sample, so that the masking kernel and LSD
+the span buffers from which the lanes of the masking kernel and LSD take
+their frames, and which frames hold a non-zero sample, so that those lanes
 can skip the transforms of the silent ones.
 
 All other modules build on these. Everything here is a pure function over
@@ -120,8 +121,31 @@ def frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
     The frames are a read-only strided view of the padded signal."""
     pad = cfg.window_size // 2
-    padded = np.pad(x, (pad, pad))
-    return sliding_window_view(padded, cfg.window_size)[:: cfg.hop_size]
+    return frame_span(np.pad(x, (pad, pad)), cfg)
+
+
+def frame_span(span: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """The frames of sample rows (..., width), frame m starting at column
+    m*hop: a read-only strided view of shape (..., 1 + (width - window) //
+    hop, window). This is the one framing rule of ``stft``; a lane frames
+    the span buffer that ``fill_span`` fills through it."""
+    return sliding_window_view(span, cfg.window_size, axis=-1)[..., :: cfg.hop_size, :]
+
+
+def fill_span(span: np.ndarray, begin: int, signals) -> tuple[int, int]:
+    """Fill the rows of ``span`` (rows x width) with samples [begin, begin
+    + width) of the equal-length 1-D ``signals``, one row each, and zeros
+    past their ends, as ``frame_signal`` pads them. The rows after the
+    signals' get only the zeros. Returns [first, last), the range of
+    signal samples that the span holds. The frames of a span filled from
+    ``begin = m*hop - window/2`` are frames m, m + 1, ... of ``stft``."""
+    width, n = span.shape[-1], len(signals[0])
+    first, last = min(max(begin, 0), begin + width), max(min(begin + width, n), begin)
+    span[:, : first - begin] = 0.0
+    for row, x in zip(span, signals):
+        row[first - begin : last - begin] = x[first:last]
+    span[:, last - begin :] = 0.0
+    return first, last
 
 
 def sounding_frames(frames: np.ndarray, cfg: StftConfig, out: np.ndarray) -> np.ndarray:

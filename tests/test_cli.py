@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import drumsep
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
-from drumsep import abs_solver, masking, nmfd, parallel
+from drumsep import abs_solver, evaluation, fileio, masking, nmfd, parallel
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank, trigger
 from drumsep.fileio import (
@@ -660,6 +660,51 @@ class TestEvaluate:
         assert "track_0007" in lines[0] and CLASS_NAMES[0] in lines[0]
         assert not report_path.exists()
 
+    def test_reports_same_bytes_for_any_lane_count(self, tmp_path, monkeypatch):
+        """Multi-track and single-track reports, at groupings 9 and 5, of
+        masked and synthesis estimates, are the same bytes on one to three
+        lanes, with thread switches forced every microsecond. The tracks
+        hold 1 sample, fewer samples than one LSD block and 1 s; the active
+        snare is silent in all of them."""
+        rng = np.random.default_rng(28)
+        t = Transcription((Event(0.0, "kick", 1.0), Event(0.0, "snare", 1.0),
+                           Event(0.0, "hihat_open", 1.0)))
+        tracks = {"one": 1, "short": evaluation.LSD_BLOCK * 256, "second": SAMPLE_RATE}
+        for track, n in tracks.items():
+            write_transcription(t, tmp_path / "refs" / track / "transcription.csv")
+            for k, name in enumerate(CLASS_NAMES):
+                ref = 0.1 * rng.normal(size=n) * (name != "snare")
+                ref[: n // 2 * (k % 2)] = 0.0
+                est = 0.7 * ref + 0.05 * rng.normal(size=n) * (name != "snare")
+                write_wav(tmp_path / "refs" / track / "stems" / f"{name}.wav",
+                          Waveform(ref))
+                write_wav(tmp_path / "ests" / track / f"{name}.wav", Waveform(est))
+        runs = [["--refs", tmp_path / "refs", "--ests", tmp_path / "ests"]] + [
+            ["--refs", tmp_path / "refs" / track / "stems",
+             "--ests", tmp_path / "ests" / track,
+             "--transcription", tmp_path / "refs" / track / "transcription.csv"]
+            for track in tracks]
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(parallel, "usable_cpus", lambda: lanes)
+                monkeypatch.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                for i, args in enumerate(runs):
+                    for grouping in ("9", "5"):
+                        for kind in ("masked", "synthesis"):
+                            path = tmp_path / f"r{lanes}{i}{grouping}{kind}.json"
+                            result = run("evaluate", *args, "--grouping", grouping,
+                                         "--kind", kind, "--out", path)
+                            assert result.exit_code == 0, result.output
+                            reports[lanes, i, grouping, kind] = path.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        for (lanes, *rest), report in reports.items():
+            assert report == reports[(1, *rest)], (lanes, *rest)
+        assert len(set(reports.values())) == len(reports) // 3
+
     def test_single_track_requires_transcription(self, tmp_path, bank_dir,
                                                  transcription_path):
         out = tmp_path / "out"
@@ -891,6 +936,34 @@ def test_bad_generate_option_is_one_error_line(tmp_path, inputs, option, value):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {option[2:]} "), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, need", [
+    ("render", ["--transcription", "t.csv", "--duration", 400], "1.31"),
+    ("generate", ["--tracks", 2, "--duration", 400], "2.63"),
+])
+def test_samples_past_physical_memory_are_one_error_line(tmp_path, inputs, monkeypatch,
+                                                         command, args, need):
+    """Stems and mixtures of 400 s, 141 MB a row, against 1 GiB of memory:
+    the command exits 1 with one error line naming both sizes, writes
+    nothing, and allocates far less than one stem."""
+    monkeypatch.setattr(fileio, "physical_memory", lambda: 2**30)
+    out = tmp_path / "out"
+    bank = ["--bank" if command == "render" else "--banks", inputs / "kit"]
+    args = [inputs / a if a == "t.csv" else a for a in args]
+    tracemalloc.start()
+    try:
+        result = run(command, *bank, *args, "--out", out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: {command} would hold {need} GiB of samples, more than the "
+        f"1.00 GiB of physical memory"]
+    assert not out.exists()
+    assert peak < 400 * SAMPLE_RATE * 8 / 10
 
 
 # transcription files every reader rejects, and the line each error names

@@ -13,6 +13,8 @@ from drumsep.classes import CLASS_NAMES, FIVE_CLASS_GROUPS, FIVE_CLASS_NAMES
 from drumsep.evaluation import (
     LSD_BLOCK,
     METRIC_EPSILON,
+    PES_FLOOR_DB,
+    PES_FRAME,
     MetricsRow,
     aggregate,
     evaluate_track,
@@ -132,24 +134,28 @@ class TestLsd:
 
     def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
         """No function that bench/tracing.py hooks in evaluation or signal
-        runs on an LSD lane."""
+        runs on a scoring lane, and evaluate_track scores on lanes without
+        calling the hooked nsdr, lsd or pes."""
         calls = record_hooked_calls(monkeypatch, ("evaluation", "signal"),
-                                    [("evaluation", "_lsd_lane")])
+                                    [("evaluation", "_score_lane")])
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         refs = TestEvaluateTrack()._stems(SAMPLE_RATE)
         ests = {k: Waveform(0.5 * v.samples) for k, v in refs.items()}
         evaluation.evaluate_track("t0", refs, ests,
                                   TestEvaluateTrack()._transcription())
-        assert ("evaluation.lsd", True) in calls
-        # the frames did run on a lane, and nothing traced did
-        assert ("evaluation._lsd_lane", False) in calls
+        assert calls[0] == ("evaluation.evaluate_track", True)
+        # the scores did run on a lane, and nothing traced did
+        assert ("evaluation._score_lane", False) in calls
+        assert {name for name, _ in calls} == {"evaluation.evaluate_track",
+                                               "evaluation._score_lane"}
         off_main = {name for name, main in calls if not main}
-        assert off_main == {"evaluation._lsd_lane"}
+        assert off_main == {"evaluation._score_lane"}
 
     def test_allocation_budget(self):
-        """One lsd call on a 6 s pair peaks under 12 MB of traced
-        allocations: the two padded signals and each lane's block buffers.
-        Measured 10.8 MB; 21.2 MB when both full spectrograms were built."""
+        """One lsd call on a 6 s pair peaks under 9 MB of traced
+        allocations: each lane's block buffers, and no padded signal.
+        Measured 7.7 MB; 10.8 MB with the two padded signals, and 21.2 MB
+        when both full spectrograms were built."""
         s = Waveform(RNG.normal(size=6 * SAMPLE_RATE))
         s_hat = Waveform(RNG.normal(size=6 * SAMPLE_RATE))
         tracemalloc.start()
@@ -158,7 +164,7 @@ class TestLsd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 9e6
 
 
 def closed_form_lsd(s: Waveform, s_hat: Waveform) -> float:
@@ -167,6 +173,28 @@ def closed_form_lsd(s: Waveform, s_hat: Waveform) -> float:
     p_est = np.abs(stft(s_hat).bins) ** 2
     ratio = np.log((p_est + METRIC_EPSILON) / (p_ref + METRIC_EPSILON))
     return float(np.sqrt(np.mean(ratio**2, axis=0)).mean())
+
+
+def closed_form_nsdr(s: Waveform, s_hat: Waveform) -> float:
+    """nSDR from whole-row sums, in one expression per step."""
+    signal = float(np.sum(s.samples**2))
+    noise = float(np.sum((s.samples - s_hat.samples) ** 2))
+    return float(10.0 * np.log10(signal / (noise + METRIC_EPSILON) + METRIC_EPSILON))
+
+
+def closed_form_pes(s: Waveform, s_hat: Waveform) -> float | None:
+    """PES from the 512-sample frames of both signals, in one expression
+    per step."""
+    n = len(s) // PES_FRAME
+    if n == 0:
+        return None
+    ref = s.samples[: n * PES_FRAME].reshape(n, PES_FRAME)
+    est = s_hat.samples[: n * PES_FRAME].reshape(n, PES_FRAME)
+    silent = 10.0 * np.log10(np.sum(ref**2, axis=1) + METRIC_EPSILON) <= PES_FLOOR_DB
+    if not silent.any():
+        return None
+    est_db = 10.0 * np.log10(np.sum(est[silent] ** 2, axis=1) + METRIC_EPSILON)
+    return float(np.maximum(est_db, PES_FLOOR_DB).mean())
 
 
 class TestPes:
@@ -198,6 +226,20 @@ class TestPes:
     def test_short_signal_returns_none(self):
         x = Waveform(np.zeros(100))
         assert pes(x, x) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 20 * PES_FRAME), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_closed_form_bit_for_bit(self, n, seed):
+        """With silent and loud frames in the reference, and the estimate
+        passed as the same array too, as are nSDR's."""
+        rng = np.random.default_rng(seed)
+        ref = rng.normal(size=n) * (rng.uniform(size=n) < 0.5)
+        ref[rng.integers(0, n) : rng.integers(0, n + 1)] = 0.0
+        ref[rng.integers(0, n) :: 3] *= 1e-5
+        s, s_hat = Waveform(ref), Waveform(0.5 * ref + 1e-4 * rng.normal(size=n))
+        for a, b in ((s, s_hat), (s, s), (s_hat, s)):
+            assert pes(a, b) == closed_form_pes(a, b)
+            assert nsdr(a, b) == closed_form_nsdr(a, b)
 
 
 class TestGrouping:
@@ -282,6 +324,52 @@ class TestEvaluateTrack:
             if row.active:
                 assert row.nsdr == pytest.approx(nsdr(refs_g[g], ests_g[g]), abs=1e-9)
                 assert row.lsd == pytest.approx(lsd(refs_g[g], ests_g[g]), abs=1e-9)
+
+    @pytest.mark.parametrize("grouping", [9, 5])
+    @pytest.mark.parametrize("kind", ["masked", "synthesis"])
+    @pytest.mark.parametrize("n", [1, 5000, LSD_BLOCK * DEFAULT_HOP // 2, SAMPLE_RATE])
+    def test_rows_are_the_closed_forms(self, grouping, kind, n):
+        """Each row's scores are the closed forms of its group's stems bit
+        for bit, for a 1-sample track, tracks shorter than one LSD block and
+        a 1 s track; the active snare is silent in reference and estimate,
+        and half of the other stems is silent in the reference."""
+        rng = np.random.default_rng(n)
+        refs, ests = {}, {}
+        for k, name in enumerate(CLASS_NAMES):
+            ref = 0.1 * rng.normal(size=n) * (name != "snare")
+            ref[: n // 2 * (k % 2)] = 0.0
+            refs[name] = Waveform(ref)
+            noise = 0.05 * rng.normal(size=n) * (name != "snare")
+            ests[name] = Waveform(0.7 * ref + noise)
+        rows = evaluate_track("t0", refs, ests, self._transcription(),
+                              grouping=grouping, estimate_kind=kind)
+        refs_g, ests_g = group_stems(refs, grouping), group_stems(ests, grouping)
+        assert [r.class_name for r in rows] == list(refs_g)
+        for row in rows:
+            s, s_hat = refs_g[row.class_name], ests_g[row.class_name]
+            masked = kind == "masked" and row.active
+            assert row.nsdr == (closed_form_nsdr(s, s_hat) if masked else None)
+            assert row.lsd == (closed_form_lsd(s, s_hat) if row.active else None)
+            assert row.pes == closed_form_pes(s, s_hat)
+
+    def test_allocation_budget(self, monkeypatch):
+        """One evaluate_track on a 6 s track peaks under 4.25 track rows of
+        traced allocations: for each of two lanes, one row whose memory its
+        LSD block buffers (about 1.7 rows) share, and no padded copy of any
+        stem. Measured 3.7 rows; 5.2 rows with the padded stems of each LSD
+        and each lane's buffers apart from nSDR's and PES's arrays."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        n = 6 * SAMPLE_RATE
+        refs = {name: Waveform(RNG.normal(size=n)) for name in CLASS_NAMES}
+        ests = {name: Waveform(0.5 * v.samples) for name, v in refs.items()}
+        t = Transcription(tuple(Event(0.1, name, 1.0) for name in CLASS_NAMES))
+        tracemalloc.start()
+        try:
+            evaluate_track("t0", refs, ests, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * 8 * n
 
     def test_mismatched_class_sets_rejected(self):
         refs = self._stems()

@@ -228,6 +228,36 @@ class TestInit:
             model.templates[0], np.maximum(mag[:, : case.template_length], EPSILON)
         )
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        config=st.sampled_from([(2048, 512), (1024, 256), (4096, 1024), (256, 128)]),
+        length=st.integers(1, 400),
+        onset=st.integers(0, ONE_SHOT_LENGTH - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_informed_templates_equal_whole_shot_templates(self, config, length,
+                                                           onset, seed):
+        """The templates, taken from the samples that the first L frames
+        cover, are bit for bit the first L frames of each whole one-shot's
+        spectrogram, also when L frames reach past the shot's end and when
+        a shot sounds only after those frames."""
+        window, hop = config
+        rng = np.random.default_rng(seed)
+        shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
+        shots[0] = rng.uniform(-1, 1, ONE_SHOT_LENGTH)
+        shots[1, onset:] = rng.uniform(-1, 1, ONE_SHOT_LENGTH - onset)
+        shots[2, : onset + 1] = rng.uniform(-1, 1, onset + 1)
+        case = NmfdCase("x", 1, length, fixed_templates=True, informed_templates=True)
+        v = np.ones((window // 2 + 1, 400))
+        model = init_informed(v, self._transcription(), OneShotBank("kit", shots),
+                              case, hop_size=hop)
+        expected = np.full((NUM_CLASSES, window // 2 + 1, length), EPSILON)
+        for k in range(3):
+            mag = magnitude(stft(Waveform(shots[k]), StftConfig(window, hop)))
+            frames = min(length, mag.shape[1])
+            expected[k, :, :frames] = np.maximum(mag[:, :frames], EPSILON)
+        np.testing.assert_array_equal(model.templates, expected)
+
     def test_silent_class_template_is_floor(self):
         v = RNG.uniform(0, 1, (1025, 60))
         model = init_informed(v, self._transcription(), self._bank(),

@@ -15,6 +15,8 @@ from drumsep.signal import (
     SignalError,
     StftConfig,
     Waveform,
+    fill_span,
+    frame_span,
     hann_window,
     hz_to_mel,
     istft,
@@ -193,6 +195,38 @@ def test_sounding_frames_are_the_frames_with_a_non_zero_sample(cfg, n, rows, see
     first, stop = sounding_span(one)
     assert one[first:stop].sum() == one.sum()
     assert (first, stop) == (0, 0) or one[first] and one[stop - 1]
+
+
+@given(
+    cfg=st.sampled_from([StftConfig(2048, 512), StftConfig(1024, 512),
+                         StftConfig(256, 64), StftConfig(16, 8)]),
+    n=st.integers(1, 6000),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_filled_span_frames_are_stft_frames(cfg, n, extra, seed, data):
+    """A span filled from frame m's first sample holds frames m, m + 1, ...
+    of ``frame_signal`` for each signal, from the track's start to past
+    its end; rows past the signals' hold zeros outside the returned range,
+    whose samples the caller fills."""
+    rng = np.random.default_rng(seed)
+    signals = rng.normal(size=(2, n))
+    n_frames = num_frames(n, cfg)
+    m = data.draw(st.integers(0, n_frames - 1))
+    count = data.draw(st.integers(1, n_frames - m))
+    span = np.full((2 + extra, (count - 1) * cfg.hop_size + cfg.window_size), np.nan)
+    begin = m * cfg.hop_size - cfg.window_size // 2
+    first, last = fill_span(span, begin, list(signals))
+    assert (first, last) == (max(begin, 0), min(begin + span.shape[1], n))
+    frames = frame_span(span, cfg)
+    assert frames.shape == (2 + extra, count, cfg.window_size)
+    for row, x in zip(frames, signals):
+        np.testing.assert_array_equal(row, frame_signal(x, cfg)[m : m + count])
+    assert np.all(np.isnan(span[2:, first - begin : last - begin]))
+    span[2:, first - begin : last - begin] = 0.0
+    assert np.all(span[2:] == 0.0)
 
 
 class TestConfigValidation:
