@@ -13,15 +13,15 @@ its transpose. Each one-shot spans its full second, written as exp(-t /
 ``LSQ_ITERATIONS`` is the default iteration count. The solve runs on the
 calling thread and returns the one-shots with the onsets and amplitudes
 they play at, not the K x T stems: a caller renders the stems it needs,
-one class or one block at a time.
+one sample range at a time.
 
 ``solve_track`` jointly optimizes one-shot waveforms, per-onset
 velocities, track gains and envelope decays by Adam on the
 multi-resolution STFT loss. The loss renders its mixture by
 ``drum_machine.trigger_mixture``, the stems' sum up to rounding; the
-returned stems and their mixture come from ``trigger``. Gradients are
-computed by a hand-written reverse pass: magnitude adjoint, windowed
-overlap-add STFT adjoint, the forward model's adjoints
+returned stems and their mixture come from ``drum_machine.render``.
+Gradients are computed by a hand-written reverse pass: magnitude adjoint,
+windowed overlap-add STFT adjoint, the forward model's adjoints
 (``trigger_mixture_adjoint``, ``trigger_mixture_amplitude_adjoint``,
 ``apply_envelope_adjoint``), then the squashing chain rules. Onsets
 themselves receive no gradient; their support is fixed.
@@ -52,7 +52,7 @@ from .drum_machine import (
     apply_envelope,
     apply_envelope_adjoint,
     onset_index,
-    trigger,
+    render,
     trigger_mixture,
     trigger_mixture_adjoint,
     trigger_mixture_amplitude_adjoint,
@@ -439,11 +439,8 @@ def render_from_params(
     params: AbsParams, grid: FrameActivations, n_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stems (K x T) and mixture for the constrained parameters."""
-    stems = trigger(
-        effective_one_shots(params), onset_index(grid), _amplitudes(params, grid),
-        n_samples,
-    )
-    return stems, stems.sum(axis=0)
+    return render(effective_one_shots(params), onset_index(grid),
+                  _amplitudes(params, grid), n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +533,16 @@ def solve_track(
 
 @dataclass
 class LeastSquaresResult:
-    """The solved one-shots and the onsets they play at: the synthesis
-    estimates are ``trigger(one_shots, onsets, amplitudes, len(x))``,
-    rendered by whoever needs them."""
+    """The solved one-shots and the onsets they play at, not the K x T
+    stems: the synthesis estimates and their mixture are
+    ``drum_machine.render(one_shots, onsets, amplitudes, len(x))``, which
+    ``separate abs`` writes one sample range at a time, and the masking
+    kernel renders each block's stem samples from the same three fields."""
 
     one_shots: np.ndarray  # K x R, track gains folded in
     onsets: list[tuple[int, int]]  # (class, sample), as onset_samples gives them
     amplitudes: np.ndarray  # one velocity per onset
     loss_trace: list[float]  # ||x - mixture||^2 at iterates 0..iterations
-
-    def stem(self, k: int, out: np.ndarray) -> np.ndarray:
-        """Class ``k``'s synthesis estimate, row ``k`` of ``trigger``'s
-        stems bit for bit, written into the track-length ``out``."""
-        picked = [j for j, (c, _) in enumerate(self.onsets) if c == k]
-        onsets = [(0, self.onsets[j][1]) for j in picked]
-        trigger(self.one_shots[k : k + 1], onsets, self.amplitudes[picked], len(out),
-                out=out[None])
-        return out
 
 
 def least_squares(

@@ -44,14 +44,28 @@ def _run_config(path: str | None, seed: int | None, steps: int | None = None) ->
     return config
 
 
-def _check_memory(command: str, tracks: int, n_samples: int):
-    """Raise ValueError, before anything is drawn or rendered, if the
-    command's ``tracks`` tracks of K stems and a mixture, ``n_samples``
-    float64 samples each, would take more bytes than physical memory."""
-    need, have = tracks * (NUM_CLASSES + 1) * n_samples * 8, fileio.physical_memory()
-    if need > have:
-        raise ValueError(f"{command} would hold {need / 2**30:.2f} GiB of samples, "
-                         f"more than the {have / 2**30:.2f} GiB of physical memory")
+def _write_track(stem_dir: Path, mixture_path: Path, shaped, onsets, amplitudes,
+                 n_samples: int, scale=None, divisor=None):
+    """Write ``render_stems``' stems to `<class>.wav` in ``stem_dir`` and
+    their mixture to ``mixture_path``, rendered and written one range of
+    ``fileio.WAV_RANGE`` samples at a time; times ``scale``, then over
+    ``divisor``, where set."""
+    size = min(n_samples, fileio.WAV_RANGE)
+    block, scratch = np.empty((NUM_CLASSES, size)), np.empty(size, dtype=np.float32)
+    with (fileio.stem_blocks(stem_dir, n_samples) as writers,
+          fileio.wav_blocks(mixture_path, n_samples) as mixture_writer):
+        for start in range(0, n_samples, size):
+            stop = min(start + size, n_samples)
+            stems, mixture = render_stems(shaped, onsets, amplitudes, n_samples, start,
+                                          stop, out=block[:, : stop - start])
+            for samples in (stems, mixture):
+                if scale is not None:
+                    samples *= scale
+                if divisor is not None:
+                    samples /= divisor
+            for writer, row in zip(writers, stems):
+                writer.write(start, row, scratch)
+            mixture_writer.write(start, mixture, scratch)
 
 
 def _read_mixture(path: str) -> Waveform:
@@ -87,13 +101,10 @@ def render_cmd(bank_dir, transcription_path, out_dir, duration):
             f"samples, got {duration} s"
         )
     n_samples = int(round(duration * SAMPLE_RATE))
-    _check_memory("render", 1, n_samples)
     onsets, velocities = onset_samples(t, n_samples)
-    stems, mixture = render_stems(bank, onsets, velocities, np.zeros(NUM_CLASSES),
-                                  n_samples)
+    # envelope(0) is 1.0: the bank's one-shots are played as they are
     out = Path(out_dir)
-    fileio.write_stems(stems, out)
-    fileio.write_wav(out / "mixture.wav", Waveform(mixture))
+    _write_track(out, out / "mixture.wav", bank.one_shots, onsets, velocities, n_samples)
 
 
 @main.command("generate")
@@ -108,13 +119,12 @@ def generate_cmd(bank_dirs, n_tracks, seed, duration, out_dir):
     """Generate a synthetic dataset with stems and annotations."""
     banks = [fileio.read_bank(d) for d in bank_dirs]
     spec = dataset.GenerationSpec(n_tracks=n_tracks, duration=duration)
-    _check_memory("generate", n_tracks, int(round(duration * SAMPLE_RATE)))
-    tracks = dataset.generate_dataset(banks, seed, spec)
     out = Path(out_dir)
-    for track in tracks:
+    for track in dataset.generate_dataset(banks, seed, spec):
         track_dir = out / track.track_id
-        fileio.write_wav(track_dir / "mixture.wav", track.mixture)
-        fileio.write_stems(track.stems, track_dir / "stems")
+        _write_track(track_dir / "stems", track_dir / "mixture.wav", track.shaped,
+                     track.onsets, track.velocities, track.n_samples, track.scale,
+                     track.divisor)
         fileio.write_transcription(track.transcription, track_dir / "transcription.csv")
 
 
@@ -179,18 +189,12 @@ def separate_abs(mixture_path, transcription_path, out_dir, steps, seed, config_
 
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
     out = Path(out_dir)
-    # One class's synth stem at a time; their sum in class order is the
-    # stems' sum, bit for bit.
-    stem, mixture = np.empty(len(x)), np.zeros(len(x))
-    for k, name in enumerate(CLASS_NAMES):
-        result.stem(k, stem)
-        mixture += stem
-        fileio.write_wav(out / "synth" / f"{name}.wav", Waveform(stem))
+    _write_track(out / "synth", out / "reconstruction.wav", result.one_shots,
+                 result.onsets, result.amplitudes, len(x))
     with fileio.stem_blocks(out / "masked", len(x)) as writers:
         masking.mask_with_shots(x, result.one_shots, result.onsets, result.amplitudes,
                                 cfg, config["masking.alpha"], config["masking.epsilon"],
                                 writers=writers)
-    fileio.write_wav(out / "reconstruction.wav", Waveform(mixture))
     fileio.write_loss_trace(result.loss_trace, out / "loss_trace.csv")
     fileio.write_config(config, out / "config.txt")
 

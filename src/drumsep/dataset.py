@@ -1,17 +1,21 @@
 """Synthetic track generation: random hop-grid transcriptions rendered
 through the drum machine, with amplitude normalization and gain augmentation.
+Tracks are yielded one at a time, not as audio: a pass of
+``drum_machine.render`` over a track's sample ranges finds its gain, and
+the CLI renders it again as it writes it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classes import CLASS_NAMES, NUM_CLASSES
-from .drum_machine import OneShotBank, render
-from .fileio import MAX_WAV_SAMPLES
-from .signal import SAMPLE_RATE, DEFAULT_HOP, Waveform
+from .drum_machine import OneShotBank, apply_envelope, render
+from .fileio import MAX_WAV_SAMPLES, WAV_RANGE
+from .signal import SAMPLE_RATE, DEFAULT_HOP
 from .transcription import Event, Transcription, onset_samples
 
 # Onsets per second for each of the 9 classes; roughly a rock-kit feel with
@@ -59,16 +63,24 @@ class GenerationSpec:
 
 @dataclass(frozen=True)
 class GeneratedTrack:
+    """A drawn track; its stems and mixture are ``drum_machine.render``'s,
+    times ``scale``, then over ``divisor`` if set."""
+
     track_id: str
     kit_id: str
-    mixture: Waveform
-    stems: np.ndarray  # K x T
     transcription: Transcription
+    shaped: np.ndarray  # K x R, the kit's one-shots as played
+    onsets: list[tuple[int, int]]  # (class, sample), as onset_samples gives them
+    velocities: np.ndarray  # one per onset
+    n_samples: int
+    scale: float
+    divisor: float | None  # set only when the scaled stems exceed full scale
 
 
-def _sample_track(
-    bank: OneShotBank, rng: np.random.Generator, spec: GenerationSpec
-) -> tuple[np.ndarray, np.ndarray, Transcription]:
+def _draw_track(banks: list[OneShotBank], seed: int, index: int,
+                spec: GenerationSpec) -> GeneratedTrack:
+    rng = np.random.default_rng([seed, index])
+    bank = banks[int(rng.integers(0, len(banks)))]
     n_samples = int(round(spec.duration * SAMPLE_RATE))
     n_frames = n_samples // DEFAULT_HOP
     events = []
@@ -85,21 +97,30 @@ def _sample_track(
 
     onsets, velocities = onset_samples(transcription, n_samples)
     alphas = rng.uniform(*ALPHA_RANGE, size=NUM_CLASSES)
-    stems, mixture = render(bank, onsets, velocities, alphas, n_samples)
+    shaped = apply_envelope(bank.one_shots, alphas)
+    mixture_peak = stem_peak = 0.0
+    block = np.empty((NUM_CLASSES, min(n_samples, WAV_RANGE)))
+    for start in range(0, n_samples, WAV_RANGE):
+        stop = min(start + WAV_RANGE, n_samples)
+        stems, mixture = render(shaped, onsets, velocities, n_samples, start, stop,
+                                out=block[:, : stop - start])
+        mixture_peak = max(mixture_peak, np.abs(mixture).max())
+        stem_peak = max(stem_peak, np.abs(stems).max())
 
-    # Normalize mixture (and stems, coherently) to [-1, 1], then apply the
-    # random gain augmentation to everything so stems still sum to the mix.
-    peak = np.abs(mixture).max()
-    scale = 1.0 / peak if peak > 1e-12 else 1.0
+    # Normalize the mixture (and the stems, coherently) to [-1, 1], then
+    # apply the random gain augmentation to everything so stems still sum
+    # to the mix.
+    scale = 1.0 / mixture_peak if mixture_peak > 1e-12 else 1.0
     if rng.uniform() < GAIN_PROBABILITY:
         scale *= rng.uniform(*GAIN_RANGE)
-    stems, mixture = stems * scale, mixture * scale
-    # Stems that cancel in the mixture can still exceed full scale; bring them
-    # within it, with the mixture, so a WAV write clips nothing.
-    stem_peak = np.abs(stems).max()
-    if stem_peak > 1.0:
-        stems, mixture = stems / stem_peak, mixture / stem_peak
-    return stems, mixture, transcription
+    # Stems that cancel in the mixture can still exceed full scale; bring
+    # them within it, with the mixture, so a WAV write clips nothing. A
+    # positive scale keeps the order of magnitudes: this is the scaled
+    # stems' peak, bit for bit.
+    stem_peak *= scale
+    return GeneratedTrack(f"track_{index:04d}", bank.kit_id, transcription, shaped,
+                          onsets, velocities, n_samples, scale,
+                          stem_peak if stem_peak > 1.0 else None)
 
 
 def _spaced_frames(
@@ -123,28 +144,15 @@ def _spaced_frames(
 
 def generate_dataset(
     banks: list[OneShotBank], seed: int, spec: GenerationSpec = GenerationSpec()
-) -> list[GeneratedTrack]:
+) -> Iterator[GeneratedTrack]:
     """Sample ``spec.n_tracks`` synthetic tracks, deterministically in seed.
 
-    Each track gets its own generator seeded from (seed, index), so tracks
-    are independent of generation order.
+    The banks and the seed are checked at the call; each track is then
+    drawn as it is asked for, with its own generator seeded from (seed,
+    index), so tracks are independent of generation order.
     """
     if not banks:
         raise ValueError("at least one one-shot bank is required")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    tracks = []
-    for i in range(spec.n_tracks):
-        rng = np.random.default_rng([seed, i])
-        bank = banks[int(rng.integers(0, len(banks)))]
-        stems, mixture, transcription = _sample_track(bank, rng, spec)
-        tracks.append(
-            GeneratedTrack(
-                track_id=f"track_{i:04d}",
-                kit_id=bank.kit_id,
-                mixture=Waveform(mixture),
-                stems=stems,
-                transcription=transcription,
-            )
-        )
-    return tracks
+    return (_draw_track(banks, seed, i, spec) for i in range(spec.n_tracks))

@@ -11,8 +11,10 @@ computed onset by onset. ``render`` takes the onset list of
 ``trigger`` and ``apply_envelope`` are the model. ``trigger`` renders the
 whole track or any sample range of it, bit for bit the same samples, so
 the masking kernel renders a block's stems from the onsets without the
-K x T stems. ``trigger_mixture`` is ``trigger`` summed over classes, up to
-rounding, without building the stems.
+K x T stems. ``render``, ``trigger`` plus the stems' mixture, renders
+every stem a command writes, one sample range at a time, and the Adam
+solver's stems. ``trigger_mixture`` is ``trigger`` summed over classes, up
+to rounding, without building the stems.
 ``trigger_mixture_adjoint`` (in the one-shots),
 ``trigger_mixture_amplitude_adjoint`` (in the amplitudes) and
 ``apply_envelope_adjoint`` are exact transposes, which the Adam solver
@@ -248,22 +250,16 @@ def sequence(one_shot: np.ndarray, activation: np.ndarray) -> np.ndarray:
     return trigger(one_shot[None, :], onsets, activation[hits], len(activation))[0]
 
 
-def render(
-    bank: OneShotBank,
-    onsets: list[tuple[int, int]],
-    velocities: np.ndarray,
-    alphas: np.ndarray,
-    n_samples: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Render per-class stems and their mixture from an onset list.
-
-    The j-th onset (k, pos), as ``transcription.onset_samples`` gives it,
-    plays one_shot_k * envelope(alphas[k]) at sample pos, scaled by
-    ``velocities[j]``; the mixture is the exact sample-wise sum of the stems.
-
-    Returns (stems K x T, mixture T).
-    """
-    if len(alphas) != NUM_CLASSES:
-        raise ValueError(f"expected {NUM_CLASSES} decays, got {len(alphas)}")
-    stems = trigger(apply_envelope(bank.one_shots, alphas), onsets, velocities, n_samples)
-    return stems, stems.sum(axis=0)
+def render(shaped: np.ndarray, onsets: list[tuple[int, int]], amplitudes: np.ndarray,
+           n_samples: int, start: int = 0, stop: int | None = None,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``trigger``'s stems of the played one-shots ``shaped`` over samples
+    [``start``, ``stop``), written into ``out`` if given, and their
+    mixture: the rows added in class order, as ``sum(axis=0)`` adds a
+    track's, also over a range one sample wide, where ``sum(axis=0)``
+    would add them pairwise."""
+    stems = trigger(shaped, onsets, amplitudes, n_samples, start, stop, out)
+    mixture = stems[0].copy()
+    for row in stems[1:]:
+        mixture += row
+    return stems, mixture

@@ -21,7 +21,7 @@ import numpy as np
 
 from .abs_solver import LSQ_ITERATIONS, OptimizerConfig, check_iterations
 from .classes import CLASS_NAMES
-from .drum_machine import OneShotBank
+from .drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from .masking import DEFAULT_ALPHA, MASK_EPSILON, check_mask_params
 from .signal import (
     DEFAULT_HOP,
@@ -55,14 +55,9 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # counts 50 header bytes and 4 bytes a sample.
 MAX_WAV_SAMPLES = (0xFFFFFFFF - 50) // 4
 # The samples ``write_wav`` writes at once, through 256 KiB of float32
-# scratch; one ``pwrite`` on Linux moves at most 0x7ffff000 bytes.
+# scratch; one ``pwrite`` on Linux moves at most 0x7ffff000 bytes. The CLI
+# renders the tracks it writes in ranges of this many samples too.
 WAV_RANGE = 2**16
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory: no command may ask to hold more of its
-    tracks' samples than this."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -333,10 +328,16 @@ def stem_blocks(directory: str | Path, n_samples: int):
 
 def read_bank(directory: str | Path) -> OneShotBank:
     """A stem directory as a kit named after it; each one-shot is cut or
-    zero-padded to one second."""
+    zero-padded to one second. A sample of that second outside [-1, 1]
+    raises FileFormatError naming the file and the sample."""
     directory = Path(directory)
-    waves = list(read_stems(directory).values())
-    return OneShotBank.from_waveforms(directory.name, waves)
+    stems = read_stems(directory)
+    for name, wave in stems.items():
+        over = np.flatnonzero(np.abs(wave.samples[:ONE_SHOT_LENGTH]) > 1.0)
+        if over.size:
+            raise FileFormatError(f"{directory / f'{name}.wav'}: one-shot sample "
+                                  f"{over[0]} lies outside [-1, 1]")
+    return OneShotBank.from_waveforms(directory.name, list(stems.values()))
 
 
 def write_bank(bank: OneShotBank, directory: str | Path):

@@ -50,7 +50,7 @@ def two_class_mixture():
     gains[CLASS_INDEX[CLASS_A]] = 0.9
     gains[CLASS_INDEX[CLASS_B]] = 0.7
     amplitudes = gains[[k for k, _ in onsets]] * velocities
-    stems, mix = render(bank, onsets, amplitudes, np.zeros(NUM_CLASSES), n)
+    stems, mix = render(bank.one_shots, onsets, amplitudes, n)
     scale = 0.8 / np.abs(mix).max()
     return Waveform(mix * scale), stems * scale, trans, bank
 

@@ -599,9 +599,6 @@ class TestLeastSquares:
             squared_residual(x, solved), rel=1e-9)
         assert solved.onsets == onsets
         np.testing.assert_array_equal(solved.amplitudes, amps)
-        stems = trigger(solved.one_shots, onsets, amps, n)
-        for k in range(NUM_CLASSES):
-            assert np.array_equal(solved.stem(k, np.full(n, np.nan)), stems[k])
 
     def test_bad_input_rejected(self):
         x = Waveform(np.ones(4096))

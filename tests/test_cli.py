@@ -5,16 +5,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import drumsep
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
-from drumsep import abs_solver, evaluation, fileio, masking, nmfd, parallel
+from drumsep import abs_solver, dataset, evaluation, fileio, masking, nmfd, parallel
 from drumsep.cli import main
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank, trigger
 from drumsep.fileio import (
@@ -32,7 +35,7 @@ from drumsep.fileio import (
     write_wav,
 )
 from drumsep.signal import SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
-from drumsep.transcription import Event, Transcription
+from drumsep.transcription import Event, Transcription, onset_samples
 
 from hooked_calls import bench_module
 
@@ -938,32 +941,168 @@ def test_bad_generate_option_is_one_error_line(tmp_path, inputs, option, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, args, need", [
-    ("render", ["--transcription", "t.csv", "--duration", 400], "1.31"),
-    ("generate", ["--tracks", 2, "--duration", 400], "2.63"),
-])
-def test_samples_past_physical_memory_are_one_error_line(tmp_path, inputs, monkeypatch,
-                                                         command, args, need):
-    """Stems and mixtures of 400 s, 141 MB a row, against 1 GiB of memory:
-    the command exits 1 with one error line naming both sizes, writes
-    nothing, and allocates far less than one stem."""
-    monkeypatch.setattr(fileio, "physical_memory", lambda: 2**30)
+@pytest.mark.parametrize("command", ["render", "generate"])
+def test_memory_does_not_grow_with_duration(tmp_path, inputs, command):
+    """``render`` and ``generate --tracks 3`` render and write their stems
+    one range of ``fileio.WAV_RANGE`` samples at a time: at 60 s their
+    traced peak is within one K x WAV_RANGE float64 block of their peak at
+    10 s. Measured 9.5 and 19.7 MB at 60 s; 218 and 850 MB when the
+    commands held each track's K x T stems, and ``generate`` all three
+    tracks at once."""
+    args = {"render": ["render", "--bank", inputs / "kit", "--transcription",
+                       inputs / "t.csv"],
+            "generate": ["generate", "--banks", inputs / "kit", "--tracks", 3]}[command]
+    peaks = []
+    for seconds in (10, 60):
+        out = tmp_path / f"{seconds}s"
+        peaks.append(traced_peak(*args, "--duration", seconds, "--out", out))
+        shutil.rmtree(out)
+    assert peaks[1] - peaks[0] < NUM_CLASSES * fileio.WAV_RANGE * 8, peaks
+
+
+def with_sample(path: Path, index: int, value: float):
+    """Set sample ``index`` of a float32 WAV that ``fileio`` wrote to
+    ``value``, unclipped."""
+    data = bytearray(path.read_bytes())
+    offset = len(data) - 4 * len(read_wav(path)) + 4 * index
+    data[offset : offset + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("command", ["render", "generate", "separate-nmfd-1a"])
+def test_bank_one_shot_over_full_scale_is_one_error_line(tmp_path, inputs, command):
+    """A bank sample outside [-1, 1] in a one-shot's first second names the
+    file and the sample. Samples past the one-second cut are never played,
+    so any value passes there."""
+    kit = shutil.copytree(inputs / "kit", tmp_path / "kit")
+    snare = kit / "snare.wav"
+    write_wav(snare, Waveform(np.append(read_wav(snare).samples, np.zeros(10))))
+    with_sample(snare, ONE_SHOT_LENGTH + 5, 3.0)
+    track = inputs / "track"
+    args = command_args(command, tmp_path / "cut", kit, inputs / "t.csv",
+                        track / "mixture.wav", track, track)
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+
+    with_sample(snare, 1234, -1.5)
     out = tmp_path / "out"
-    bank = ["--bank" if command == "render" else "--banks", inputs / "kit"]
-    args = [inputs / a if a == "t.csv" else a for a in args]
-    tracemalloc.start()
-    try:
-        result = run(command, *bank, *args, "--out", out)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result = run(*command_args(command, out, kit, inputs / "t.csv",
+                               track / "mixture.wav", track, track))
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
-        f"error: {command} would hold {need} GiB of samples, more than the "
-        f"1.00 GiB of physical memory"]
+        f"error: {snare}: one-shot sample 1234 lies outside [-1, 1]"]
     assert not out.exists()
-    assert peak < 400 * SAMPLE_RATE * 8 / 10
+
+
+# (hop, class, velocity) of one to nine events; hops past the track wrap
+EVENTS = st.lists(st.tuples(st.integers(0, 11), st.sampled_from(CLASS_NAMES),
+                            st.floats(0.1, 2.0)), min_size=1, max_size=9)
+
+
+def on_grid(events, n_samples: int) -> Transcription:
+    """``events`` on the hops of a track of ``n_samples``."""
+    n_frames = max(1, n_samples // 512)
+    return Transcription(tuple(Event(m % n_frames * 512 / SAMPLE_RATE, name, v)
+                               for m, name, v in events))
+
+
+def written_track(stems: np.ndarray, mixture: np.ndarray, stem_dir: Path,
+                  mixture_path: Path):
+    """K x T stems and their mixture, written by ``write_stems`` and
+    ``write_wav``."""
+    write_stems(stems, stem_dir)
+    write_wav(mixture_path, Waveform(mixture))
+
+
+# Track lengths across many ranges of each size, with onsets on range edges
+# and one-shots that run past the track's end.
+STREAM_SAMPLES = st.integers(512, 6000)
+WAV_RANGES = st.sampled_from([7, 1000])
+
+
+@given(n=STREAM_SAMPLES, wav_range=WAV_RANGES, events=EVENTS)
+@settings(max_examples=25, deadline=None)
+# the last range is one sample wide, and all nine classes sound in it
+@example(n=1534, wav_range=7, events=[(1, name, 1.0) for name in CLASS_NAMES])
+def test_render_streams_the_array_composition(n, wav_range, events):
+    """``render`` and ``separate abs`` (``synth/`` and
+    ``reconstruction.wav``), streamed in ranges of ``fileio.WAV_RANGE``,
+    write the bytes of their K x T composition: ``trigger``, then the sum
+    over classes."""
+    t = on_grid(events, n)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "WAV_RANGE", wav_range)
+        root = Path(tmp)
+        kit = write_test_bank(root / "kit")
+        write_transcription(t, root / "t.csv")
+        result = run("render", "--bank", kit, "--transcription", root / "t.csv",
+                     "--out", root / "render", "--duration", n / SAMPLE_RATE)
+        assert result.exit_code == 0, result.output
+        result = run("separate", "abs", "--mixture", root / "render" / "mixture.wav",
+                     "--transcription", root / "t.csv", "--out", root / "abs",
+                     "--steps", 2)
+        assert result.exit_code == 0, result.output
+
+        onsets, velocities = onset_samples(read_transcription(root / "t.csv"), n)
+        stems = trigger(read_bank(kit).one_shots, onsets, velocities, n)
+        ref = root / "ref"
+        written_track(stems, stems.sum(axis=0), ref / "render",
+                      ref / "render" / "mixture.wav")
+        assert tree_bytes(root / "render") == tree_bytes(ref / "render")
+
+        solved = abs_solver.least_squares(read_wav(root / "render" / "mixture.wav"),
+                                          read_transcription(root / "t.csv"), 2)
+        stems = trigger(solved.one_shots, solved.onsets, solved.amplitudes, n)
+        written_track(stems, stems.sum(axis=0), ref / "synth",
+                      ref / "reconstruction.wav")
+        for name in [f"synth/{c}.wav" for c in CLASS_NAMES] + ["reconstruction.wav"]:
+            assert (root / "abs" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@given(n=STREAM_SAMPLES, wav_range=WAV_RANGES, seed=st.integers(0, 2**16),
+       cancelling=st.booleans(), gain=st.sampled_from([None, 0.5]))
+@settings(max_examples=25, deadline=None)
+@example(n=1500, wav_range=7, seed=0, cancelling=True, gain=None)  # track 1 divides
+def test_generate_streams_the_array_composition(n, wav_range, seed, cancelling, gain):
+    """``generate``, streamed in ranges of ``fileio.WAV_RANGE``, writes the
+    bytes of its K x T composition: ``trigger``, then the sum over classes,
+    times the scale that normalizes the mixture and applies the gain, then
+    over the stems' peak where they exceed full scale. In a cancelling kit
+    the snare is the negated kick, so the stems can exceed full scale
+    while their mixture does not."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "WAV_RANGE", wav_range)
+        mp.setattr(dataset, "DENSITIES",
+                   {"kick": 1000.0, "snare": 1000.0, "hihat_closed": 100.0})
+        mp.setattr(dataset, "GAIN_PROBABILITY", 0.0 if gain is None else 1.0)
+        mp.setattr(dataset, "GAIN_RANGE", (gain, gain))  # drawn only if set
+        root = Path(tmp)
+        kit = write_test_bank(root / "kit")
+        if cancelling:
+            bank = read_bank(kit)
+            shots = bank.one_shots.copy()
+            shots[CLASS_NAMES.index("snare")] = -shots[CLASS_NAMES.index("kick")]
+            write_bank(OneShotBank("kit", shots), kit)
+        result = run("generate", "--banks", kit, "--tracks", 2, "--seed", seed,
+                     "--duration", n / SAMPLE_RATE, "--out", root / "data")
+        assert result.exit_code == 0, result.output
+
+        ref = root / "ref"
+        spec = dataset.GenerationSpec(n_tracks=2, duration=n / SAMPLE_RATE)
+        for track in dataset.generate_dataset([read_bank(kit)], seed, spec):
+            stems = trigger(track.shaped, track.onsets, track.velocities, n)
+            mixture = stems.sum(axis=0)
+            peak = np.abs(mixture).max()
+            scale = (1.0 / peak if peak > 1e-12 else 1.0) * (gain or 1.0)
+            stems, mixture = stems * scale, mixture * scale
+            stem_peak = np.abs(stems).max()
+            if stem_peak > 1.0:
+                stems, mixture = stems / stem_peak, mixture / stem_peak
+            track_dir = ref / track.track_id
+            written_track(stems, mixture, track_dir / "stems", track_dir / "mixture.wav")
+            write_transcription(track.transcription, track_dir / "transcription.csv")
+        assert tree_bytes(root / "data") == tree_bytes(ref)
 
 
 # transcription files every reader rejects, and the line each error names

@@ -14,7 +14,7 @@ from drumsep.dataset import (
     GenerationSpec,
     generate_dataset,
 )
-from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
+from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank, render
 from drumsep.fileio import read_wav, write_wav
 from drumsep.signal import DEFAULT_HOP, Waveform
 
@@ -28,39 +28,52 @@ def small_bank(seed=0):
     return OneShotBank(f"kit_{seed}", shots)
 
 
+def played(track):
+    """The track's stems and mixture as ``generate`` writes them: rendered
+    whole, times the track's scale, then over its divisor if set."""
+    stems, mixture = render(track.shaped, track.onsets, track.velocities,
+                            track.n_samples)
+    for samples in (stems, mixture):
+        samples *= track.scale
+        if track.divisor is not None:
+            samples /= track.divisor
+    return stems, mixture
+
+
 class TestGenerate:
     def test_deterministic_in_seed(self):
         spec = GenerationSpec(n_tracks=3, duration=1.0)
         a = generate_dataset([small_bank()], 5, spec)
         b = generate_dataset([small_bank()], 5, spec)
         for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.mixture.samples, tb.mixture.samples)
             assert ta.transcription == tb.transcription
+            assert (ta.scale, ta.divisor) == (tb.scale, tb.divisor)
+            for xa, xb in zip(played(ta), played(tb)):
+                np.testing.assert_array_equal(xa, xb)
 
     def test_different_seeds_differ(self):
         spec = GenerationSpec(n_tracks=1, duration=1.0)
-        a = generate_dataset([small_bank()], 1, spec)[0]
-        b = generate_dataset([small_bank()], 2, spec)[0]
-        assert not np.array_equal(a.mixture.samples, b.mixture.samples)
+        a = next(generate_dataset([small_bank()], 1, spec))
+        b = next(generate_dataset([small_bank()], 2, spec))
+        assert not np.array_equal(played(a)[1], played(b)[1])
 
     def test_stems_sum_to_mixture(self):
         spec = GenerationSpec(n_tracks=2, duration=1.5)
         for track in generate_dataset([small_bank()], 0, spec):
-            np.testing.assert_allclose(
-                track.stems.sum(axis=0), track.mixture.samples, atol=1e-12
-            )
+            stems, mixture = played(track)
+            np.testing.assert_allclose(stems.sum(axis=0), mixture, atol=1e-12)
 
     def test_zero_density_class_is_silent(self, monkeypatch):
         monkeypatch.setitem(DENSITIES, "kick", 0.0)
         spec = GenerationSpec(n_tracks=3, duration=2.0)
         for track in generate_dataset([small_bank()], 3, spec):
             assert "kick" not in track.transcription.active_classes()
-            assert np.all(track.stems[CLASS_INDEX["kick"]] == 0)
+            assert np.all(played(track)[0][CLASS_INDEX["kick"]] == 0)
 
     def test_mixture_peak_within_unit_range(self):
         spec = GenerationSpec(n_tracks=4, duration=1.0)
         for track in generate_dataset([small_bank()], 11, spec):
-            assert np.abs(track.mixture.samples).max() <= 1.0 + 1e-12
+            assert np.abs(played(track)[1]).max() <= 1.0 + 1e-12
 
     def test_cancelling_stems_written_without_clipping(self, tmp_path,
                                                        monkeypatch):
@@ -72,19 +85,23 @@ class TestGenerate:
         monkeypatch.setattr(dataset, "DENSITIES",
                             {"kick": 1000.0, "snare": 1000.0})
         spec = GenerationSpec(n_tracks=3, duration=512 / 44100)
+        divided = 0
         for track in generate_dataset([OneShotBank("cancel", shots)], 0, spec):
+            divided += track.divisor is not None
+            stems, mixture = played(track)
             written = []
-            for i, stem in enumerate(track.stems):
+            for i, stem in enumerate(stems):
                 path = tmp_path / f"{track.track_id}_{i}.wav"
                 assert np.abs(stem).max() <= 1.0
                 write_wav(path, Waveform(stem))
                 written.append(read_wav(path).samples)
             assert np.abs(written).max() <= 1.0
             mix_path = tmp_path / f"{track.track_id}_mix.wav"
-            assert np.abs(track.mixture.samples).max() <= 1.0
-            write_wav(mix_path, track.mixture)
+            assert np.abs(mixture).max() <= 1.0
+            write_wav(mix_path, Waveform(mixture))
             np.testing.assert_allclose(np.sum(written, axis=0),
                                        read_wav(mix_path).samples, atol=1e-6)
+        assert divided
 
     def test_same_class_onsets_respect_min_gap(self):
         spec = GenerationSpec(n_tracks=3, duration=3.0)
@@ -96,8 +113,13 @@ class TestGenerate:
                     assert np.diff(times).min() > MIN_GAP_HOPS * hop_sec
 
     def test_empty_bank_list_rejected(self):
-        with pytest.raises(ValueError):
+        # at the call, before any track is asked for
+        with pytest.raises(ValueError, match="at least one one-shot bank"):
             generate_dataset([], 0)
+
+    def test_negative_seed_rejected_at_the_call(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            generate_dataset([small_bank()], -1)
 
     def test_onset_counts_match_poisson_mean(self, monkeypatch):
         monkeypatch.setattr(dataset, "GAIN_PROBABILITY", 0.0)

@@ -147,6 +147,16 @@ def test_onsets_are_placed_only_in_transcription():
         "nmfd", "abs_solver"}
 
 
+def test_stems_are_rendered_only_through_render():
+    """``drum_machine.render`` renders every stem that ``render``,
+    ``generate`` and ``separate abs`` write, and the Adam solver's stems.
+    Only ``drum_machine`` and the masking kernel, which renders each
+    block's span rows, read ``trigger``, so a second renderer cannot come
+    back unnoticed."""
+    names = {p.stem: read_names(p.read_text()) for p in MODULES}
+    assert {m for m, n in names.items() if "trigger" in n} == {"drum_machine", "masking"}
+
+
 def test_only_transcription_raises_grid_range_error():
     """``onset_samples`` owns the range rule that both ``separate`` commands
     and ``render`` apply. A second rule elsewhere, say in ``nmfd``, would
