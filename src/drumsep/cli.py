@@ -13,7 +13,8 @@ import numpy as np
 from . import abs_solver, dataset, evaluation, fileio, masking, nmfd
 from .classes import CLASS_NAMES, NUM_CLASSES
 from .drum_machine import render as render_stems
-from .signal import DEFAULT_HOP, SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
+from .signal import (DEFAULT_HOP, SAMPLE_RATE, StftConfig, Waveform, magnitude, num_frames,
+                     stft)
 from .transcription import onset_samples, peak_pick, spectral_flux_curve
 
 
@@ -157,15 +158,14 @@ def separate_nmfd(case_id, mixture_path, transcription_path, bank_dir, out_dir,
     onset_samples(t, len(x))  # the range rule of `separate abs` and `render`
     cfg = StftConfig(config["stft.window"], config["stft.hop"])
 
-    _, per_class = nmfd.nmfd_run(
-        magnitude(stft(x, cfg)), t, bank, case, seed=config["seed"],
-        hop_size=cfg.hop_size,
-    )
+    model = nmfd.fit(magnitude(stft(x, cfg)), t, bank, case, seed=config["seed"],
+                     hop_size=cfg.hop_size)
     out = Path(out_dir)
     with fileio.stem_blocks(out / "masked", len(x)) as writers:
-        masking.mask_with_magnitudes(x, per_class, cfg, config["masking.alpha"],
-                                     config["masking.epsilon"], writers=writers)
-    fileio.write_magnitudes(per_class, out / "magnitudes.npz")
+        masking.mask_with_model(x, model, cfg, config["masking.alpha"],
+                                config["masking.epsilon"], writers=writers)
+    fileio.write_magnitudes(nmfd.class_magnitudes(model, num_frames(len(x), cfg)),
+                            out / "magnitudes.npz")
     fileio.write_config(config, out / "config.txt")
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import struct
 import tempfile
+import zipfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -349,16 +350,22 @@ def write_bank(bank: OneShotBank, directory: str | Path):
 # ---------------------------------------------------------------------------
 
 
-def write_magnitudes(per_class: np.ndarray, path: str | Path):
-    """Write per-class magnitudes (K x F x M) as an uncompressed ``.npz``
-    with one ``<class>.npy`` member per class, atomically.
+def write_magnitudes(rows, path: str | Path):
+    """Write per-class magnitudes, the F x M rows that ``rows`` yields in
+    class order, as an uncompressed ``.npz`` with one ``<class>.npy`` member
+    per class, atomically: the bytes of ``np.savez`` of the stacked rows.
+    Each member is written as its row comes, so a caller may build one row
+    at a time.
 
     Members are stored, not deflated: zlib shrinks float64 magnitudes by
     only 5-8 % and would cost more than the rest of ``separate nmfd``. The
     archive is streamed into the temp file rather than built in memory.
     """
-    with _atomic_open(Path(path)) as handle:
-        np.savez(handle, **dict(zip(CLASS_NAMES, per_class)))
+    with (_atomic_open(Path(path)) as handle,
+          zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED, allowZip64=True) as archive):
+        for name, row in zip(CLASS_NAMES, rows):
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(row))
 
 
 # ---------------------------------------------------------------------------

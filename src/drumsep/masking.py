@@ -5,7 +5,7 @@
 never holds a K x F x M or a K x T array. It walks the track in blocks of
 ``MASK_BLOCK`` hops. For each block it takes the mixture's spectrum, the K
 estimate magnitudes (the spectra of the stems that one-shots and onsets
-render, or a slice of given magnitudes), the masks est**alpha /
+render, or an NMFD model's per-class magnitudes), the masks est**alpha /
 (sum_k est**alpha + eps), and each class's masked inverse transform,
 windowed and overlap-added. A block's frames are taken from a lane buffer
 that holds the samples they cover, with zeros past the track's ends
@@ -13,10 +13,13 @@ that holds the samples they cover, with zeros past the track's ends
 renders its stem samples itself by ``drum_machine.trigger`` over its sample
 range, from the onsets that reach into it. A given K x T stem is the
 one-shot of a single onset at sample 0 with amplitude 1.0, which renders it
-exactly, so stems need no source of their own. Each class's finished
-samples go to a block writer, such as those ``fileio.stem_blocks`` gives
-for the stem files. The blocks are split between the lanes of
-``parallel.run_lanes``, under the rules in ``parallel``'s docstring.
+exactly, so stems need no source of their own. With an NMFD model, a block
+copies its frames' magnitudes out of the chunks that
+``nmfd.chunk_magnitudes`` computes, from which every caller builds them.
+Each class's finished samples go to a block writer, such as those
+``fileio.stem_blocks`` gives for the stem files. The blocks are split
+between the lanes of ``parallel.run_lanes``, under the rules in
+``parallel``'s docstring.
 
 A rendered stem is exactly zero wherever no one-shot reaches, so with
 one-shots as the source a block transforms, for each class, only the rows
@@ -26,8 +29,8 @@ which gives a +0.0 mask (alpha > 0, and the denominator is at least eps),
 and an overlap-add that starts at +0.0 is unchanged by a +-0 frame. A class
 that is silent over a block, with its carried frames zero, is not
 overlap-added or written at all: its samples are +0.0, which an unwritten
-range of every block writer reads. Given magnitudes, there are no samples
-to check, and every frame is transformed.
+range of every block writer reads. With a model, there are no samples to
+check, and every frame is transformed.
 
 The kernel's stems are bit for bit those of ``apply_masks``, for any block
 size and lane count. ``signal.overlap_add`` adds a sample's frames in the
@@ -37,7 +40,9 @@ b - 1 from zero and keeps hops [a, b): every sample sees the same adds in
 the same order. A lane carries each class's last S frames from one block
 to the next; its first block computes the S - 1 frames before it. A
 block's rendered stem samples are those of the whole-track ``trigger``,
-which adds each sample's onsets in the same order for any range.
+which adds each sample's onsets in the same order for any range, and its
+model magnitudes are those of the whole-track chunks, whichever block or
+lane computes a chunk.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drum_machine import trigger
+from .nmfd import CHUNK, ChunkBuffers, NmfdModel, chunk_magnitudes
 from .parallel import run_lanes, thread_count
 from .signal import (
     ComplexSpectrogram,
@@ -88,15 +94,6 @@ def check_mask_params(alpha: float, epsilon: float):
                          f"finite, got {alpha} and {epsilon}")
 
 
-def _check_estimates(estimates) -> np.ndarray:
-    estimates = np.asarray(estimates, dtype=np.float64)
-    if estimates.ndim != 3:
-        raise ValueError(f"expected K x F x M estimates, got shape {estimates.shape}")
-    if estimates.min() < 0:
-        raise ValueError("magnitude estimates must be non-negative")
-    return estimates
-
-
 def compute_masks(
     estimates: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
@@ -108,7 +105,12 @@ def compute_masks(
     estimates carry energy well above epsilon.
     """
     check_mask_params(alpha, epsilon)
-    masks = _check_estimates(estimates) ** alpha
+    estimates = np.asarray(estimates, dtype=np.float64)
+    if estimates.ndim != 3:
+        raise ValueError(f"expected K x F x M estimates, got shape {estimates.shape}")
+    if estimates.min() < 0:
+        raise ValueError("magnitude estimates must be non-negative")
+    masks = estimates**alpha
     masks /= masks.sum(axis=0, keepdims=True) + epsilon
     return MaskSet(masks, alpha, epsilon)
 
@@ -120,36 +122,38 @@ def apply_masks(
     len(x) stems ``istft(masks[k] * stft(x))``, whose bits the masking
     kernel gives block by block."""
     spec = stft(x, cfg)
-    _check_mask_shape(mask_set.masks, cfg, len(x))
+    _check_mask_shape(mask_set.masks.shape[1:], cfg, len(x))
     stems = np.empty((len(mask_set.masks), len(x)))
     for stem, mask in zip(stems, mask_set.masks):
         stem[:] = istft(ComplexSpectrogram(mask * spec.bins, cfg, len(x))).samples
     return stems
 
 
-def _check_mask_shape(given: np.ndarray, cfg: StftConfig, n: int):
-    """Raise ValueError unless K x F x M ``given`` masks or magnitudes fit
-    the spectrogram of ``n`` samples."""
+def _check_mask_shape(shape: tuple, cfg: StftConfig, n: int):
+    """Raise ValueError unless the F x M ``shape`` of masks or magnitudes
+    fits the spectrogram of ``n`` samples."""
     want = (cfg.n_bins, num_frames(n, cfg))
-    if given.shape[1:] != want:
-        raise ValueError(f"mask shape {given.shape[1:]} does not match spectrogram {want}")
+    if tuple(shape) != want:
+        raise ValueError(f"mask shape {tuple(shape)} does not match spectrogram {want}")
 
 
-def mask_with_magnitudes(
+def mask_with_model(
     x: Waveform,
-    estimates: np.ndarray,
+    model: NmfdModel,
     cfg: StftConfig = StftConfig(),
     alpha: float = DEFAULT_ALPHA,
     epsilon: float = MASK_EPSILON,
     *,
     writers,
 ):
-    """Mask the mixture with K x F x M magnitude estimates and write the K
-    masked stems, ``apply_masks(x, compute_masks(estimates, alpha,
-    epsilon), cfg)`` bit for bit, to the K block ``writers`` (see
-    ``_mask``), without the masks."""
+    """Mask the mixture with an NMFD model's per-class magnitudes and write
+    the K masked stems, bit for bit ``apply_masks(x,
+    compute_masks(nmfd.reconstruct_per_class(model, M), alpha, epsilon),
+    cfg)`` with M the mixture's frame count, to the K block ``writers``
+    (see ``_mask``), without the magnitudes or the masks. Each block builds
+    its frames' magnitudes from the model's chunks."""
     check_mask_params(alpha, epsilon)
-    _mask(x, cfg, alpha, epsilon, writers, magnitudes=_check_estimates(estimates))
+    _mask(x, cfg, alpha, epsilon, writers, model=model)
 
 
 def mask_with_shots(
@@ -183,9 +187,9 @@ def mask_with_shots(
 
 
 def _mask(x: Waveform, cfg: StftConfig, alpha: float, epsilon: float, writers,
-          magnitudes=None, shots=None):
-    """The masked stems from exactly one of K x F x M ``magnitudes`` or
-    ``shots``, a (one-shots, onsets, amplitudes) triple, on lanes.
+          model=None, shots=None):
+    """The masked stems from exactly one of an NMFD ``model`` or ``shots``,
+    a (one-shots, onsets, amplitudes) triple, on lanes.
 
     Each class's stem goes block by block to ``writers[k].write(start,
     samples, scratch)``, which takes the float64 samples from ``start`` on
@@ -199,10 +203,12 @@ def _mask(x: Waveform, cfg: StftConfig, alpha: float, epsilon: float, writers,
     window, hop = cfg.window_size, cfg.hop_size
     pad, stride, n_frames = window // 2, window // hop, num_frames(n, cfg)
     if shots is None:
-        _check_mask_shape(magnitudes, cfg, n)
-    source = magnitudes if shots is None else shots[0]
-    if len(writers) != len(source):
-        raise ValueError(f"{len(writers)} writers for {len(source)} stems")
+        _check_mask_shape((model.templates.shape[1], model.activations.shape[1]), cfg, n)
+        source, classes = model, len(model.templates)
+    else:
+        source, classes = shots[0], len(shots[0])
+    if len(writers) != classes:
+        raise ValueError(f"{len(writers)} writers for {classes} stems")
 
     hops = -(-(pad + n) // hop)  # the hops that hold output samples
     block = min(stride * -(-MASK_BLOCK // stride), hops)
@@ -243,15 +249,15 @@ def _onsets_by_block(cfg: StftConfig, block: int, hops: int, length: int,
 @dataclass(frozen=True)
 class _MaskJob:
     """What every masking lane reads: the mixture, the source of the
-    estimates (K x R one-shots, or K x F x M magnitudes), the mask
-    parameters, the normalization of the output samples and each class's
-    block writer. With one-shots, whose rendered stems' spectra are the
-    estimates, ``reach`` holds each block's onsets and amplitudes;
-    otherwise it is None."""
+    estimates (K x R one-shots, or an NMFD model), the mask parameters, the
+    normalization of the output samples and each class's block writer.
+    With one-shots, whose rendered stems' spectra are the estimates,
+    ``reach`` holds each block's onsets and amplitudes; otherwise it is
+    None."""
 
     cfg: StftConfig
     mixture: np.ndarray
-    source: np.ndarray
+    source: np.ndarray | NmfdModel
     alpha: float
     epsilon: float
     norm: np.ndarray
@@ -267,7 +273,8 @@ class _MaskBuffers:
     and their sum, each class's last S frames carried to the next block,
     an overlap-add buffer, and scratch for one rendered onset and for the
     writers. Without one-shots the rendered stems, their sounding flags
-    and the onset scratch take no room."""
+    and the onset scratch take no room, and ``chunk`` holds the model's
+    chunk buffers."""
 
     def __init__(self, job: _MaskJob, rows: int):
         cfg, k = job.cfg, len(job.writers)
@@ -283,7 +290,8 @@ class _MaskBuffers:
         self.carry = np.zeros((k, stride, cfg.window_size))
         self.sounding = np.empty(k * (rows + stride - 1) * rendered, dtype=bool)
         self.ola = np.empty((rows + stride) * cfg.hop_size)
-        self.scaled = np.empty(job.source.shape[1] * rendered)
+        self.scaled = np.empty(job.source.shape[1] if rendered else 0)
+        self.chunk = None if rendered else ChunkBuffers(job.source)
         self.scratch = np.empty((rows - stride) * cfg.hop_size, dtype=np.float32)
 
 
@@ -330,7 +338,13 @@ def _mask_lane(job: _MaskJob, buf: _MaskBuffers, start: int, stop: int, block: i
                 np.abs(buf.work[f0:f1], out=est[i, f0:f1])
         else:
             spans = [(0, nf)] * k
-            np.copyto(est, job.source[:, :, c:e].transpose(0, 2, 1))
+            # Frames [c, e) from the chunks that hold them.
+            for j in range(c // CHUNK, -(-e // CHUNK) if nf else 0):
+                lo, hi = max(c, j * CHUNK), min(e, (j + 1) * CHUNK)
+                for i in range(k):
+                    product = chunk_magnitudes(job.source, i, j, n_frames, buf.chunk)
+                    np.copyto(est[i, lo - c : hi - c],
+                              product[:, lo - j * CHUNK : hi - j * CHUNK].T)
         est **= job.alpha
         den = buf.den[:nf]
         np.sum(est, axis=0, out=den)

@@ -8,7 +8,12 @@ keep everything non-negative and do not increase the KL divergence.
 The convolution is one matrix product, Lambda = W_mat @ H_s: column k*L + tau
 of W_mat is W[k, :, tau] and row k*L + tau of H_s is H[k] delayed by tau
 frames (zero for tau >= M). With Q = V / Lambda, the H update's numerator is
-W_mat^T @ Q summed along lag diagonals; the W update's is Q @ H_s^T.
+W_mat^T @ Q summed along lag diagonals; the W update's is Q @ H_s^T. A run
+iterates in buffers it allocates once.
+
+Class k's magnitudes Lambda_k are W[k] @ H_s,k, built in chunks of
+``CHUNK`` frames by ``chunk_magnitudes``, the one definition that
+``nmfd_run``, the masking kernel and ``magnitudes.npz`` share.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .signal import DEFAULT_HOP, StftConfig, Waveform, magnitude, stft
 from .transcription import Transcription, events_to_grid
 
 EPSILON = 1e-10
+# Frames per chunk of the per-class magnitudes. BLAS rounds a product's
+# columns differently for different column counts, so every caller builds
+# class k's frames [j*CHUNK, (j+1)*CHUNK) as one product of this shape. It
+# matches the masking kernel's default block.
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -51,15 +61,16 @@ class NmfdCase:
 
 @dataclass(frozen=True)
 class NmfdModel:
-    """Templates W (K x F x L), activations H (K x M), both >= 0."""
+    """Templates W (K x F x L), activations H (K x M), both >= 0, held
+    C-contiguous."""
 
     templates: np.ndarray
     activations: np.ndarray
     fixed_templates: bool
 
     def __post_init__(self):
-        w = np.asarray(self.templates, dtype=np.float64)
-        h = np.asarray(self.activations, dtype=np.float64)
+        w = np.ascontiguousarray(self.templates, dtype=np.float64)
+        h = np.ascontiguousarray(self.activations, dtype=np.float64)
         if w.ndim != 3 or h.ndim != 2 or w.shape[0] != h.shape[0]:
             raise ValueError(
                 f"inconsistent template/activation shapes {w.shape} / {h.shape}"
@@ -70,35 +81,66 @@ class NmfdModel:
         object.__setattr__(self, "activations", h)
 
 
-def _stacked(h: np.ndarray, length: int) -> np.ndarray:
-    """H_s, (K*L) x M: row k*L + tau is H[k] delayed by tau frames."""
-    k, m = h.shape
-    padded = np.pad(h, ((0, 0), (length - 1, 0)))
-    # Window j starts at padded frame j, i.e. H delayed by L - 1 - j.
-    return sliding_window_view(padded, m, axis=1)[:, ::-1].reshape(k * length, m)
+class ChunkBuffers:
+    """One caller's buffers for ``chunk_magnitudes`` on ``model``: a
+    stretch of one class's activations with L - 1 zeros before frame 0, its
+    L x CHUNK window H_s,k and the F x CHUNK product."""
+
+    def __init__(self, model: NmfdModel):
+        n_bins, length = model.templates.shape[1:]
+        self.segment = np.empty(length - 1 + CHUNK)
+        self.window = np.empty(length * CHUNK)
+        self.product = np.empty(n_bins * CHUNK)
 
 
-def _lag_sum(g: np.ndarray) -> np.ndarray:
-    """Adjoint of _stacked for g of shape K x L x M:
-    out[k, m] = sum of g[k, tau, m + tau] over tau with m + tau < M."""
-    k, length, m = g.shape
-    # In rows of g padded to M + L, a step of M + L + 1 is one lag and one frame.
-    flat = np.pad(g, ((0, 0), (0, 0), (0, length))).reshape(k, -1)
-    return sliding_window_view(flat, m, axis=1)[:, :: m + length + 1].sum(axis=1)
+def chunk_magnitudes(model: NmfdModel, k: int, j: int, n_frames: int,
+                     buf: ChunkBuffers) -> np.ndarray:
+    """Class k's magnitudes over frames [j*CHUNK, min((j+1)*CHUNK,
+    n_frames)): W[k] @ H_s,k for those frames, computed into ``buf``, whose
+    product it returns as an F x width view. Allocates no array."""
+    w, h = model.templates[k], model.activations[k]
+    length = w.shape[1]
+    a = j * CHUNK
+    width = min(a + CHUNK, n_frames) - a
+    # segment[i] is frame a - L + 1 + i, zero before frame 0.
+    zeros = max(length - 1 - a, 0)
+    segment = buf.segment[: length - 1 + width]
+    segment[:zeros] = 0.0
+    segment[zeros:] = h[a - length + 1 + zeros : a + width]
+    window = buf.window[: length * width].reshape(length, width)
+    np.copyto(window, sliding_window_view(segment, width)[::-1])
+    product = buf.product[: len(w) * width].reshape(len(w), width)
+    return np.matmul(w, window, out=product)
+
+
+def class_magnitudes(model: NmfdModel, n_frames: int):
+    """Each class's approximation Lambda_k (F x ``n_frames``), in class
+    order, as the concatenation of its chunks. Every class is yielded in
+    one buffer, which the next overwrites."""
+    k, n_bins, _ = model.templates.shape
+    row, buf = np.empty((n_bins, n_frames)), ChunkBuffers(model)
+    for i in range(k):
+        for j in range(-(-n_frames // CHUNK)):
+            row[:, j * CHUNK : (j + 1) * CHUNK] = chunk_magnitudes(model, i, j, n_frames, buf)
+        yield row
 
 
 def reconstruct_per_class(model: NmfdModel, n_frames: int) -> np.ndarray:
-    """Per-class approximations Lambda_k, shape K x F x M."""
-    k, _, length = model.templates.shape
-    h_s = _stacked(model.activations[:, :n_frames], length)
-    return model.templates @ h_s.reshape(k, length, n_frames)
+    """Per-class approximations Lambda_k, shape K x F x M: the rows of
+    ``class_magnitudes``."""
+    k, n_bins, _ = model.templates.shape
+    per_class = np.empty((k, n_bins, n_frames))
+    for out, row in zip(per_class, class_magnitudes(model, n_frames)):
+        out[:] = row
+    return per_class
 
 
 def reconstruct(model: NmfdModel, n_frames: int) -> np.ndarray:
     """Full approximation Lambda = sum_k Lambda_k, shape F x M."""
-    k, f, length = model.templates.shape
-    w_mat = model.templates.transpose(1, 0, 2).reshape(f, k * length)
-    return w_mat @ _stacked(model.activations[:, :n_frames], length)
+    lam = np.zeros((model.templates.shape[1], n_frames))
+    for row in class_magnitudes(model, n_frames):
+        lam += row
+    return lam
 
 
 def kl_divergence(v: np.ndarray, lam: np.ndarray, eps: float = EPSILON) -> float:
@@ -162,31 +204,87 @@ def _templates_from_bank(
     return w
 
 
-def nmfd_step(model: NmfdModel, v: np.ndarray) -> NmfdModel:
-    """One multiplicative KL update of H, then of W (unless templates are
-    fixed), with the epsilon floor re-applied after each update."""
+def _iterate(model: NmfdModel, v: np.ndarray, iterations: int) -> NmfdModel:
+    """``iterations`` multiplicative KL updates of H, then of W (unless
+    templates are fixed), with the epsilon floor re-applied after each
+    update, in buffers allocated once: W_mat, H behind L - 1 zero frames
+    (so H_s is a copy of its windows), H_s, Lambda (then Q), the lag sum's
+    padded rows and the sums. With fixed templates the H update's
+    denominator is computed once."""
     v = np.asarray(v, dtype=np.float64)
     k, n_bins, length = model.templates.shape
     m = v.shape[1]
     if v.shape[0] != n_bins or model.activations.shape[1] != m:
         raise ValueError("model and magnitude dimensions do not match")
 
-    w, h = model.templates, model.activations
-    w_mat = w.transpose(1, 0, 2).reshape(n_bins, k * length)
+    w_mat = np.empty((n_bins, k * length))
+    w_mat.reshape(n_bins, k, length)[:] = model.templates.transpose(1, 0, 2)
+    padded = np.zeros((k, length - 1 + m))
+    h = padded[:, length - 1 :]
+    h[:] = model.activations
+    # Window tau of a padded row, reversed, is H[k] delayed by tau frames.
+    delayed = sliding_window_view(padded, m, axis=1)[:, ::-1]
+    stacked = np.empty((k * length, m))
+    lam = np.empty((n_bins, m))
+    # The lag sum's K x L x M terms, in rows padded to M + L: there a step
+    # of M + L + 1 is one lag and one frame.
+    lagged = np.zeros((k, length, m + length))
+    terms = lagged[:, :, :m]
+    diagonals = sliding_window_view(lagged.reshape(k, -1), m, axis=1)[:, :: m + length + 1]
+    num, den = np.empty((k, m)), np.empty((k, m))
+    w_num, h_sum = np.empty((n_bins, k * length)), np.empty(k * length)
 
-    # H update: Lambda is linear in H, so this is a plain majorize-minimize
-    # step on an expanded basis.
-    q = v / (w_mat @ _stacked(h, length) + EPSILON)
-    num = _lag_sum((w_mat.T @ q).reshape(k, length, m))
-    den = _lag_sum(np.broadcast_to(w.sum(axis=1)[:, :, None], (k, length, m)))
-    h = np.maximum(h * num / np.maximum(den, EPSILON), EPSILON)
+    def quotient():
+        """Q = V / (W_mat @ H_s + eps) into ``lam``, H_s from H."""
+        np.copyto(stacked.reshape(k, length, m), delayed)
+        np.matmul(w_mat, stacked, out=lam)
+        np.add(lam, EPSILON, out=lam)
+        np.divide(v, lam, out=lam)
 
-    if not model.fixed_templates:
-        h_s = _stacked(h, length)
-        q = v / (w_mat @ h_s + EPSILON)
-        w_mat = w_mat * (q @ h_s.T) / np.maximum(h_s.sum(axis=1), EPSILON)
-        w = np.maximum(w_mat, EPSILON).reshape(n_bins, k, length).transpose(1, 0, 2)
-    return NmfdModel(w, h, model.fixed_templates)
+    for step in range(iterations):
+        # H update: Lambda is linear in H, so this is a plain
+        # majorize-minimize step on an expanded basis.
+        quotient()
+        np.matmul(w_mat.T, lam, out=terms.reshape(k * length, m))
+        np.sum(diagonals, axis=1, out=num)
+        if step == 0 or not model.fixed_templates:
+            w = w_mat.reshape(n_bins, k, length).transpose(1, 0, 2)
+            terms[:] = w.sum(axis=1)[:, :, None]
+            np.sum(diagonals, axis=1, out=den)
+            np.maximum(den, EPSILON, out=den)
+        np.multiply(h, num, out=num)
+        np.divide(num, den, out=num)
+        np.maximum(num, EPSILON, out=h)
+
+        if not model.fixed_templates:
+            quotient()
+            np.matmul(lam, stacked.T, out=w_num)
+            np.multiply(w_mat, w_num, out=w_mat)
+            np.sum(stacked, axis=1, out=h_sum)
+            np.maximum(h_sum, EPSILON, out=h_sum)
+            np.divide(w_mat, h_sum, out=w_mat)
+            np.maximum(w_mat, EPSILON, out=w_mat)
+    return NmfdModel(w_mat.reshape(n_bins, k, length).transpose(1, 0, 2), h,
+                     model.fixed_templates)
+
+
+def nmfd_step(model: NmfdModel, v: np.ndarray) -> NmfdModel:
+    """One multiplicative KL update of H, then of W (unless templates are
+    fixed), with the epsilon floor re-applied after each update."""
+    return _iterate(model, v, 1)
+
+
+def fit(
+    v: np.ndarray,
+    t: Transcription,
+    bank: OneShotBank | None,
+    case: NmfdCase,
+    seed: int = 0,
+    hop_size: int = DEFAULT_HOP,
+) -> NmfdModel:
+    """Initialize and run the case's iterations; returns the model."""
+    model = init_informed(v, t, bank, case, seed=seed, hop_size=hop_size)
+    return _iterate(model, v, case.iterations)
 
 
 def nmfd_run(
@@ -197,9 +295,7 @@ def nmfd_run(
     seed: int = 0,
     hop_size: int = DEFAULT_HOP,
 ) -> tuple[NmfdModel, np.ndarray]:
-    """Initialize and iterate; returns the model and per-class magnitudes
-    (K x F x M), which sum to the full reconstruction."""
-    model = init_informed(v, t, bank, case, seed=seed, hop_size=hop_size)
-    for _ in range(case.iterations):
-        model = nmfd_step(model, v)
+    """``fit``, then the per-class magnitudes (K x F x M), which sum to the
+    full reconstruction."""
+    model = fit(v, t, bank, case, seed=seed, hop_size=hop_size)
     return model, reconstruct_per_class(model, v.shape[1])

@@ -11,11 +11,15 @@ and adds no memory beyond each lane's buffers:
   thread allocates land in a per-thread malloc arena that is not given back
   to the system, which raised peak RSS by up to 16 %.
 - A lane allocates no array and calls numpy, ``signal.fill_span``,
-  ``signal.overlap_add``, ``signal.sounding_frames`` and
-  ``drum_machine.trigger`` into its own buffers, ``signal.sounding_span``
-  and a block writer's ``write``
+  ``signal.overlap_add``, ``signal.sounding_frames``,
+  ``drum_machine.trigger`` and ``nmfd.chunk_magnitudes`` into its own
+  buffers, ``signal.sounding_span`` and a block writer's ``write``
   (``fileio.WavBlocks``, one ``os.pwrite`` of a range) only, never a
   function a tracer may wrap: a tracer's span stack is not thread-safe.
+  ``chunk_magnitudes`` is one BLAS product of a fixed shape over the
+  model, which no lane writes, so a chunk has the same bits whichever lane
+  computes it, how often, and however the threads interleave; OpenBLAS
+  may be called from two threads at once.
 - A lane writes only its own buffers or its own slice of a shared output,
   array or file, and the caller reduces the lanes' results in a fixed
   order.

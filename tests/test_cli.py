@@ -575,16 +575,23 @@ class TestStreamedStems:
         assert peak < 5 * row + 6 * shots + self.LANES
 
     def test_nmfd_memory_grows_by_rows(self, tmp_path, bench_track):
-        """NMFD's K x F x M magnitudes, which magnitudes.npz holds, beside
-        the mixture, its normalization and a spare row. Measured 225.5 MB;
-        320.4 MB when the masked stems were a K x T array."""
-        _, mixture, transcription = bench_track(self.SECONDS)
+        """No K x F x M array: the peak is the mixture's STFT, its M x
+        window frames and F x M complex spectrum, beside the mixture and a
+        few rows; NMFD's V and Lambda and masking's lanes stay below it.
+        Measured 95.4 MB for case 3 and 98.6 MB for 1a; at the parent, with
+        the K x F x M magnitudes, 224.6 and 236.4 MB, and 320.4 MB when the
+        masked stems were a K x T array."""
+        kit, mixture, transcription = bench_track(self.SECONDS)
         row = 8 * self.SECONDS * SAMPLE_RATE
-        n_frames = 1 + int(self.SECONDS * SAMPLE_RATE) // StftConfig().hop_size
-        magnitudes = 8 * NUM_CLASSES * StftConfig().n_bins * n_frames
-        peak = traced_peak("separate", "nmfd", "--case", "3", "--mixture", mixture,
-                           "--transcription", transcription, "--out", tmp_path / "sep")
-        assert peak < magnitudes + 3 * row + self.LANES
+        cfg = StftConfig()
+        n_frames = 1 + int(self.SECONDS * SAMPLE_RATE) // cfg.hop_size
+        stft_frames = 8 * n_frames * cfg.window_size
+        spectrum = 16 * cfg.n_bins * n_frames
+        for case in ("3", "1a"):
+            peak = traced_peak("separate", "nmfd", "--case", case, "--bank", kit,
+                               "--mixture", mixture, "--transcription", transcription,
+                               "--out", tmp_path / case)
+            assert peak < stft_frames + spectrum + 3 * row + self.LANES, case
 
 
 class TestDetectOnsets:

@@ -497,6 +497,24 @@ class TestMagnitudes:
             for k, name in enumerate(CLASS_NAMES):
                 np.testing.assert_array_equal(loaded[name], per_class[k])
 
+    def test_rows_one_at_a_time_give_the_bytes_of_savez(self, tmp_path):
+        """Rows yielded one at a time in one reused buffer, as
+        ``nmfd.class_magnitudes`` yields them, are written as ``np.savez``
+        writes the stacked rows."""
+        per_class = RNG.uniform(0, 1, (NUM_CLASSES, 17, 5))
+
+        def rows():
+            row = np.empty((17, 5))
+            for values in per_class:
+                row[:] = values
+                yield row
+
+        write_magnitudes(rows(), tmp_path / "streamed.npz")
+        with open(tmp_path / "saved.npz", "wb") as handle:
+            np.savez(handle, **dict(zip(CLASS_NAMES, per_class)))
+        assert ((tmp_path / "streamed.npz").read_bytes()
+                == (tmp_path / "saved.npz").read_bytes())
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path, existing):
         path = tmp_path / "magnitudes.npz"

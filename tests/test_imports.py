@@ -157,6 +157,16 @@ def test_stems_are_rendered_only_through_render():
     assert {m for m, n in names.items() if "trigger" in n} == {"drum_machine", "masking"}
 
 
+def test_separate_nmfd_builds_no_per_class_array():
+    """``separate nmfd`` takes NMFD's model and builds each class's
+    magnitudes from its chunks as the masking kernel and magnitudes.npz
+    need them. ``cli`` reads neither ``nmfd_run`` nor
+    ``reconstruct_per_class``, so a K x F x M array cannot come back
+    unnoticed."""
+    source = (Path(drumsep.__file__).parent / "cli.py").read_text()
+    assert read_names(source) & {"nmfd_run", "reconstruct_per_class"} == set()
+
+
 def test_only_transcription_raises_grid_range_error():
     """``onset_samples`` owns the range rule that both ``separate`` commands
     and ``render`` apply. A second rule elsewhere, say in ``nmfd``, would

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drumsep import fileio, masking, parallel
+from drumsep import fileio, masking, nmfd, parallel
 from drumsep.classes import CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import trigger
 from drumsep.evaluation import lsd
@@ -17,9 +17,10 @@ from drumsep.masking import (
     MaskSet,
     apply_masks,
     compute_masks,
-    mask_with_magnitudes,
+    mask_with_model,
     mask_with_shots,
 )
+from drumsep.nmfd import NmfdModel, reconstruct_per_class
 from drumsep.signal import (
     SAMPLE_RATE,
     StftConfig,
@@ -55,12 +56,23 @@ class RowWriter:
         self.row[start : start + len(samples)] = samples
 
 
+def as_model(estimates):
+    """An NMFD model whose per-class magnitudes are the K x F x M
+    ``estimates`` exactly: the templates are the estimates (L = M) and each
+    class's activations are one impulse at frame 0, so every product adds
+    only exact zeros to a template's value."""
+    impulses = np.zeros((len(estimates), estimates.shape[-1]))
+    impulses[:, 0] = 1.0
+    return NmfdModel(estimates, impulses, fixed_templates=True)
+
+
 def to_array(mask, x, source, *args, **kwargs):
-    """The K x len(x) stems that ``mask``, ``mask_with_magnitudes`` or
-    ``mask_with_shots``, writes for the K estimates or one-shots of
+    """The K x len(x) stems that ``mask``, ``mask_with_model`` or
+    ``mask_with_shots``, writes for the NMFD model or the K one-shots of
     ``source``, each into a ``RowWriter`` over a row of zeros, as a stem
     file's unwritten samples read 0.0."""
-    out = np.zeros((len(source), len(x)))
+    k = len(source.templates if isinstance(source, NmfdModel) else source)
+    out = np.zeros((k, len(x)))
     mask(x, source, *args, writers=[RowWriter(row) for row in out], **kwargs)
     return out
 
@@ -191,14 +203,18 @@ class TestMaskingHelpers:
 
     @pytest.mark.parametrize("shape, fill, match", [
         ((2, 257, 24), -1.0, "non-negative"),
-        ((257, 24), 1.0, "K x F x M"),
+        ((257, 24), 1.0, "inconsistent"),
         ((2, 257, 23), 1.0, "does not match"),
     ])
     def test_mask_with_magnitudes_rejects_what_compute_masks_rejects(
             self, shape, fill, match):
+        """Magnitudes that ``compute_masks`` or ``apply_masks`` reject, as
+        a model's templates: the model rejects negative or non-K x F x L
+        ones, and the kernel a model whose bins or frames do not fit."""
         x = Waveform(RNG.normal(0, 0.3, 3000))  # 24 frames at hop 128
         with pytest.raises(ValueError, match=match):
-            to_array(mask_with_magnitudes, x, np.full(shape, fill), StftConfig(512, 128))
+            to_array(mask_with_model, x, as_model(np.full(shape, fill)),
+                     StftConfig(512, 128))
 
     @pytest.mark.parametrize("shots, amps, match", [
         (np.full((2, 100), np.nan), [1.0], "non-finite"),
@@ -253,6 +269,25 @@ def masking_cases(draw):
     return StftConfig(window, hop), n, silent, alpha, block, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def model_cases(draw):
+    """A config, a mixture length shorter than one chunk of frames or
+    several chunks long, the class count and template length of a random
+    NMFD model, alpha and a block size: blocks of 12 and 48 hops straddle
+    chunks, and a lane that starts on a chunk carries frames of the one
+    before it."""
+    window, hop = draw(st.sampled_from([(512, 128), (1024, 256), (2048, 512)]))
+    n = draw(st.one_of(
+        st.integers(1, (nmfd.CHUNK - 1) * hop - 1),  # under one chunk
+        st.integers(nmfd.CHUNK * hop, 5 * nmfd.CHUNK * hop),  # several, and lanes
+    ))
+    k = draw(st.integers(1, 9))
+    length = draw(st.sampled_from([40, 10, 7]))
+    alpha = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    block = draw(st.sampled_from([1, 8, 12, masking.MASK_BLOCK, 48]))
+    return StftConfig(window, hop), n, k, length, alpha, block, draw(st.integers(0, 2**32 - 1))
+
+
 class TestBlockedKernel:
     @given(masking_cases())
     @settings(max_examples=40, deadline=None)
@@ -262,10 +297,11 @@ class TestBlockedKernel:
     def test_same_bits_as_per_class_inverse(self, case):
         """Every entry point gives the bits of the per-class inverse STFT of
         the full masks, for any block size and 1, 2 or 3 lanes; the kernel
-        writes every sample of a magnitudes source, and stems go in as
-        one-shots at sample 0. The one-shots source gives those of the
-        stems ``trigger`` renders from them, with cut tails, onsets past the
-        end and same-sample duplicates. Sources with silent frames are
+        writes every sample of a model source (magnitudes as a model's
+        templates, ``as_model``), and stems go in as one-shots at sample 0.
+        The one-shots source gives those of the stems ``trigger`` renders
+        from them, with cut tails, onsets past the end and same-sample
+        duplicates. Sources with silent frames are
         checked for three alphas too (``_check_sparse_sources``)."""
         cfg, n, silent, alpha, block, seed = case
         rng = np.random.default_rng(seed)
@@ -275,6 +311,9 @@ class TestBlockedKernel:
         stems[silent] = 0.0
         estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
         want, masks = reference_masking(x, estimates, cfg, alpha, eps)
+        model = as_model(estimates)
+        assert reconstruct_per_class(model, estimates.shape[-1]).tobytes() == (
+            estimates.tobytes())
 
         length = int(rng.integers(1, 2 * cfg.window_size))
         shots = rng.normal(0, 0.3, (len(silent), length))
@@ -297,8 +336,8 @@ class TestBlockedKernel:
                     mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
                     mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
                     written = np.full(want.shape, np.nan)
-                    assert mask_with_magnitudes(
-                        x, estimates, cfg, alpha, eps,
+                    assert mask_with_model(
+                        x, model, cfg, alpha, eps,
                         writers=[RowWriter(row) for row in written]) is None
                     got = [
                         to_array(mask_with_shots, x, stems, *at_zero(stems), cfg,
@@ -313,6 +352,44 @@ class TestBlockedKernel:
                                          cfg, alpha, eps)
                     assert shots_out.tobytes() == want_shots.tobytes()
                 self._check_sparse_sources(x, cfg, block, rng)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @given(model_cases())
+    @settings(max_examples=30, deadline=None)
+    @example((StftConfig(2048, 512), 4 * nmfd.CHUNK * 512, 9, 40, 1.0,
+              masking.MASK_BLOCK, 2))
+    @example((StftConfig(512, 128), 700, 9, 40, 2.0, 12, 3))
+    def test_model_source_is_the_array_composition(self, case):
+        """An NMFD model gives the bits of ``apply_masks`` of the masks of
+        ``reconstruct_per_class``, the concatenation of its chunks, at 1, 2
+        and 3 lanes switching threads every microsecond: tracks shorter
+        than one chunk, blocks that straddle chunks, lanes whose carried
+        frames lie in the chunk before their first block, and templates of
+        40, 10 and 7 frames (longer than some tracks)."""
+        cfg, n, k, length, alpha, block, seed = case
+        rng = np.random.default_rng(seed)
+        m, eps = num_frames(n, cfg), 1e-8
+        onsets = rng.random((k, m)) < 0.1
+        model = NmfdModel(
+            rng.uniform(0, 1, (k, cfg.n_bins, length)),
+            np.where(onsets, rng.uniform(0.5, 2, (k, m)), nmfd.EPSILON),
+            fixed_templates=False)
+        x = Waveform(rng.normal(0, 0.3, n))
+        want = apply_masks(x, compute_masks(reconstruct_per_class(model, m), alpha, eps),
+                           cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(masking, "MASK_BLOCK", block)
+                for lanes in (1, 2, 3):
+                    mp.setattr(parallel, "usable_cpus", lambda lanes=lanes: lanes)
+                    mp.setattr(parallel, "MAX_THREADS", max(2, lanes))
+                    written = np.full(want.shape, np.nan)
+                    mask_with_model(x, model, cfg, alpha, eps,
+                                    writers=[RowWriter(row) for row in written])
+                    assert written.tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
@@ -392,17 +469,17 @@ class TestBlockedKernel:
                     == (tmp_path / "arrays" / f"{name}.wav").read_bytes())
 
     def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
-        """No function that bench/tracing.py hooks in masking, signal or
-        drum_machine runs on a masking lane."""
+        """No function that bench/tracing.py hooks in masking, signal,
+        drum_machine or nmfd runs on a masking lane."""
         calls = record_hooked_calls(
-            monkeypatch, ("masking", "signal", "drum_machine"),
+            monkeypatch, ("masking", "signal", "drum_machine", "nmfd"),
             [("masking", "_mask_lane")])
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         cfg = StftConfig(1024, 256)
         x = Waveform(RNG.normal(0, 0.3, SAMPLE_RATE))
         stems = RNG.normal(0, 0.3, (3, SAMPLE_RATE))
         estimates = np.stack([magnitude(stft(Waveform(s), cfg)) for s in stems])
-        to_array(masking.mask_with_magnitudes, x, estimates, cfg)
+        to_array(masking.mask_with_model, x, as_model(estimates), cfg)
         masking.apply_masks(x, masking.compute_masks(estimates), cfg)
         to_array(masking.mask_with_shots, x, stems[:, :2000], [(0, 100), (2, 30000)],
                  np.ones(2), cfg)
@@ -449,29 +526,31 @@ class TestBlockedKernel:
                           "irfft": 0}
 
     def test_mask_sources_transform_every_frame(self, monkeypatch, sparse_track):
-        """Given magnitudes there are no samples to check: the mixture's
-        frames go forward and every class's frames back, as before the
-        waveform sources skipped silent frames. ``apply_masks``, the
-        per-class inverse STFT, transforms as many."""
+        """A model has no samples to check: the mixture's frames go forward
+        and every class's frames back, as before the waveform sources
+        skipped silent frames. ``apply_masks``, the per-class inverse STFT,
+        transforms as many."""
         x, _, _, _, stems, _ = sparse_track
         frames = num_frames(len(x), StftConfig())
         estimates = np.stack([magnitude(stft(Waveform(s))) for s in stems])
         masks = compute_masks(estimates)
+        model = as_model(estimates)
         counts = count_fft_rows(monkeypatch)
-        to_array(mask_with_magnitudes, x, estimates)
+        to_array(mask_with_model, x, model)
         assert counts == {"rfft": frames, "irfft": NUM_CLASSES * frames}
         apply_masks(x, masks)
         assert counts == {"rfft": 2 * frames, "irfft": 2 * NUM_CLASSES * frames}
 
     @pytest.fixture
     def track(self, monkeypatch):
-        """A 3 s mixture with nine stems and their magnitudes, on two lanes."""
+        """A 3 s mixture with nine stems and a model of their magnitudes
+        (``as_model``), on two lanes."""
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rng = np.random.default_rng(3)
         n = 3 * SAMPLE_RATE
         stems = rng.normal(0, 0.3, (9, n))
         estimates = np.stack([magnitude(stft(Waveform(s))) for s in stems])
-        return Waveform(rng.normal(0, 0.3, n)), stems, estimates
+        return Waveform(rng.normal(0, 0.3, n)), stems, as_model(estimates)
 
     @staticmethod
     def _peak(func, *args) -> int:
@@ -491,6 +570,9 @@ class TestBlockedKernel:
         assert self._peak(to_array, mask_with_shots, x, stems, *at_zero(stems)) < 36e6
 
     def test_masking_with_magnitudes_stays_in_budget(self, track):
-        """Measured 22.2 MB; 45.8 MB when the K x F x M masks were built."""
-        x, _, estimates = track
-        assert self._peak(to_array, mask_with_magnitudes, x, estimates) < 26e6
+        """A model's magnitudes, built per block from its chunks: the
+        output and two lanes' buffers. Measured 22.8 MB; 22.2 MB from a
+        given K x F x M array, and 45.8 MB when the K x F x M masks were
+        built."""
+        x, _, model = track
+        assert self._peak(to_array, mask_with_model, x, model) < 26e6

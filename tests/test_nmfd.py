@@ -1,16 +1,21 @@
-"""NMFD: reconstruction oracle, KL monotonicity, informed initialization."""
+"""NMFD: reconstruction oracle, KL monotonicity, informed initialization,
+and the in-place loop against the allocating update it replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from drumsep.classes import CLASS_INDEX, NUM_CLASSES
+from drumsep.classes import CLASS_INDEX, CLASS_NAMES, NUM_CLASSES
 from drumsep.drum_machine import ONE_SHOT_LENGTH, OneShotBank
 from drumsep.nmfd import (
     EPSILON,
     NmfdCase,
     NmfdModel,
+    fit,
     init_informed,
     kl_divergence,
     nmfd_run,
@@ -18,7 +23,7 @@ from drumsep.nmfd import (
     reconstruct,
     reconstruct_per_class,
 )
-from drumsep.signal import StftConfig, Waveform, magnitude, stft
+from drumsep.signal import DEFAULT_HOP, SAMPLE_RATE, StftConfig, Waveform, magnitude, stft
 from drumsep.transcription import Event, Transcription
 
 RNG = np.random.default_rng(31)
@@ -76,6 +81,41 @@ def loop_step(w, h, v, fixed, eps=EPSILON):
         den_w = h_tau.sum(axis=1)[:, None]
         w_new[:, :, tau] = w[:, :, tau] * num_w / np.maximum(den_w, eps)
     return np.maximum(w_new, eps), h
+
+
+def reference_stacked(h, length):
+    """H_s as the allocating update built it: row k*L + tau is H[k]
+    delayed by tau frames."""
+    k, m = h.shape
+    padded = np.pad(h, ((0, 0), (length - 1, 0)))
+    return sliding_window_view(padded, m, axis=1)[:, ::-1].reshape(k * length, m)
+
+
+def reference_lag_sum(g):
+    """out[k, m] = sum of g[k, tau, m + tau] over tau with m + tau < M, as
+    the allocating update summed it."""
+    k, length, m = g.shape
+    flat = np.pad(g, ((0, 0), (0, 0), (0, length))).reshape(k, -1)
+    return sliding_window_view(flat, m, axis=1)[:, :: m + length + 1].sum(axis=1)
+
+
+def reference_step(w, h, v, fixed):
+    """One update of (W, H) as the allocating formula computed it, with new
+    arrays at every step and W returned as the transposed view it was: the
+    bits the in-place loop keeps."""
+    k, n_bins, length = w.shape
+    m = v.shape[1]
+    w_mat = w.transpose(1, 0, 2).reshape(n_bins, k * length)
+    q = v / (w_mat @ reference_stacked(h, length) + EPSILON)
+    num = reference_lag_sum((w_mat.T @ q).reshape(k, length, m))
+    den = reference_lag_sum(np.broadcast_to(w.sum(axis=1)[:, :, None], (k, length, m)))
+    h = np.maximum(h * num / np.maximum(den, EPSILON), EPSILON)
+    if not fixed:
+        h_s = reference_stacked(h, length)
+        q = v / (w_mat @ h_s + EPSILON)
+        w_mat = w_mat * (q @ h_s.T) / np.maximum(h_s.sum(axis=1), EPSILON)
+        w = np.maximum(w_mat, EPSILON).reshape(n_bins, k, length).transpose(1, 0, 2)
+    return w, h
 
 
 def random_model(k=3, f=12, length=4, m=20, seed=0):
@@ -188,6 +228,91 @@ class TestUpdates:
         model = random_model()
         with pytest.raises(ValueError):
             nmfd_step(model, RNG.uniform(0, 1, (99, 20)))
+
+
+def reference_run(model, v, iterations):
+    """``iterations`` chained ``reference_step``s from ``model``."""
+    w, h = model.templates, model.activations
+    for _ in range(iterations):
+        w, h = reference_step(w, h, v, model.fixed_templates)
+    return w, h
+
+
+def grid_transcription(rng, m, count):
+    """``count`` onsets of random classes on random frames below ``m``, at
+    the default hop."""
+    frames = rng.integers(0, m, count)
+    return Transcription(tuple(
+        Event(int(fr) * DEFAULT_HOP / SAMPLE_RATE, CLASS_NAMES[int(c)], 1.0)
+        for fr, c in zip(frames, rng.integers(0, NUM_CLASSES, count))))
+
+
+class TestInPlaceLoop:
+    """NMFD iterates in buffers that a run allocates once; its models are
+    bit for bit those of the allocating update, step after step."""
+
+    @pytest.fixture(scope="class")
+    def track(self):
+        """A 2 s mixture's magnitudes, nine one-shots and 16 onsets."""
+        rng = np.random.default_rng(12)
+        shots = np.zeros((NUM_CLASSES, ONE_SHOT_LENGTH))
+        shots[:, :6000] = rng.uniform(-1, 1, (NUM_CLASSES, 6000)) * np.exp(
+            -np.arange(6000) / 1500)
+        v = magnitude(stft(Waveform(rng.normal(0, 0.3, 2 * SAMPLE_RATE))))
+        return v, grid_transcription(rng, v.shape[1], 16), OneShotBank("kit", shots)
+
+    @pytest.mark.parametrize("case_id", ["1A", "1B", "3"])
+    def test_presets_equal_the_allocating_update(self, track, case_id):
+        v, t, bank = track
+        case = NmfdCase.preset(case_id)
+        model, per_class = nmfd_run(v, t, bank, case, seed=4)
+        w, h = reference_run(init_informed(v, t, bank, case, seed=4), v, case.iterations)
+        assert np.array_equal(model.templates, w)
+        assert np.array_equal(model.activations, h)
+        assert np.array_equal(per_class, reconstruct_per_class(model, v.shape[1]))
+
+    @given(
+        f=st.integers(1, 24),
+        length=st.integers(2, 12),
+        m=st.integers(1, 30),
+        fixed=st.booleans(),
+        iterations=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_shapes_equal_the_allocating_update(self, f, length, m, fixed,
+                                                      iterations, seed):
+        """Nine classes, random templates, M from one frame to past L. L =
+        1 is left out: there the allocating formula's W_mat is a view of
+        the templates in another layout, which BLAS rounds differently, and
+        no preset has L under 7."""
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0, 1, (f, m))
+        t = grid_transcription(rng, m, int(rng.integers(1, 5)))
+        case = NmfdCase("x", iterations, length, fixed_templates=fixed,
+                        informed_templates=False)
+        model, _ = nmfd_run(v, t, None, case, seed=seed, hop_size=DEFAULT_HOP)
+        w, h = reference_run(init_informed(v, t, None, case, seed=seed,
+                                           hop_size=DEFAULT_HOP), v, iterations)
+        assert np.array_equal(model.templates, w)
+        assert np.array_equal(model.activations, h)
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_memory_does_not_grow_with_iterations(self, track, fixed):
+        """The traced peak of 50 iterations is that of one, within a few
+        kB: every buffer is allocated once per run."""
+        v, t, bank = track
+        peaks = []
+        for iterations in (1, 50):
+            case = NmfdCase("x", iterations, 40, fixed_templates=fixed,
+                            informed_templates=True)
+            tracemalloc.start()
+            try:
+                fit(v, t, bank, case)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 16e3
 
 
 class TestInit:
